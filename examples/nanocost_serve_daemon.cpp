@@ -140,8 +140,9 @@ int main(int argc, char** argv) {
   std::printf(
       "nanocost_serve: drained. served %llu responses (%llu coalesced, %llu wire "
       "errors); campaigns: %llu completed, %llu stopped resumable, %llu shed (%llu "
-      "tenant-quota); connections: %llu handshakes rejected, %llu reaped, %llu "
-      "evicted; artifact sweep evicted %llu/%llu blobs (%llu of %llu bytes)\n",
+      "tenant-quota), %llu simulators built; connections: %llu handshakes rejected, "
+      "%llu reaped, %llu evicted; artifact sweep evicted %llu/%llu blobs (%llu of %llu "
+      "bytes)\n",
       static_cast<unsigned long long>(report.requests_served),
       static_cast<unsigned long long>(report.coalesced),
       static_cast<unsigned long long>(report.wire_errors),
@@ -149,6 +150,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(report.campaigns_stopped),
       static_cast<unsigned long long>(report.campaigns_shed),
       static_cast<unsigned long long>(report.tenant_shed),
+      static_cast<unsigned long long>(report.simulators_built),
       static_cast<unsigned long long>(report.handshake_rejects),
       static_cast<unsigned long long>(report.connections_reaped),
       static_cast<unsigned long long>(report.connections_evicted),

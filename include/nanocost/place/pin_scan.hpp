@@ -119,7 +119,10 @@ inline PinSpan scan_span_sse2(const PinPos* pos, const std::int32_t* pin_gate,
 
 /// Clamped 4-pin (8-float) load: two 128-bit halves stitched with
 /// insertf128, no gathers.  A free function because GCC lambdas do not
-/// inherit the enclosing function's target attribute.
+/// inherit the enclosing function's target attribute: an __m256 passed
+/// to or returned from such a lambda crosses a non-AVX calling
+/// convention (GCC's -Wpsabi) and corrupts the register halves.  Call
+/// it directly from target("avx2") code, never through a lambda.
 __attribute__((target("avx2"))) inline __m256 load_pin_quad_avx2(const PinPos* pos,
                                                                  const std::int32_t* pin_gate,
                                                                  std::int32_t i,
@@ -141,13 +144,13 @@ __attribute__((target("avx2"), cold, noinline)) inline PinSpan scan_span_avx2(co
                                                               std::int32_t begin,
                                                               std::int32_t end) {
   const std::int32_t last = end - 1;
-  const auto quad = [&](std::int32_t i) { return load_pin_quad_avx2(pos, pin_gate, i, last); };
-  const __m256 q0 = quad(begin);
-  const __m256 q1 = quad(begin + 4);
+  const __m256 q0 = load_pin_quad_avx2(pos, pin_gate, begin, last);
+  const __m256 q1 = load_pin_quad_avx2(pos, pin_gate, begin + 4, last);
   __m256 mn = _mm256_min_ps(q0, q1);
   __m256 mx = _mm256_max_ps(q0, q1);
   for (std::int32_t i = begin + 8; i < end; i += 4) {
-    const __m256 q = quad(i);  // clamped: a short final quad re-reads the last pin
+    // Clamped: a short final quad re-reads the last pin.
+    const __m256 q = load_pin_quad_avx2(pos, pin_gate, i, last);
     mn = _mm256_min_ps(mn, q);
     mx = _mm256_max_ps(mx, q);
   }

@@ -109,9 +109,11 @@ class CampaignQueue final {
   /// repeatedly; a drain that finds nothing pending returns
   /// immediately.  `on_complete`, when given, is invoked -- with no
   /// internal lock held -- after each campaign's outcome is recorded,
-  /// with the slot index and a stable copy of the outcome; this is how
-  /// a long-lived server responds per request without waiting for the
-  /// whole cycle.  Concurrent drains serialize.
+  /// with the slot index and the full outcome, chunk blobs included;
+  /// this is how a long-lived server responds per request without
+  /// waiting for the whole cycle.  The blobs move to the callback: the
+  /// slot keeps only the status, message and counters (see
+  /// outcomes()).  Concurrent drains serialize.
   using CompletionFn = std::function<void(std::size_t, const SubmissionOutcome&)>;
   const std::vector<SubmissionOutcome>& drain(const CompletionFn& on_complete = {});
 
@@ -129,6 +131,12 @@ class CampaignQueue final {
   /// Admitted campaigns not yet finished (queued + running).
   [[nodiscard]] std::size_t outstanding() const noexcept;
 
+  /// Every slot's outcome, indexed like submit().  Campaigns finished by
+  /// run() or by a drain() without a callback keep their full result;
+  /// one finished by a drain() with a callback keeps its status,
+  /// message and CampaignResult counters (completed_chunks,
+  /// artifact_hits, quarantined, ...) but no chunk blobs -- those went
+  /// to the callback.
   [[nodiscard]] const std::vector<SubmissionOutcome>& outcomes() const noexcept {
     return outcomes_;
   }

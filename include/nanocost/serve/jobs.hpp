@@ -207,6 +207,10 @@ struct StatsReport final {
 [[nodiscard]] cache::Digest128 job_key(const Eq4Job& job);
 [[nodiscard]] cache::Digest128 job_key(const RiskJob& job);
 [[nodiscard]] cache::Digest128 job_key(const CampaignJob& job);
+/// The same key from an already-built `sim`, which must be
+/// make_simulator(job) or a simulator built from an identical
+/// configuration -- building one costs far more than hashing it.
+[[nodiscard]] cache::Digest128 job_key(const CampaignJob& job, const fabsim::FabSimulator& sim);
 
 // ---- Execution ----------------------------------------------------------
 // Light jobs run synchronously on a worker thread; campaigns go through

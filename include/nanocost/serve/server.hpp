@@ -98,6 +98,9 @@ struct DrainReport final {
   std::uint64_t connections_reaped = 0;   ///< idle/read-deadline kills
   std::uint64_t connections_evicted = 0;  ///< max-connections oldest-idle kills
   std::uint64_t tenant_shed = 0;          ///< campaigns refused by tenant quota
+  /// FabSimulator builds: one per campaign configuration first seen (or
+  /// seen again after eviction), however many lots reuse it.
+  std::uint64_t simulators_built = 0;
   robust::SweepReport artifact_sweep;  ///< the shutdown eviction sweep
 };
 

@@ -131,16 +131,28 @@ const std::vector<SubmissionOutcome>& CampaignQueue::drain(const CompletionFn& o
     SubmissionOutcome& outcome = outcomes_[a.slot];
     outcome.status = status;
     outcome.message = std::move(message);
-    if (ran) outcome.result = std::move(result);
-    if (on_complete) {
-      // Call with a stable copy and no lock held: the callback may
-      // submit, stop, or block on I/O without deadlocking the queue.
-      const SubmissionOutcome copy = outcomes_[a.slot];
-      lk.unlock();
-      on_complete(a.slot, copy);
-      lk.lock();
+    if (!on_complete) {
+      if (ran) outcome.result = std::move(result);
+      continue;
     }
+    // The callback owns the chunk blobs from here on; the slot keeps
+    // the status, message and counters.  A long-lived server drains
+    // every campaign it ever serves through here, so keeping the blobs
+    // would grow its memory by every result.
+    std::vector<std::vector<std::uint8_t>> chunks = std::move(result.chunks);
+    if (ran) outcome.result = std::move(result);
+    SubmissionOutcome handed = outcome;
+    handed.result.chunks = std::move(chunks);
+    // Called with no lock held: the callback may submit, stop, or block
+    // on I/O without deadlocking the queue.
+    lk.unlock();
+    on_complete(a.slot, handed);
+    lk.lock();
   }
+  // Every admitted entry has been picked up; drop them so a long-lived
+  // queue holds only its outcome slots.
+  admitted_.clear();
+  next_ = 0;
 
   draining_ = false;
   lk.unlock();

@@ -332,10 +332,11 @@ cache::Digest128 job_key(const RiskJob& job) {
                                      job.die_budget);
 }
 
-cache::Digest128 job_key(const CampaignJob& job) {
+cache::Digest128 job_key(const CampaignJob& job) { return job_key(job, make_simulator(job)); }
+
+cache::Digest128 job_key(const CampaignJob& job, const fabsim::FabSimulator& sim) {
   // The run key addresses the computation; max_chunks shapes how much
   // of it this submission performs, so it must split coalescing groups.
-  const fabsim::FabSimulator sim = make_simulator(job);
   return cache::KeyBuilder("serve.campaign")
       .sub("run", cache::fabsim_run_key(sim, job.n_wafers, job.seed))
       .i64("max_chunks", job.max_chunks)

@@ -1,5 +1,6 @@
 #include "nanocost/serve/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -28,6 +29,7 @@
 #include <unistd.h>
 
 #include "nanocost/cache/codec.hpp"
+#include "nanocost/cache/hash.hpp"
 #include "nanocost/cache/key.hpp"
 #include "nanocost/exec/simd.hpp"
 #include "nanocost/fabsim/campaign.hpp"
@@ -253,6 +255,18 @@ void count_tenant_shed(const std::string& tenant) {
   }
 }
 
+/// Digest of everything in `job` that shapes its simulator: the wire
+/// payload with the run-shape fields zeroed, so every field the wire
+/// carries is covered by construction.
+cache::Digest128 simulator_config_digest(CampaignJob job) {
+  job.request_id = 0;
+  job.n_wafers = 0;
+  job.seed = 0;
+  job.max_chunks = 0;
+  const std::vector<std::uint8_t> bytes = encode_payload(job);
+  return cache::hash128(bytes.data(), bytes.size());
+}
+
 /// Latency bookkeeping for one answered job request (response already
 /// written): the overall serve.request_us histogram -- whose count is
 /// exactly the job responses served -- plus the per-type x per-outcome
@@ -300,6 +314,16 @@ struct Server::Impl {
     std::thread thread;
   };
 
+  /// Simulators kept at once, so the cache stays small however many
+  /// configurations clients send; past this many the least recently
+  /// used one is dropped.
+  static constexpr std::size_t kSimulatorCacheCapacity = 16;
+
+  struct CachedSimulator {
+    std::shared_ptr<const fabsim::FabSimulator> sim;
+    std::uint64_t last_use = 0;  ///< simulator_clock at the last lookup
+  };
+
   struct LightJob {
     cache::Digest128 key{};
     bool is_eq4 = true;
@@ -308,9 +332,11 @@ struct Server::Impl {
   };
 
   /// One admitted campaign awaiting its drain outcome.  The simulator
-  /// and task live here because CampaignQueue holds them by reference.
+  /// and task live here because CampaignQueue holds them by reference;
+  /// the simulator is shared with the simulator cache, which may evict
+  /// it first.
   struct PendingCampaign {
-    std::unique_ptr<fabsim::FabSimulator> sim;
+    std::shared_ptr<const fabsim::FabSimulator> sim;
     std::unique_ptr<fabsim::FabLotCampaign> task;
     std::vector<Waiter> waiters;  ///< [0] owns the computation
     cache::Digest128 key{};
@@ -724,12 +750,12 @@ struct Server::Impl {
   bool dispatch_campaign(const std::shared_ptr<Connection>& conn, const Frame& frame,
                          std::uint64_t request_id, std::uint64_t start_us) {
     CampaignJob job;
-    std::unique_ptr<fabsim::FabSimulator> sim;
+    std::shared_ptr<const fabsim::FabSimulator> sim;
     cache::Digest128 key;
     try {
       job = decode_campaign_job(frame.payload);
-      sim = std::make_unique<fabsim::FabSimulator>(make_simulator(job));
-      key = job_key(job);
+      sim = simulator_for(job);
+      key = job_key(job, *sim);
     } catch (const std::exception& e) {
       Response r;
       r.request_id = request_id;
@@ -827,6 +853,37 @@ struct Server::Impl {
       record_latency(JobKind::kCampaign, immediate.status, start_us);
     }
     return true;
+  }
+
+  /// The simulator `job` describes.  Building one (almost all of it the
+  /// kill-probability LUT) costs many times what serving a replayed lot
+  /// does, so each configuration is built once per server and shared.
+  /// A miss builds outside mu; a configuration the library rejects
+  /// throws here and is not cached.
+  std::shared_ptr<const fabsim::FabSimulator> simulator_for(const CampaignJob& job) {
+    const cache::Digest128 config = simulator_config_digest(job);
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      const auto it = simulators.find(config);
+      if (it != simulators.end()) {
+        it->second.last_use = ++simulator_clock;
+        return it->second.sim;
+      }
+    }
+    auto built = std::make_shared<const fabsim::FabSimulator>(make_simulator(job));
+    simulators_built.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(mu);
+    // A reader racing on the same configuration may have inserted first;
+    // keep its simulator so the cache holds one per configuration.
+    const auto it = simulators.try_emplace(config, CachedSimulator{std::move(built), 0}).first;
+    it->second.last_use = ++simulator_clock;
+    if (simulators.size() > kSimulatorCacheCapacity) {
+      simulators.erase(std::min_element(
+          simulators.begin(), simulators.end(), [](const auto& a, const auto& b) {
+            return a.second.last_use < b.second.last_use;
+          }));
+    }
+    return it->second.sim;
   }
 
   // ---- light-job workers -----------------------------------------------
@@ -1225,6 +1282,7 @@ struct Server::Impl {
     report.connections_reaped = connections_reaped.load(std::memory_order_relaxed);
     report.connections_evicted = connections_evicted.load(std::memory_order_relaxed);
     report.tenant_shed = tenant_shed.load(std::memory_order_relaxed);
+    report.simulators_built = simulators_built.load(std::memory_order_relaxed);
     report_ready = true;
     return report;
   }
@@ -1242,6 +1300,10 @@ struct Server::Impl {
   std::map<std::size_t, PendingCampaign> pending;
   std::map<cache::Digest128, std::size_t> campaign_inflight;
   std::map<std::string, std::size_t> tenant_outstanding;  ///< live campaign waiters per tenant
+  /// Built simulators by simulator_config_digest, at most
+  /// kSimulatorCacheCapacity of them.
+  std::map<cache::Digest128, CachedSimulator> simulators;
+  std::uint64_t simulator_clock = 0;
   std::uint64_t next_conn_id = 1;
   bool shutting_down = false;
   bool workers_stop = false;
@@ -1276,6 +1338,7 @@ struct Server::Impl {
   std::atomic<std::uint64_t> connections_reaped{0};
   std::atomic<std::uint64_t> connections_evicted{0};
   std::atomic<std::uint64_t> tenant_shed{0};
+  std::atomic<std::uint64_t> simulators_built{0};
 
   /// Construction instant; kStatsResponse reports uptime against it.
   const std::chrono::steady_clock::time_point started = std::chrono::steady_clock::now();

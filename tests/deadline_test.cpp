@@ -772,6 +772,35 @@ TEST(AdmissionQueue, DrainPicksUpSubmissionsArrivingMidCycle) {
   EXPECT_EQ(queue.completed_count(), 3u);
 }
 
+TEST(AdmissionQueue, DrainCallbackTakesTheChunkBlobsTheSlotKeepsTheCounters) {
+  // A long-lived server drains every campaign it serves through the
+  // callback; the queue must not keep each result's blobs forever.
+  const ToyTask task(40, 4);  // 10 chunks
+  const robust::CampaignResult reference = robust::run_campaign(task);
+  robust::CampaignQueue queue(robust::AdmissionOptions{});
+  const std::size_t slot = queue.submit(task);
+  bool called = false;
+  const auto& outcomes = queue.drain([&](std::size_t s, const robust::SubmissionOutcome& o) {
+    called = true;
+    EXPECT_EQ(s, slot);
+    EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
+    EXPECT_EQ(o.result.chunks, reference.chunks);
+  });
+  EXPECT_TRUE(called);
+  const robust::SubmissionOutcome kept = queue.outcome_copy(slot);
+  EXPECT_EQ(kept.status, robust::SubmissionStatus::kCompleted);
+  EXPECT_EQ(kept.result.completed_chunks, 10);
+  EXPECT_EQ(kept.result.total_chunks, 10);
+  EXPECT_TRUE(kept.result.chunks.empty());
+  EXPECT_TRUE(outcomes[slot].result.chunks.empty());
+
+  // A drain without a callback has no one to hand the blobs to: the
+  // slot keeps the full result, as run() does.
+  const std::size_t second = queue.submit(task);
+  EXPECT_EQ(queue.drain()[second].result.chunks, reference.chunks);
+  EXPECT_EQ(queue.outstanding(), 0u);
+}
+
 TEST(AdmissionQueue, StopFinalizesEveryOutcomeWithoutRunningTheBacklog) {
   const ToyTask task(40, 4);
   robust::CampaignQueue queue(robust::AdmissionOptions{});

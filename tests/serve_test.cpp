@@ -368,6 +368,11 @@ TEST(JobKeys, CoalesceOnContentNotRequestId) {
   EXPECT_NE(job_key(c1), job_key(c2));
   CampaignJob c3 = small_campaign(6);
   EXPECT_NE(job_key(c1), job_key(c3));
+  // The server keys jobs with a simulator it already built; the bytes
+  // must be the one-argument form's.
+  for (const CampaignJob& c : {c1, c2, c3}) {
+    EXPECT_EQ(job_key(c), job_key(c, make_simulator(c)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -542,6 +547,113 @@ TEST(Coalescing, IdenticalInflightCampaignsComputeOnce) {
   const DrainReport report = server.shutdown();
   EXPECT_EQ(report.coalesced, 1u);
   EXPECT_EQ(report.campaigns_completed, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Simulator cache: one FabSimulator build per configuration per server.
+
+TEST(SimulatorCache, OneBuildServesEveryRunShapeOfAConfiguration) {
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  // Seed, wafer count and chunk budget vary; the simulator does not.
+  // Every budget covers its lot, so each response is a complete run.
+  std::vector<CampaignJob> jobs{small_campaign(1), small_campaign(2, 12), small_campaign(3, 4),
+                                small_campaign(1)};
+  jobs[1].max_chunks = 3;
+  jobs[2].max_chunks = 50;
+  for (const CampaignJob& job : jobs) {
+    const Response r = client.wait(client.submit(job));
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << r.message;
+    EXPECT_EQ(r.result, direct_campaign_bytes(job)) << "seed " << job.seed;
+  }
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.simulators_built, 1u);
+  EXPECT_EQ(report.campaigns_completed, jobs.size());
+}
+
+TEST(SimulatorCache, ConcurrentReadersShareOneConfiguration) {
+  // Each connection has its own reader thread, so these lookups race;
+  // readers that miss together may each build, never more.
+  constexpr int kClients = 4;
+  Server server(ServerOptions{});
+  std::vector<Client> clients;
+  for (int c = 0; c < kClients; ++c) clients.push_back(make_client(server));
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&clients, c] {
+      Client& client = clients[static_cast<std::size_t>(c)];
+      for (std::uint64_t lot = 0; lot < 4; ++lot) {
+        const CampaignJob job = small_campaign(100 * static_cast<std::uint64_t>(c) + lot, 4);
+        const Response r = client.wait(client.submit(job));
+        EXPECT_EQ(r.status, ResponseStatus::kOk) << r.message;
+        EXPECT_EQ(r.result, direct_campaign_bytes(job));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const DrainReport report = server.shutdown();
+  EXPECT_GE(report.simulators_built, 1u);
+  EXPECT_LE(report.simulators_built, static_cast<std::uint64_t>(kClients));
+}
+
+TEST(SimulatorCache, EverySimulatorFieldSplitsTheCache) {
+  using Edit = void (*)(CampaignJob&);
+  const std::vector<Edit> edits{
+      [](CampaignJob& j) { j.wafer_diameter_mm = 150.0; },
+      [](CampaignJob& j) { j.wafer_edge_exclusion_mm = 5.0; },
+      [](CampaignJob& j) { j.wafer_scribe_mm = 0.2; },
+      [](CampaignJob& j) { j.die_width_mm = 10.0; },
+      [](CampaignJob& j) { j.die_height_mm = 11.0; },
+      [](CampaignJob& j) { j.size_xmin_um = 0.1; },
+      [](CampaignJob& j) { j.size_peak_um = 0.3; },
+      [](CampaignJob& j) { j.size_xmax_um = 20.0; },
+      [](CampaignJob& j) { j.size_q = 2.5; },
+      [](CampaignJob& j) { j.defect_density_per_cm2 = 0.9; },
+      [](CampaignJob& j) { j.cluster_alpha = 1.5; },
+      [](CampaignJob& j) { j.clustered = false; },
+      [](CampaignJob& j) { j.radial_edge_boost = 0.5; },
+      [](CampaignJob& j) { j.radial_sharpness = 3.0; },
+      [](CampaignJob& j) { j.wire_width_um = 0.3; },
+      [](CampaignJob& j) { j.wire_spacing_um = 0.35; },
+      [](CampaignJob& j) { j.wire_length_um = 80.0; },
+      [](CampaignJob& j) { j.wire_count = 40; },
+  };
+  ASSERT_EQ(edits.size(), 18u) << "one edit per simulator field of CampaignJob";
+
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  const CampaignJob base = small_campaign(4, 4);
+  ASSERT_EQ(client.wait(client.submit(base)).status, ResponseStatus::kOk);
+  CampaignJob last = base;
+  for (const Edit edit : edits) {
+    last = base;
+    edit(last);
+    const Response r = client.wait(client.submit(last));
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << r.message;
+    EXPECT_EQ(r.result, direct_campaign_bytes(last));
+  }
+  // A repeat of the latest configuration is still cached.
+  EXPECT_EQ(client.wait(client.submit(last)).result, direct_campaign_bytes(last));
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.simulators_built, 1u + edits.size());
+}
+
+TEST(SimulatorCache, InvalidConfigurationGetsErrorAndIsNotCached) {
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  CampaignJob bad = small_campaign(5);
+  bad.wafer_edge_exclusion_mm = 150.0;  // wider than the 100 mm radius
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Response r = client.wait(client.submit(bad));
+    EXPECT_EQ(r.status, ResponseStatus::kError);
+    EXPECT_NE(r.message.find("invalid campaign job"), std::string::npos) << r.message;
+    EXPECT_TRUE(r.result.empty());
+  }
+  // The connection and the cache still serve a valid configuration.
+  const CampaignJob good = small_campaign(5);
+  EXPECT_EQ(client.wait(client.submit(good)).result, direct_campaign_bytes(good));
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.simulators_built, 1u);
 }
 
 // ---------------------------------------------------------------------------
