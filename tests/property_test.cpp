@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/transistor_cost.hpp"
@@ -119,6 +120,13 @@ struct YieldCase {
   const char* model;
   double lambda;
 };
+
+// ctest names each case after its printed parameter. gtest's default
+// printer would dump the struct's bytes, and with them the address of
+// `model`, which moves on every run; print the values instead.
+void PrintTo(const YieldCase& c, std::ostream* os) {
+  *os << c.model << "_lambda_" << c.lambda;
+}
 
 class YieldBounds : public ::testing::TestWithParam<YieldCase> {};
 
