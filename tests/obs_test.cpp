@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "corruption_matrix.hpp"
+#include "golden_hex.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/simulator.hpp"
@@ -346,16 +347,7 @@ obs::MetricsSnapshot stat_fixture() {
   return snap;
 }
 
-std::string to_hex(const std::vector<std::uint8_t>& bytes) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xF]);
-  }
-  return out;
-}
+using nanocost::testing::to_hex;
 
 TEST(ObsStats, RoundTripIsBitwise) {
   const obs::MetricsSnapshot snap = stat_fixture();

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "corruption_matrix.hpp"
+#include "golden_hex.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
@@ -233,6 +234,30 @@ TEST(WireFrame, CorruptionMatrixRejectsEveryCell) {
         return v;
       },
       opts);
+}
+
+TEST(WireFrame, GoldenVectorPinsTheFormat) {
+  // The risk-request frame the corruption matrix mutates, pinned byte
+  // for byte in both directions.  If this test fails, the wire format
+  // changed: that requires a kWireVersion bump, not a golden update.
+  const std::string kGoldenHex =
+      "4e435749524530310100000002000000a8000000000000000000000000000000"
+      "000000000000d03fcdccccccccccec3f000000000000204000000000d0126341"
+      "00000000006ae840c3f5285c8fa2734000000000804f22410000000000408f40"
+      "000000000000f03f333333333333f33f0000000000005940000000000000f03f"
+      "7b14ae47e17ab43f333333333333c33f9a9999999999d93f000000000000e03f"
+      "0000000000408f40000100000000000001000000000000000000000000000000"
+      "8075b46119cfb75f";
+  const std::vector<std::uint8_t> payload = encode_payload(small_risk());
+  EXPECT_EQ(nanocost::testing::to_hex(encode_frame(FrameType::kRiskRequest, payload)),
+            kGoldenHex);
+
+  MemStream stream(nanocost::testing::from_hex(kGoldenHex));
+  const std::optional<Frame> frame = read_frame(stream);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, FrameType::kRiskRequest);
+  EXPECT_EQ(frame->payload, payload);
+  EXPECT_FALSE(read_frame(stream).has_value());
 }
 
 TEST(WireFrame, DiagnosticsNameTheFrameAndOffense) {
