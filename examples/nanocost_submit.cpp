@@ -25,7 +25,7 @@
 #include <cstring>
 #include <string>
 
-#include "nanocost/robust/fault_injection.hpp"
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/serve/resilient.hpp"
 
 namespace {
@@ -119,8 +119,7 @@ int main(int argc, char** argv) {
       job.max_chunks = max_chunks;
       r = client.submit_and_wait(job);
     }
-    const std::uint64_t digest = robust::fnv1a(std::string_view(
-        reinterpret_cast<const char*>(r.result.data()), r.result.size()));
+    const std::uint64_t digest = cache::fnv1a(r.result.data(), r.result.size());
     std::printf("%s status=%s completeness=%.4f frontier=%lld artifact_hits=%llu "
                 "coalesced=%d digest=%016llx reconnects=%llu retries=%llu%s%s\n",
                 kind.c_str(), serve::response_status_name(r.status), r.completeness,

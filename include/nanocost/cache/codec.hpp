@@ -9,18 +9,18 @@
 // recompute" can be checked by memcmp on encoded bytes
 // (tests/cache_test.cpp does exactly that).
 //
-// Layout per type: fields in struct declaration order; f64 by bit
-// pattern, integers little-endian fixed-width, vectors as u64 length
-// followed by elements.  The encoding is versioned implicitly through
-// cache/key.hpp's kKeySchemaVersion -- keys and blobs invalidate
-// together.
+// Layout per type: fields in struct declaration order, written with
+// the shared byte codec (cache/bytes.hpp states its conventions);
+// vectors as a u64 count followed by elements.  The encoding is
+// versioned implicitly through cache/key.hpp's kKeySchemaVersion --
+// keys and blobs invalidate together.  Decoders throw std::runtime_error
+// (the codec's DecodeError) on truncation or trailing bytes.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/fabsim/simulator.hpp"
@@ -28,54 +28,6 @@
 #include "nanocost/regularity/window_sweep.hpp"
 
 namespace nanocost::cache {
-
-/// Appends little-endian fields to a growing byte vector.
-class ByteWriter final {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void i32(std::int32_t v) { u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void f64(double v);
-  /// u64 length followed by the raw bytes.
-  void bytes(const std::vector<std::uint8_t>& v);
-  /// u64 length followed by the raw characters.
-  void str(std::string_view v);
-
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
-
- private:
-  std::vector<std::uint8_t> out_;
-};
-
-/// Reads the writer's format back; throws std::runtime_error on
-/// truncation or trailing garbage (a malformed blob must never decode
-/// silently).
-class ByteReader final {
- public:
-  explicit ByteReader(const std::vector<std::uint8_t>& blob) : blob_(blob) {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(i64()); }
-  [[nodiscard]] double f64();
-  /// Counterpart of ByteWriter::bytes(); the declared length is
-  /// validated against the bytes remaining before any allocation, so a
-  /// corrupted length field throws instead of driving a giant reserve.
-  [[nodiscard]] std::vector<std::uint8_t> bytes();
-  /// Counterpart of ByteWriter::str(), with the same length validation.
-  [[nodiscard]] std::string str();
-
-  /// Throws unless every byte was consumed.
-  void expect_end() const;
-
- private:
-  const std::vector<std::uint8_t>& blob_;
-  std::size_t pos_ = 0;
-};
 
 // ---- Result codecs ------------------------------------------------------
 // One encode/decode pair per cached entry-point result type.

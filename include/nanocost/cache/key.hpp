@@ -8,8 +8,8 @@
 // byte serialization of those inputs fed through the in-repo 128-bit
 // hash (cache/hash.hpp):
 //
-//   key = H( magic, schema version, entry-point name,
-//            [type code, tag hash, value bytes]* )
+//   key = H( magic, schema version, fnv1a(entry-point name),
+//            [type code, fnv1a(tag), value bytes]* )
 //
 // Canonicalization rules (DESIGN.md section 13):
 //   * every field is written explicitly, tagged with the hash of its
@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/cache/hash.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/core/transistor_cost.hpp"
@@ -48,17 +49,6 @@ namespace nanocost::cache {
 // on-disk artifact tier (robust/artifact_store.hpp, below this module
 // in the link order) can fold it into blob addresses too.
 
-/// FNV-1a over the field tag; constexpr so tags cost nothing at runtime
-/// when the compiler folds them.
-[[nodiscard]] constexpr std::uint64_t tag_hash(std::string_view tag) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : tag) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 /// Builds one canonical key.  Field order is part of the schema: append
 /// fields in declaration order of the input struct.
 class KeyBuilder final {
@@ -68,7 +58,7 @@ class KeyBuilder final {
   explicit KeyBuilder(std::string_view entry_point) {
     hash_.update("NCKEY");
     hash_.update_u64(kKeySchemaVersion);
-    hash_.update_u64(tag_hash(entry_point));
+    hash_.update_u64(fnv1a(entry_point));
   }
 
   KeyBuilder& f64(std::string_view tag, double v) {
@@ -119,7 +109,7 @@ class KeyBuilder final {
   void field(TypeCode code, std::string_view tag) {
     const auto c = static_cast<std::uint8_t>(code);
     hash_.update(&c, 1);
-    hash_.update_u64(tag_hash(tag));
+    hash_.update_u64(fnv1a(tag));
   }
 
   Hash128 hash_;

@@ -41,7 +41,9 @@ class FabLotCampaign final : public robust::CampaignTask {
   /// Decodes a campaign result back into a lot.  Aggregates (totals,
   /// histogram) are merged in ascending chunk order; on a fully
   /// completed campaign the returned lot equals
-  /// sim.run(n_wafers, seed) field for field.
+  /// sim.run(n_wafers, seed) field for field.  Throws
+  /// std::runtime_error on a malformed chunk blob: truncated, a
+  /// histogram length the blob cannot hold, or trailing bytes.
   [[nodiscard]] PartialLot assemble(const robust::CampaignResult& result) const;
 
  private:

@@ -6,7 +6,8 @@
 // versioned magic, per-entry field tags, every declared length validated
 // against the remaining bytes before any allocation, trailing bytes
 // rejected, and a trailing fnv1a checksum so a single bit flip anywhere
-// after the magic is caught.  One NCSTAT01 blob (little-endian):
+// after the magic is caught.  One NCSTAT01 blob (the byte codec's
+// conventions, cache/bytes.hpp and DESIGN.md section 13):
 //
 //   magic   "NCSTAT01"                      8 bytes
 //   u32     version (kStatVersion)
@@ -45,7 +46,9 @@ inline constexpr std::uint64_t kMaxStatNameBytes = 4096;
 inline constexpr std::uint64_t kMaxStatBounds = 4096;
 
 /// Thrown on any structural damage to an NCSTAT01 blob.  The message
-/// names the field and the offense.
+/// names the offense and where: the field for a bad tag, cap, bound
+/// order or checksum, the byte offset for truncation, an impossible
+/// count or trailing bytes.
 class StatError final : public std::runtime_error {
  public:
   explicit StatError(const std::string& what) : std::runtime_error(what) {}

@@ -7,7 +7,8 @@
 //
 //   <dir>/<32-hex-digest>.ncblob
 //
-// Each blob file (little-endian, DESIGN.md section 13):
+// Each blob file (the byte codec's conventions, cache/bytes.hpp; see
+// DESIGN.md section 13):
 //   magic   "NCBLOB01"                     8 bytes
 //   u64     digest hi, u64 digest lo       (self-identifying)
 //   i64     payload size

@@ -8,7 +8,8 @@
 // campaign reproduces an uninterrupted one bitwise -- at any thread
 // count.
 //
-// File layout (little-endian, see DESIGN.md section 9):
+// File layout (the byte codec's conventions, cache/bytes.hpp; see
+// DESIGN.md section 9):
 //   magic   "NCCKPT01"                     8 bytes
 //   u64     fingerprint (campaign identity: name/config/seed hash)
 //   i64     unit_count
@@ -65,6 +66,19 @@ class CheckpointCorrupt final : public std::runtime_error {
 /// the number of bytes written.  Throws std::runtime_error on I/O
 /// failure.
 std::size_t save_checkpoint(const std::string& path, const Checkpoint& ckpt);
+
+/// Publishes `bytes` as the file `path` atomically: writes `path`.tmp,
+/// flushes it, and renames it over `path`, so a reader sees the whole
+/// old file or the whole new one.  Checkpoints and artifact blobs both
+/// publish through this.  Throws std::runtime_error naming `what` (the
+/// kind of file) on I/O failure.
+void publish_file(const std::string& path, const std::vector<std::uint8_t>& bytes,
+                  const char* what);
+
+/// Reads the whole file at `path` into `bytes`.  Returns false when the
+/// file cannot be opened (a missing file is not an error); throws
+/// std::runtime_error on a read error.
+[[nodiscard]] bool read_file(const std::string& path, std::vector<std::uint8_t>& bytes);
 
 /// Loads `path` into `out`.  Returns false when the file does not exist.
 /// Throws CheckpointMismatch when the header disagrees with `expected`

@@ -27,6 +27,8 @@
 #include <string_view>
 #include <vector>
 
+#include "nanocost/cache/bytes.hpp"
+
 namespace nanocost::robust {
 
 /// What happens when a scheduled fault fires.
@@ -59,23 +61,14 @@ class FaultInjected final : public std::runtime_error {
   std::uint64_t index_ = 0;
 };
 
-/// FNV-1a over a string -- constexpr so site hashes resolve at compile
-/// time and the slow path does integer compares, never string compares.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 /// A named injection point.  Construct as a constexpr constant next to
-/// the code that evaluates it.
+/// the code that evaluates it.  The name's FNV-1a hash resolves at
+/// compile time, so the slow path does integer compares, never string
+/// compares.
 struct FaultSite final {
   const char* name;
   std::uint64_t hash;
-  constexpr explicit FaultSite(const char* n) : name(n), hash(fnv1a(n)) {}
+  constexpr explicit FaultSite(const char* n) : name(n), hash(cache::fnv1a(n)) {}
 };
 
 /// A set of site -> FaultSpec rules plus the schedule seed.

@@ -1,6 +1,7 @@
 // NCWIRE01: the length-prefixed framed wire protocol of nanocost::serve.
 //
-// One frame (little-endian, DESIGN.md section 14):
+// One frame (the byte codec's conventions, cache/bytes.hpp; DESIGN.md
+// section 14):
 //   magic   "NCWIRE01"                      8 bytes
 //   u32     version (kWireVersion)
 //   u32     frame type (FrameType)

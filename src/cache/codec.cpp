@@ -1,74 +1,8 @@
 #include "nanocost/cache/codec.hpp"
 
-#include <bit>
-#include <cstddef>
-#include <stdexcept>
-
 namespace nanocost::cache {
 
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::bytes(const std::vector<std::uint8_t>& v) {
-  u64(v.size());
-  out_.insert(out_.end(), v.begin(), v.end());
-}
-
-void ByteWriter::str(std::string_view v) {
-  u64(v.size());
-  out_.insert(out_.end(), v.begin(), v.end());
-}
-
-std::uint8_t ByteReader::u8() {
-  if (pos_ >= blob_.size()) throw std::runtime_error("cache blob truncated");
-  return blob_[pos_++];
-}
-
-std::uint64_t ByteReader::u64() {
-  if (blob_.size() - pos_ < 8 || pos_ > blob_.size()) {
-    throw std::runtime_error("cache blob truncated");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(blob_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::vector<std::uint8_t> ByteReader::bytes() {
-  const std::uint64_t n = u64();
-  if (n > blob_.size() - pos_) throw std::runtime_error("cache blob truncated");
-  std::vector<std::uint8_t> out(blob_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                blob_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-std::string ByteReader::str() {
-  const std::uint64_t n = u64();
-  if (n > blob_.size() - pos_) throw std::runtime_error("cache blob truncated");
-  std::string out(reinterpret_cast<const char*>(blob_.data()) + pos_,
-                  static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-void ByteReader::expect_end() const {
-  if (pos_ != blob_.size()) throw std::runtime_error("cache blob has trailing bytes");
-}
-
 namespace {
-
-/// Length-prefix sanity for vector decoders: a claimed element count
-/// whose payload cannot fit in the blob is corruption, not a request to
-/// allocate terabytes.
-std::size_t checked_count(std::uint64_t count, std::size_t min_elem_bytes,
-                          std::size_t blob_bytes) {
-  if (min_elem_bytes > 0 && count > blob_bytes / min_elem_bytes) {
-    throw std::runtime_error("cache blob truncated");
-  }
-  return static_cast<std::size_t>(count);
-}
 
 void put_breakdown(ByteWriter& w, const core::Eq4Breakdown& b) {
   w.f64(b.manufacturing.value());
@@ -144,7 +78,7 @@ std::vector<std::uint8_t> encode(const std::vector<core::SweepPoint>& r) {
 
 std::vector<core::SweepPoint> decode_sweep_points(const std::vector<std::uint8_t>& blob) {
   ByteReader r(blob);
-  std::vector<core::SweepPoint> out(checked_count(r.u64(), 56, blob.size()));
+  std::vector<core::SweepPoint> out(r.count(56));
   for (core::SweepPoint& p : out) {
     p.s_d = r.f64();
     p.breakdown = get_breakdown(r);
@@ -168,7 +102,7 @@ std::vector<std::uint8_t> encode(const std::vector<regularity::WindowSweepPoint>
 std::vector<regularity::WindowSweepPoint> decode_window_sweep_points(
     const std::vector<std::uint8_t>& blob) {
   ByteReader r(blob);
-  std::vector<regularity::WindowSweepPoint> out(checked_count(r.u64(), 32, blob.size()));
+  std::vector<regularity::WindowSweepPoint> out(r.count(32));
   for (regularity::WindowSweepPoint& p : out) {
     p.window = r.i64();
     p.total_windows = r.i64();
@@ -198,7 +132,7 @@ std::vector<std::uint8_t> encode(const fabsim::LotResult& r) {
 fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob) {
   ByteReader r(blob);
   fabsim::LotResult out;
-  out.wafers.resize(checked_count(r.u64(), 32, blob.size()));
+  out.wafers.resize(r.count(32));
   for (fabsim::WaferResult& wafer : out.wafers) {
     wafer.gross_dies = r.i64();
     wafer.good_dies = r.i64();
@@ -207,7 +141,7 @@ fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob) {
   }
   out.total_dies = r.i64();
   out.good_dies = r.i64();
-  out.fault_histogram.resize(checked_count(r.u64(), 8, blob.size()));
+  out.fault_histogram.resize(r.count(8));
   for (std::int64_t& count : out.fault_histogram) count = r.i64();
   r.expect_end();
   return out;
@@ -246,7 +180,7 @@ place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>
   out.best.moves_accepted = r.i64();
   out.best_start = r.i32();
   out.starts = r.i32();
-  out.start_hpwls.resize(checked_count(r.u64(), 8, blob.size()));
+  out.start_hpwls.resize(r.count(8));
   for (double& h : out.start_hpwls) h = r.f64();
   r.expect_end();
   return out;

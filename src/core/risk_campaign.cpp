@@ -1,31 +1,16 @@
 #include "nanocost/core/risk_campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/robust/finite_guard.hpp"
 
 namespace nanocost::core {
-
-namespace {
-
-double bits_to_double(std::uint64_t u) {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
-std::uint64_t double_to_bits(double d) {
-  std::uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-}  // namespace
 
 RiskCampaign::RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64_t samples,
                            std::uint64_t seed, double die_budget)
@@ -37,11 +22,11 @@ RiskCampaign::RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64
 
 std::uint64_t RiskCampaign::config_fingerprint() const {
   std::uint64_t h = exec::splitmix64(seed_);
-  h = exec::splitmix64(h ^ double_to_bits(s_d_));
-  h = exec::splitmix64(h ^ double_to_bits(inputs_.nominal.transistors_per_chip));
-  h = exec::splitmix64(h ^ double_to_bits(inputs_.nominal.n_wafers));
-  h = exec::splitmix64(h ^ double_to_bits(inputs_.volume_sigma_rel));
-  h = exec::splitmix64(h ^ double_to_bits(die_budget_));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(s_d_));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.nominal.transistors_per_chip));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.nominal.n_wafers));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.volume_sigma_rel));
+  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(die_budget_));
   return h;
 }
 
@@ -55,28 +40,20 @@ void RiskCampaign::run_chunk(std::int64_t begin, std::int64_t end,
   // A NaN here (model escape or injected poison) fails the chunk, which
   // the engine retries or quarantines -- never serialized.
   robust::check_finite_range(costs.data(), costs.size(), "risk.sample_chunk");
-  blob.reserve(costs.size() * 8);
-  for (const double c : costs) {
-    const std::uint64_t u = double_to_bits(c);
-    for (int b = 0; b < 8; ++b) blob.push_back(static_cast<std::uint8_t>(u >> (8 * b)));
-  }
+  cache::ByteWriter w;
+  w.reserve(costs.size() * 8);
+  for (const double c : costs) w.f64(c);
+  blob = w.take();
 }
 
 PartialRisk RiskCampaign::assemble(const robust::CampaignResult& result) const {
   PartialRisk out;
   std::vector<double> costs;
   costs.reserve(static_cast<std::size_t>(result.completed_units));
-  for (std::size_t c = 0; c < result.chunks.size(); ++c) {
-    const auto& blob = result.chunks[c];
-    if (blob.empty()) continue;
-    if (blob.size() % 8 != 0) {
-      throw std::runtime_error("risk campaign blob has a torn sample");
-    }
-    for (std::size_t pos = 0; pos < blob.size(); pos += 8) {
-      std::uint64_t u = 0;
-      for (int b = 0; b < 8; ++b) u |= static_cast<std::uint64_t>(blob[pos + b]) << (8 * b);
-      costs.push_back(bits_to_double(u));
-    }
+  for (const auto& blob : result.chunks) {
+    // One f64 per sample; a torn trailing sample throws DecodeError.
+    cache::ByteReader r(blob);
+    while (r.remaining() > 0) costs.push_back(r.f64());
   }
   out.completed_samples = static_cast<std::int64_t>(costs.size());
   out.completeness = result.completeness();

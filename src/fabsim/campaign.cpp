@@ -3,31 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/exec/seed.hpp"
 
 namespace nanocost::fabsim {
 
-namespace {
-
-// Blob layout (little-endian on every supported target):
+// Chunk blob layout (the byte codec's conventions, cache/bytes.hpp):
 //   per wafer: i64 gross_dies, good_dies, defects, defects_on_dies
-//   then:      i64 histogram length, i64 histogram[...]
-void append_i64(std::vector<std::uint8_t>& blob, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) blob.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
-}
-
-std::int64_t read_i64(const std::vector<std::uint8_t>& blob, std::size_t& pos) {
-  if (pos + 8 > blob.size()) {
-    throw std::runtime_error("fabsim campaign blob truncated");
-  }
-  std::uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) u |= static_cast<std::uint64_t>(blob[pos + i]) << (8 * i);
-  pos += 8;
-  return static_cast<std::int64_t>(u);
-}
-
-}  // namespace
+//   then:      u64 histogram length, i64 histogram[...]
 
 FabLotCampaign::FabLotCampaign(const FabSimulator& sim, std::int64_t n_wafers,
                                std::uint64_t seed)
@@ -49,15 +32,17 @@ void FabLotCampaign::run_chunk(std::int64_t begin, std::int64_t end,
   std::vector<WaferResult> wafers(static_cast<std::size_t>(end - begin));
   std::vector<std::int64_t> histogram;
   sim_->run_units(begin, end, seed_, wafers.data(), histogram);
-  blob.reserve(static_cast<std::size_t>(end - begin + 1) * 32);
-  for (const WaferResult& w : wafers) {
-    append_i64(blob, w.gross_dies);
-    append_i64(blob, w.good_dies);
-    append_i64(blob, w.defects);
-    append_i64(blob, w.defects_on_dies);
+  cache::ByteWriter w;
+  w.reserve(static_cast<std::size_t>(end - begin + 1) * 32);
+  for (const WaferResult& wafer : wafers) {
+    w.i64(wafer.gross_dies);
+    w.i64(wafer.good_dies);
+    w.i64(wafer.defects);
+    w.i64(wafer.defects_on_dies);
   }
-  append_i64(blob, static_cast<std::int64_t>(histogram.size()));
-  for (const std::int64_t h : histogram) append_i64(blob, h);
+  w.u64(histogram.size());
+  for (const std::int64_t h : histogram) w.i64(h);
+  blob = w.take();
 }
 
 PartialLot FabLotCampaign::assemble(const robust::CampaignResult& result) const {
@@ -69,24 +54,21 @@ PartialLot FabLotCampaign::assemble(const robust::CampaignResult& result) const 
     if (blob.empty()) continue;
     const std::int64_t begin = static_cast<std::int64_t>(c) * kGrain;
     const std::int64_t end = std::min(begin + kGrain, n_wafers_);
-    std::size_t pos = 0;
+    cache::ByteReader r(blob);
     for (std::int64_t i = begin; i < end; ++i) {
       WaferResult& w = out.lot.wafers[static_cast<std::size_t>(i)];
-      w.gross_dies = read_i64(blob, pos);
-      w.good_dies = read_i64(blob, pos);
-      w.defects = read_i64(blob, pos);
-      w.defects_on_dies = read_i64(blob, pos);
+      w.gross_dies = r.i64();
+      w.good_dies = r.i64();
+      w.defects = r.i64();
+      w.defects_on_dies = r.i64();
       out.lot.total_dies += w.gross_dies;
       out.lot.good_dies += w.good_dies;
       ++out.completed_wafers;
     }
-    const std::int64_t hist_len = read_i64(blob, pos);
-    if (hist_len > static_cast<std::int64_t>(out.lot.fault_histogram.size())) {
-      out.lot.fault_histogram.resize(static_cast<std::size_t>(hist_len), 0);
-    }
-    for (std::int64_t k = 0; k < hist_len; ++k) {
-      out.lot.fault_histogram[static_cast<std::size_t>(k)] += read_i64(blob, pos);
-    }
+    const std::size_t hist_len = r.count(8);
+    if (hist_len > out.lot.fault_histogram.size()) out.lot.fault_histogram.resize(hist_len, 0);
+    for (std::size_t k = 0; k < hist_len; ++k) out.lot.fault_histogram[k] += r.i64();
+    r.expect_end();
   }
   out.completeness = result.completeness();
   out.failed_wafers = result.failed_units();

@@ -35,7 +35,7 @@ std::string sanitize_metric_name(std::string_view name) {
       out.push_back('_');
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

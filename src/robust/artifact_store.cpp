@@ -1,47 +1,18 @@
 #include "nanocost/robust/artifact_store.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <utility>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/obs/metrics.hpp"
-#include "nanocost/robust/fault_injection.hpp"
 
 namespace nanocost::robust {
 
 namespace {
 
 constexpr char kMagic[8] = {'N', 'C', 'B', 'L', 'O', 'B', '0', '1'};
-
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-bool write_u64(std::FILE* f, std::uint64_t v) {
-  // Serialized little-endian regardless of host order.
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return std::fwrite(buf, 1, 8, f) == 8;
-}
-
-bool read_u64(std::FILE* f, std::uint64_t& v) {
-  std::uint8_t buf[8];
-  if (std::fread(buf, 1, 8, f) != 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return true;
-}
-
-std::uint64_t payload_checksum(const std::vector<std::uint8_t>& payload) {
-  return fnv1a(
-      std::string_view(reinterpret_cast<const char*>(payload.data()), payload.size()));
-}
 
 }  // namespace
 
@@ -61,56 +32,35 @@ std::string ArtifactStore::path_for(const cache::Digest128& key) const {
 bool ArtifactStore::load(const cache::Digest128& key,
                          std::vector<std::uint8_t>& payload) const {
   const std::string path = path_for(key);
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
+  std::vector<std::uint8_t> bytes;
+  if (!read_file(path, bytes)) return false;
 
   // Stores are atomic (temp + rename), so any structural damage here
-  // was never a valid blob; validate the declared size against the real
-  // file size before trusting it.
-  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-    throw CheckpointCorrupt("artifact blob " + path + " is not seekable");
+  // was never a valid blob.  The reader checks the declared payload
+  // size against the bytes the file holds before trusting it.
+  try {
+    cache::ByteReader r(bytes);
+    if (std::memcmp(r.raw(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
+      throw CheckpointCorrupt("artifact blob " + path + " has a bad magic header");
+    }
+    const std::uint64_t hi = r.u64();
+    const std::uint64_t lo = r.u64();
+    if (hi != key.hi || lo != key.lo) {
+      throw CheckpointCorrupt("artifact blob " + path +
+                              " holds a different digest than its filename claims");
+    }
+    std::vector<std::uint8_t> blob = r.bytes();
+    const std::uint64_t checksum = r.u64();
+    r.expect_end();
+    if (checksum != cache::fnv1a(blob.data(), blob.size())) {
+      throw CheckpointCorrupt("artifact blob " + path +
+                              " failed its fnv1a checksum (bit flip?)");
+    }
+    payload = std::move(blob);
+    return true;
+  } catch (const cache::DecodeError& e) {
+    throw CheckpointCorrupt("artifact blob " + path + " is corrupt: " + e.what());
   }
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0) {
-    throw CheckpointCorrupt("artifact blob " + path + " is not seekable");
-  }
-  std::rewind(f.get());
-
-  char magic[sizeof(kMagic)];
-  if (std::fread(magic, 1, sizeof(magic), f.get()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw CheckpointCorrupt("artifact blob " + path + " has a bad magic header");
-  }
-  std::uint64_t hi = 0, lo = 0, size_u = 0;
-  if (!read_u64(f.get(), hi) || !read_u64(f.get(), lo) || !read_u64(f.get(), size_u)) {
-    throw CheckpointCorrupt("artifact blob " + path + " has a truncated header");
-  }
-  if (hi != key.hi || lo != key.lo) {
-    throw CheckpointCorrupt("artifact blob " + path +
-                            " holds a different digest than its filename claims");
-  }
-  const auto size = static_cast<std::int64_t>(size_u);
-  constexpr long kHeaderBytes = sizeof(kMagic) + 3 * 8;  // magic + digest + size
-  // The payload still owes `size` bytes plus an 8-byte checksum.
-  if (size < 0 || size != static_cast<std::int64_t>(file_size - kHeaderBytes) - 8) {
-    throw CheckpointCorrupt("artifact blob " + path + " declares " + std::to_string(size) +
-                            " payload bytes but holds " + std::to_string(file_size) +
-                            " total");
-  }
-  std::vector<std::uint8_t> blob(static_cast<std::size_t>(size));
-  if (size > 0 && std::fread(blob.data(), 1, blob.size(), f.get()) != blob.size()) {
-    throw CheckpointCorrupt("artifact blob " + path + " has a truncated payload");
-  }
-  std::uint64_t checksum = 0;
-  if (!read_u64(f.get(), checksum)) {
-    throw CheckpointCorrupt("artifact blob " + path + " has a truncated checksum");
-  }
-  if (checksum != payload_checksum(blob)) {
-    throw CheckpointCorrupt("artifact blob " + path +
-                            " failed its fnv1a checksum (bit flip?)");
-  }
-  payload = std::move(blob);
-  return true;
 }
 
 void ArtifactStore::store(const cache::Digest128& key,
@@ -118,27 +68,14 @@ void ArtifactStore::store(const cache::Digest128& key,
   const std::string path = path_for(key);
   // Content addressing: an existing blob already holds these bytes.
   if (std::filesystem::exists(path)) return;
-  const std::string tmp = path + ".tmp";
-  {
-    File f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) {
-      throw std::runtime_error("cannot open artifact temp file " + tmp);
-    }
-    bool ok = std::fwrite(kMagic, 1, sizeof(kMagic), f.get()) == sizeof(kMagic);
-    ok = ok && write_u64(f.get(), key.hi);
-    ok = ok && write_u64(f.get(), key.lo);
-    ok = ok && write_u64(f.get(), payload.size());
-    ok = ok && (payload.empty() ||
-                std::fwrite(payload.data(), 1, payload.size(), f.get()) == payload.size());
-    ok = ok && write_u64(f.get(), payload_checksum(payload));
-    ok = ok && std::fflush(f.get()) == 0;
-    if (!ok) {
-      throw std::runtime_error("failed writing artifact blob " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("cannot rename artifact blob into place: " + path);
-  }
+  cache::ByteWriter w;
+  w.reserve(sizeof(kMagic) + 4 * 8 + payload.size());
+  w.raw(kMagic, sizeof(kMagic));
+  w.u64(key.hi);
+  w.u64(key.lo);
+  w.bytes(payload);
+  w.u64(cache::fnv1a(payload.data(), payload.size()));
+  publish_file(path, w.take(), "artifact blob");
 }
 
 namespace {

@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/exec/thread_pool.hpp"
@@ -45,7 +46,7 @@ std::vector<std::int64_t> CampaignResult::failed_units() const {
 
 std::uint64_t campaign_fingerprint(const CampaignTask& task) {
   Mix mix;
-  mix(fnv1a(task.name()));
+  mix(cache::fnv1a(task.name()));
   mix(static_cast<std::uint64_t>(task.unit_count()));
   mix(static_cast<std::uint64_t>(task.grain()));
   mix(task.config_fingerprint());

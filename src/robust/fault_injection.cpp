@@ -62,7 +62,7 @@ FaultPlan& FaultPlan::add(std::string_view site, FaultSpec spec) {
   if (!(spec.rate >= 0.0 && spec.rate <= 1.0)) {
     throw std::invalid_argument("fault rate must lie in [0, 1]");
   }
-  const std::uint64_t h = fnv1a(site);
+  const std::uint64_t h = cache::fnv1a(site);
   for (Entry& e : sites_) {
     if (e.hash == h) {
       e.spec = spec;

@@ -315,10 +315,7 @@ HelloAck decode_hello_ack(const std::vector<std::uint8_t>& payload) {
 }
 
 std::uint64_t peek_request_id(const std::vector<std::uint8_t>& payload) noexcept {
-  if (payload.size() < 8) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-  return v;
+  return payload.size() < 8 ? 0 : ByteReader(payload).u64();
 }
 
 // ---- Coalescing keys ----------------------------------------------------

@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 
 namespace nanocost::serve {
@@ -35,41 +36,13 @@ std::int64_t now_ns() {
 
 constexpr std::size_t kHeaderBytes = sizeof(kWireMagic) + 4 + 4 + 8;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 /// fnv1a over version || type || payload (the post-magic frame bytes the
 /// length field describes).  Covering the header words means a bit flip
 /// in the type tag fails the checksum even when the flipped value is
-/// itself a known type.
-std::uint64_t frame_checksum(std::uint32_t version, std::uint32_t type,
-                             const std::uint8_t* payload, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto mix = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  };
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(version >> (8 * i)));
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(type >> (8 * i)));
-  for (std::size_t i = 0; i < n; ++i) mix(payload[i]);
-  return h;
+/// itself a known type.  `version_type` points at the two header words.
+std::uint64_t frame_checksum(const std::uint8_t* version_type,
+                             const std::vector<std::uint8_t>& payload) {
+  return cache::fnv1a(payload.data(), payload.size(), cache::fnv1a(version_type, 4 + 4));
 }
 
 /// Fills `out[0..n)` exactly; returns false only on EOF before the first
@@ -296,16 +269,15 @@ void MemStream::write_all(const std::uint8_t* data, std::size_t n) {
 
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size() + 8);
-  for (const char c : kWireMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u32(out, kWireVersion);
-  put_u32(out, static_cast<std::uint32_t>(type));
-  put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u64(out, frame_checksum(kWireVersion, static_cast<std::uint32_t>(type),
-                              payload.data(), payload.size()));
-  return out;
+  cache::ByteWriter w;
+  w.reserve(kFrameOverheadBytes + payload.size());
+  w.raw(kWireMagic, sizeof(kWireMagic));
+  w.u32(kWireVersion);
+  w.u32(static_cast<std::uint32_t>(type));
+  w.u64(payload.size());
+  w.raw(payload.data(), payload.size());
+  w.u64(frame_checksum(w.data().data() + sizeof(kWireMagic), payload));
+  return w.take();
 }
 
 void write_frame(ByteStream& stream, FrameType type,
@@ -319,12 +291,15 @@ std::optional<Frame> read_frame(ByteStream& stream) {
   if (!read_exact(stream, header, sizeof(header), "header")) {
     return std::nullopt;  // clean EOF at a frame boundary
   }
-  if (std::memcmp(header, kWireMagic, sizeof(kWireMagic)) != 0) {
+  // The buffer holds exactly the header's fields, so these reads cannot
+  // run short.
+  cache::ByteReader r(header, sizeof(header));
+  if (std::memcmp(r.raw(sizeof(kWireMagic)), kWireMagic, sizeof(kWireMagic)) != 0) {
     throw WireError("NCWIRE01 frame has a bad magic header");
   }
-  const std::uint32_t version = get_u32(header + sizeof(kWireMagic));
-  const std::uint32_t type_raw = get_u32(header + sizeof(kWireMagic) + 4);
-  const std::uint64_t declared = get_u64(header + sizeof(kWireMagic) + 8);
+  const std::uint32_t version = r.u32();
+  const std::uint32_t type_raw = r.u32();
+  const std::uint64_t declared = r.u64();
   if (version != kWireVersion) {
     throw WireError("NCWIRE01 frame declares unsupported version " +
                     std::to_string(version) + " (this peer speaks " +
@@ -355,10 +330,8 @@ std::optional<Frame> read_frame(ByteStream& stream) {
     throw WireError(std::string("NCWIRE01 ") + frame_type_name(type) +
                     " frame truncated: EOF before its checksum");
   }
-  const std::uint64_t stored = get_u64(checksum_bytes);
-  const std::uint64_t computed = frame_checksum(version, type_raw, frame.payload.data(),
-                                                frame.payload.size());
-  if (stored != computed) {
+  const std::uint64_t stored = cache::ByteReader(checksum_bytes, sizeof(checksum_bytes)).u64();
+  if (stored != frame_checksum(header + sizeof(kWireMagic), frame.payload)) {
     throw WireError(std::string("NCWIRE01 ") + frame_type_name(type) +
                     " frame failed its fnv1a checksum (bit flip?)");
   }
