@@ -267,10 +267,11 @@ cache::Digest128 simulator_config_digest(CampaignJob job) {
   return cache::hash128(bytes.data(), bytes.size());
 }
 
-/// Latency bookkeeping for one answered job request (response already
-/// written): the overall serve.request_us histogram -- whose count is
-/// exactly the job responses served -- plus the per-type x per-outcome
-/// ladder.  Ping/stats/trace frames are deliberately not recorded.
+/// Latency bookkeeping for one answered job request (response encoded,
+/// not yet written): the overall serve.request_us histogram -- whose
+/// count is exactly the job responses served -- plus the per-type x
+/// per-outcome ladder.  Ping/stats/trace frames are deliberately not
+/// recorded.
 void record_latency(JobKind kind, ResponseStatus status, std::uint64_t start_us) {
   if (!obs::metrics_enabled()) return;
   const std::uint64_t now = now_us();
@@ -372,9 +373,15 @@ struct Server::Impl {
 
   // ---- wire output -----------------------------------------------------
 
-  void send_response(const std::shared_ptr<Connection>& conn, const Response& response) {
-    if (conn->dead.load(std::memory_order_acquire)) return;
+  /// Writes one response frame.  For a job response (`job` set) the
+  /// request's latency is recorded once the response is encoded and
+  /// before the write, so a client that reads its response and then
+  /// scrapes always finds the job counted in serve.request_us.
+  void send_response(const std::shared_ptr<Connection>& conn, const Response& response,
+                     std::optional<JobKind> job = std::nullopt, std::uint64_t start_us = 0) {
     const std::vector<std::uint8_t> payload = encode_payload(response);
+    if (job) record_latency(*job, response.status, start_us);
+    if (conn->dead.load(std::memory_order_acquire)) return;
     try {
       std::lock_guard<std::mutex> lk(conn->write_mu);
       write_frame(*conn->stream, FrameType::kResponse, payload);
@@ -469,10 +476,7 @@ struct Server::Impl {
       r.request_id = request_id;
       r.status = ResponseStatus::kError;
       r.message = std::string("injected fault: ") + e.what() + "; resubmit";
-      send_response(conn, r);
-      if (const std::optional<JobKind> kind = job_kind_of(frame.type)) {
-        record_latency(*kind, r.status, start_us);
-      }
+      send_response(conn, r, job_kind_of(frame.type), start_us);
       return true;
     }
     switch (frame.type) {
@@ -718,8 +722,7 @@ struct Server::Impl {
       r.request_id = request_id;
       r.status = ResponseStatus::kError;
       r.message = std::string("invalid job payload: ") + e.what();
-      send_response(conn, r);
-      record_latency(kind, r.status, start_us);
+      send_response(conn, r, kind, start_us);
       return true;
     }
     {
@@ -761,8 +764,7 @@ struct Server::Impl {
       r.request_id = request_id;
       r.status = ResponseStatus::kError;
       r.message = std::string("invalid campaign job: ") + e.what();
-      send_response(conn, r);
-      record_latency(JobKind::kCampaign, r.status, start_us);
+      send_response(conn, r, JobKind::kCampaign, start_us);
       return true;
     }
     std::size_t slot = 0;
@@ -786,8 +788,7 @@ struct Server::Impl {
                        std::to_string(options.tenant_campaign_quota) + ")";
         shed.completeness = 0.0;
         lk.unlock();
-        send_response(conn, shed);
-        record_latency(JobKind::kCampaign, shed.status, start_us);
+        send_response(conn, shed, JobKind::kCampaign, start_us);
         return true;
       }
       auto it = campaign_inflight.find(key);
@@ -849,8 +850,7 @@ struct Server::Impl {
     if (admitted) {
       runner_cv.notify_one();
     } else {
-      send_response(conn, immediate);
-      record_latency(JobKind::kCampaign, immediate.status, start_us);
+      send_response(conn, immediate, JobKind::kCampaign, start_us);
     }
     return true;
   }
@@ -921,9 +921,8 @@ struct Server::Impl {
       for (std::size_t i = 0; i < waiters.size(); ++i) {
         r.request_id = waiters[i].request_id;
         r.coalesced = i > 0;
-        send_response(waiters[i].conn, r);
+        send_response(waiters[i].conn, r, kind, waiters[i].start_us);
         waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-        record_latency(kind, r.status, waiters[i].start_us);
       }
       lk.lock();
     }
@@ -1014,9 +1013,8 @@ struct Server::Impl {
     for (std::size_t i = 0; i < waiters.size(); ++i) {
       r.request_id = waiters[i].request_id;
       r.coalesced = i > 0;
-      send_response(waiters[i].conn, r);
+      send_response(waiters[i].conn, r, JobKind::kCampaign, waiters[i].start_us);
       waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      record_latency(JobKind::kCampaign, r.status, waiters[i].start_us);
     }
   }
 
