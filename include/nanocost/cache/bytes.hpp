@@ -10,9 +10,9 @@
 // bytes it still holds before it allocates; checksums are 64-bit
 // FNV-1a.
 //
-// Header-only and dependency-free on purpose, like cache/hash.hpp: obs,
-// robust, fabsim and core sit below the cache module in the link order
-// and still use it.
+// Header-only and dependency-free on purpose: obs, robust, fabsim and
+// core sit below the cache module in the link order and still use it
+// (so does cache/hash.hpp, for fnv1a).
 #pragma once
 
 #include <bit>

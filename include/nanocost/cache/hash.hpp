@@ -10,17 +10,21 @@
 // change to the mixing breaks loudly instead of silently orphaning
 // every stored artifact.
 //
-// Header-only and dependency-free on purpose: the low-level stores
-// (robust/artifact_store.hpp) sit below the cache module in the link
-// order and still need Digest128.
+// Header-only on purpose (it needs only cache/bytes.hpp's fnv1a): the
+// low-level stores (robust/artifact_store.hpp) and fabsim's
+// configuration digest sit below the cache module in the link order and
+// still need Digest128 and KeyBuilder.
 #pragma once
 
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+
+#include "nanocost/cache/bytes.hpp"
 
 namespace nanocost::cache {
 
@@ -31,7 +35,7 @@ namespace nanocost::cache {
 /// default) and every old key -- in memory or on disk -- misses instead
 /// of serving stale bytes.  See cache/key.hpp for the full
 /// canonicalization and invalidation policy.
-inline constexpr std::uint32_t kKeySchemaVersion = 1;
+inline constexpr std::uint32_t kKeySchemaVersion = 2;
 
 /// A 128-bit digest.  Ordered and hashable so it can key maps directly.
 struct Digest128 final {
@@ -211,5 +215,71 @@ class Hash128 final {
 [[nodiscard]] inline Digest128 hash128(std::string_view s) {
   return hash128(s.data(), s.size());
 }
+
+/// Builds one canonical key.  Field order is part of the schema: append
+/// fields in declaration order of the input struct.
+class KeyBuilder final {
+ public:
+  /// `entry_point` names the computation (e.g. "core.monte_carlo_cost");
+  /// two entry points never share keys even on identical inputs.
+  explicit KeyBuilder(std::string_view entry_point) {
+    hash_.update("NCKEY");
+    hash_.update_u64(kKeySchemaVersion);
+    hash_.update_u64(fnv1a(entry_point));
+  }
+
+  KeyBuilder& f64(std::string_view tag, double v) {
+    field(kF64, tag);
+    hash_.update_u64(std::bit_cast<std::uint64_t>(v));
+    return *this;
+  }
+  KeyBuilder& u64(std::string_view tag, std::uint64_t v) {
+    field(kU64, tag);
+    hash_.update_u64(v);
+    return *this;
+  }
+  KeyBuilder& i64(std::string_view tag, std::int64_t v) {
+    field(kI64, tag);
+    hash_.update_u64(static_cast<std::uint64_t>(v));
+    return *this;
+  }
+  KeyBuilder& i32(std::string_view tag, std::int32_t v) {
+    field(kI32, tag);
+    hash_.update_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    return *this;
+  }
+  KeyBuilder& boolean(std::string_view tag, bool v) {
+    field(kBool, tag);
+    const std::uint8_t b = v ? 1 : 0;
+    hash_.update(&b, 1);
+    return *this;
+  }
+  KeyBuilder& str(std::string_view tag, std::string_view v) {
+    field(kStr, tag);
+    hash_.update_u64(v.size());
+    hash_.update(v);
+    return *this;
+  }
+  /// Embeds a sub-digest (e.g. a recursively hashed layout cell).
+  KeyBuilder& sub(std::string_view tag, const Digest128& d) {
+    field(kSub, tag);
+    hash_.update_u64(d.hi);
+    hash_.update_u64(d.lo);
+    return *this;
+  }
+
+  [[nodiscard]] Digest128 digest() const { return hash_.digest(); }
+
+ private:
+  enum TypeCode : std::uint8_t { kF64 = 1, kU64, kI64, kI32, kBool, kStr, kSub };
+
+  void field(TypeCode code, std::string_view tag) {
+    const auto c = static_cast<std::uint8_t>(code);
+    hash_.update(&c, 1);
+    hash_.update_u64(fnv1a(tag));
+  }
+
+  Hash128 hash_;
+};
 
 }  // namespace nanocost::cache

@@ -29,11 +29,8 @@
 // memory or on disk -- misses instead of serving stale bytes.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <string_view>
 
-#include "nanocost/cache/bytes.hpp"
 #include "nanocost/cache/hash.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/core/transistor_cost.hpp"
@@ -44,76 +41,10 @@
 
 namespace nanocost::cache {
 
-// kKeySchemaVersion -- the invalidation lever described above -- lives
-// in cache/hash.hpp next to the pinned hash construction, so the
-// on-disk artifact tier (robust/artifact_store.hpp, below this module
-// in the link order) can fold it into blob addresses too.
-
-/// Builds one canonical key.  Field order is part of the schema: append
-/// fields in declaration order of the input struct.
-class KeyBuilder final {
- public:
-  /// `entry_point` names the computation (e.g. "core.monte_carlo_cost");
-  /// two entry points never share keys even on identical inputs.
-  explicit KeyBuilder(std::string_view entry_point) {
-    hash_.update("NCKEY");
-    hash_.update_u64(kKeySchemaVersion);
-    hash_.update_u64(fnv1a(entry_point));
-  }
-
-  KeyBuilder& f64(std::string_view tag, double v) {
-    field(kF64, tag);
-    hash_.update_u64(std::bit_cast<std::uint64_t>(v));
-    return *this;
-  }
-  KeyBuilder& u64(std::string_view tag, std::uint64_t v) {
-    field(kU64, tag);
-    hash_.update_u64(v);
-    return *this;
-  }
-  KeyBuilder& i64(std::string_view tag, std::int64_t v) {
-    field(kI64, tag);
-    hash_.update_u64(static_cast<std::uint64_t>(v));
-    return *this;
-  }
-  KeyBuilder& i32(std::string_view tag, std::int32_t v) {
-    field(kI32, tag);
-    hash_.update_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-    return *this;
-  }
-  KeyBuilder& boolean(std::string_view tag, bool v) {
-    field(kBool, tag);
-    const std::uint8_t b = v ? 1 : 0;
-    hash_.update(&b, 1);
-    return *this;
-  }
-  KeyBuilder& str(std::string_view tag, std::string_view v) {
-    field(kStr, tag);
-    hash_.update_u64(v.size());
-    hash_.update(v);
-    return *this;
-  }
-  /// Embeds a sub-digest (e.g. a recursively hashed layout cell).
-  KeyBuilder& sub(std::string_view tag, const Digest128& d) {
-    field(kSub, tag);
-    hash_.update_u64(d.hi);
-    hash_.update_u64(d.lo);
-    return *this;
-  }
-
-  [[nodiscard]] Digest128 digest() const { return hash_.digest(); }
-
- private:
-  enum TypeCode : std::uint8_t { kF64 = 1, kU64, kI64, kI32, kBool, kStr, kSub };
-
-  void field(TypeCode code, std::string_view tag) {
-    const auto c = static_cast<std::uint8_t>(code);
-    hash_.update(&c, 1);
-    hash_.update_u64(fnv1a(tag));
-  }
-
-  Hash128 hash_;
-};
+// kKeySchemaVersion -- the invalidation lever described above -- and
+// KeyBuilder live in cache/hash.hpp next to the pinned hash
+// construction, so modules below this one in the link order (the
+// artifact tier, fabsim's configuration digest) can use them too.
 
 // ---- Entry-point keys ---------------------------------------------------
 // One function per deterministic entry point; each hashes the complete
@@ -135,8 +66,9 @@ class KeyBuilder final {
                                       std::uint64_t seed);
 
 /// Fabline lot simulation: fabsim::FabSimulator::run.  Hashes the full
-/// simulator configuration (wafer, die, size distribution, defect
-/// field, representative pattern) plus the run shape.
+/// simulator configuration (FabSimulator::config_digest: wafer, die,
+/// size distribution, defect field, representative pattern) plus the
+/// run shape.
 [[nodiscard]] Digest128 fabsim_run_key(const fabsim::FabSimulator& sim, std::int64_t n_wafers,
                                        std::uint64_t seed);
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/simd.hpp"
@@ -47,16 +46,13 @@ class DefectSizeDistribution final {
   /// Mean defect size.
   [[nodiscard]] units::Micrometers mean() const noexcept;
 
-  /// Inverse-CDF sampling.
-  [[nodiscard]] units::Micrometers sample(std::mt19937_64& rng) const;
-
-  /// SoA inverse-CDF sampling: draws n uniforms from `rng` (the
+  /// Inverse-CDF sampling: draws n uniforms from `rng` (the
   /// exec/rng.hpp stream) and fills out[0..n) with sizes in
-  /// micrometers.  Same distribution as sample(), restructured around
-  /// precomputed tail constants so the classic q = 3 tail inverts with
-  /// one sqrt + one divide (IEEE-exact, hence vectorizable) instead of
-  /// two pow() calls; general q falls back to scalar pow.  Bitwise
-  /// identical at every SimdLevel (simd_parity_test).
+  /// micrometers.  The inversion of cdf() runs on precomputed tail
+  /// constants, so the classic q = 3 tail inverts with one sqrt + one
+  /// divide (IEEE-exact, hence vectorizable) instead of two pow()
+  /// calls; general q falls back to scalar pow.  Bitwise identical at
+  /// every SimdLevel (simd_parity_test).
   void sample_batch(exec::SplitMix64& rng, double* out, std::size_t n) const;
   void sample_batch_at(exec::SimdLevel level, exec::SplitMix64& rng, double* out,
                        std::size_t n) const;

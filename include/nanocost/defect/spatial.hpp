@@ -10,28 +10,19 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 #include <vector>
 
 #include "nanocost/defect/size_distribution.hpp"
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/simd.hpp"
 #include "nanocost/geometry/wafer.hpp"
-#include "nanocost/units/length.hpp"
 
 namespace nanocost::defect {
 
-/// One defect on the wafer plane (positions relative to wafer center).
-struct Defect final {
-  units::Millimeters x{};
-  units::Millimeters y{};
-  units::Micrometers size{};
-};
-
-/// Structure-of-arrays defect population: the batched fab-simulator
-/// pipeline streams positions and sizes through contiguous lanes
-/// instead of hopping across Defect structs.  Parallel arrays, always
-/// equal length.
+/// One wafer's defect population in structure-of-arrays form: the
+/// batched fab-simulator pipeline streams positions (mm, relative to
+/// the wafer center) and sizes (um) through contiguous lanes.  Parallel
+/// arrays, always equal length.
 struct DefectSoA final {
   std::vector<double> x_mm;
   std::vector<double> y_mm;
@@ -85,22 +76,16 @@ class DefectField final {
   /// Expected defect count per wafer (over full wafer area).
   [[nodiscard]] double expected_count() const noexcept;
 
-  /// Sample one wafer's defects.  With clustering enabled, first draws a
-  /// wafer-level gamma multiplier (shape alpha, mean 1), realizing the
+  /// Samples one wafer's defects into `out` (cleared, then filled).
+  /// With clustering enabled, first draws a wafer-level gamma
+  /// multiplier (shape alpha, mean 1; exec::gamma_draw), realizing the
   /// gamma-mixed Poisson that yields negative-binomial die statistics.
-  [[nodiscard]] std::vector<Defect> sample_wafer(std::mt19937_64& rng) const;
-
-  /// Same draw, but reusing `out` as the defect buffer (cleared, then
-  /// filled) -- avoids one allocation per wafer in lot-scale simulation.
-  void sample_wafer(std::mt19937_64& rng, std::vector<Defect>& out) const;
-
-  /// SoA wafer draw on the counter-based exec stream.  Positions come
-  /// from square rejection against the disc (flat radial profile) with
-  /// the candidate uniforms drawn through the vectorized rng_batch
-  /// path, or from the scalar envelope rejection (radial profile); the
-  /// size column runs through DefectSizeDistribution::sample_batch_at.
-  /// Bitwise identical -- values and stream consumption -- at every
-  /// SimdLevel (simd_parity_test).
+  /// Positions come from square rejection against the disc (flat radial
+  /// profile) with the candidate uniforms drawn through the vectorized
+  /// rng_batch path, or from scalar envelope rejection (radial profile);
+  /// the size column runs through DefectSizeDistribution::
+  /// sample_batch_at.  Bitwise identical -- values and stream
+  /// consumption -- at every SimdLevel (simd_parity_test).
   void sample_wafer(exec::SplitMix64& rng, DefectSoA& out) const;
   void sample_wafer_at(exec::SimdLevel level, exec::SplitMix64& rng, DefectSoA& out) const;
 
@@ -110,9 +95,6 @@ class DefectField final {
   geometry::WaferSpec wafer_;
   DefectSizeDistribution sizes_;
   DefectFieldParams params_;
-
-  /// Rejection-samples a position honoring the radial profile.
-  void sample_position(std::mt19937_64& rng, Defect& d) const;
 };
 
 }  // namespace nanocost::defect

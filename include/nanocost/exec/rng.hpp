@@ -1,14 +1,15 @@
-// In-repo uniform random draws with a standard-library-independent stream.
+// In-repo random draws with a standard-library-independent stream.
 //
-// std::uniform_int_distribution and std::uniform_real_distribution are
-// implementation-defined: libstdc++ and libc++ consume the engine
-// differently and return different values from the same seed, so any
-// result produced through them is only reproducible on one standard
-// library.  Every nanocost kernel that promises a deterministic stream
-// (the placer, multi-start seeds) draws through these helpers instead:
-// a splitmix64 engine plus Lemire's debiased multiply-shift bounded
-// draw and a 53-bit mantissa unit-interval draw, all fully specified
-// here.
+// The std:: distributions are implementation-defined: libstdc++ and
+// libc++ consume the engine differently and return different values
+// from the same seed, so any result produced through them is only
+// reproducible on one standard library.  Every nanocost kernel that
+// promises a deterministic stream (the placer, multi-start seeds, the
+// fab simulator, speed binning, risk propagation) draws through these
+// helpers instead: a splitmix64 engine plus Lemire's debiased
+// multiply-shift bounded draw, a 53-bit mantissa unit-interval draw,
+// Box-Muller normals and Marsaglia-Tsang gammas, all fully specified
+// here (up to libm).
 #pragma once
 
 #include <cmath>
@@ -140,6 +141,35 @@ struct GaussPair final {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double t = kTwoPi * u2;
   return GaussPair{r * std::cos(t), r * std::sin(t)};
+}
+
+/// One Gamma(shape, 1) draw, shape > 0: Marsaglia & Tsang (2000), "A
+/// Simple Method for Generating Gamma Variables", with their
+/// Gamma(shape + 1) * U^(1/shape) boost below shape 1.  Each normal is
+/// gauss_pair(rng).z0 and each uniform is uniform_unit(rng), so the
+/// stream is fully specified here -- unlike std::gamma_distribution,
+/// whose algorithm differs between standard libraries.  Consumption is
+/// data-dependent (rejection), hence scalar-only.
+[[nodiscard]] inline double gamma_draw(SplitMix64& rng, double shape) {
+  if (shape < 1.0) {
+    const double boosted = gamma_draw(rng, shape + 1.0);
+    return boosted * std::pow(uniform_unit(rng), 1.0 / shape);
+  }
+  const double d = shape - 1.0 / 3.0;
+  const double c = 1.0 / std::sqrt(9.0 * d);
+  for (;;) {
+    double x = 0.0;
+    double v = 0.0;
+    do {
+      x = gauss_pair(rng).z0;
+      v = 1.0 + c * x;
+    } while (v <= 0.0);
+    v = v * v * v;
+    const double u = uniform_unit(rng);
+    const double x2 = x * x;
+    if (u < 1.0 - 0.0331 * x2 * x2) return d * v;  // squeeze
+    if (std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) return d * v;
+  }
 }
 
 }  // namespace nanocost::exec

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "nanocost/geometry/wafer_map.hpp"
@@ -48,7 +47,9 @@ struct BinningResult final {
 
 /// Simulates `n_wafers` of binning.  `functional_yield` thins the map's
 /// sites to functional dies first (defect losses are the kill
-/// simulator's job; pass its measured yield here).
+/// simulator's job; pass its measured yield here).  Every draw comes from
+/// one exec::SplitMix64 stream seeded with `seed` (exec/rng.hpp), so the
+/// result is the same on every standard library.
 [[nodiscard]] BinningResult simulate_binning(const geometry::WaferMap& map,
                                              const BinningParams& params,
                                              units::Probability functional_yield,

@@ -12,9 +12,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
+#include "nanocost/cache/hash.hpp"
 #include "nanocost/defect/critical_area.hpp"
 #include "nanocost/defect/spatial.hpp"
 #include "nanocost/exec/rng.hpp"
@@ -200,9 +200,12 @@ class FabSimulator final {
                                                 exec::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const geometry::WaferMap& wafer_map() const noexcept { return map_; }
-  // Configuration accessors: the full input closure of run()/run_ramp(),
-  // exposed so cache keys (cache/key.hpp) can hash the simulator by
-  // content instead of identity.
+  /// Content digest of the configuration -- every field of the
+  /// accessors below, under cache::kKeySchemaVersion.  The one field
+  /// list behind cache::fabsim_run_key and FabLotCampaign's fingerprint:
+  /// simulators that differ in any field get different digests.
+  [[nodiscard]] cache::Digest128 config_digest() const;
+  // Configuration accessors: the full input closure of run()/run_ramp().
   [[nodiscard]] const geometry::WaferSpec& wafer_spec() const noexcept { return wafer_; }
   [[nodiscard]] const geometry::DieSize& die() const noexcept { return die_; }
   [[nodiscard]] const defect::DefectSizeDistribution& size_distribution() const noexcept {

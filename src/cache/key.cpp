@@ -96,30 +96,11 @@ Digest128 robust_sd_key(const core::UncertainInputs& inputs, double quantile, do
 
 Digest128 fabsim_run_key(const fabsim::FabSimulator& sim, std::int64_t n_wafers,
                          std::uint64_t seed) {
-  KeyBuilder key("fabsim.run");
-  key.f64("wafer.diameter_mm", sim.wafer_spec().diameter().value())
-      .f64("wafer.edge_exclusion_mm", sim.wafer_spec().edge_exclusion().value())
-      .f64("wafer.scribe_street_mm", sim.wafer_spec().scribe_street().value())
-      .f64("die.width_mm", sim.die().width().value())
-      .f64("die.height_mm", sim.die().height().value());
-  const defect::DefectSizeDistribution& sizes = sim.size_distribution();
-  key.f64("sizes.xmin_um", sizes.xmin().value())
-      .f64("sizes.peak_um", sizes.peak().value())
-      .f64("sizes.xmax_um", sizes.xmax().value())
-      .f64("sizes.q", sizes.tail_exponent());
-  const defect::DefectFieldParams& field = sim.field_params();
-  key.f64("field.density_per_cm2", field.density_per_cm2)
-      .f64("field.cluster_alpha", field.cluster_alpha)
-      .boolean("field.clustered", field.clustered)
-      .f64("field.radial.edge_boost", field.radial.edge_boost())
-      .f64("field.radial.sharpness", field.radial.sharpness());
-  const defect::WireArray& array = sim.kill_model().array();
-  key.f64("pattern.width_um", array.width().value())
-      .f64("pattern.spacing_um", array.spacing().value())
-      .f64("pattern.length_um", array.length().value())
-      .i32("pattern.wires", array.wire_count());
-  key.i64("n_wafers", n_wafers).u64("seed", seed);
-  return key.digest();
+  return KeyBuilder("fabsim.run")
+      .sub("simulator", sim.config_digest())
+      .i64("n_wafers", n_wafers)
+      .u64("seed", seed)
+      .digest();
 }
 
 Digest128 netlist_content_digest(const netlist::Netlist& netlist) {

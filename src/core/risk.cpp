@@ -53,11 +53,11 @@ double risk_sample_cost(const UncertainInputs& inputs, double s_d, std::uint64_t
                         std::uint64_t index) {
   // One RNG per scenario, derived from the sample index: scenario i
   // is the same no matter which thread (or grid point) evaluates it.
-  // SplitMix64 + Box-Muller rather than mt19937_64 +
-  // normal_distribution: the scenario needs exactly four Gaussians, and
-  // the mt19937_64 *construction* (312-word state expansion) cost more
-  // than the whole pricing; the fixed-consumption stream is also what
-  // lets risk_sample_cost_batch reproduce this function bitwise.
+  // SplitMix64 + Box-Muller (exec/rng.hpp): the scenario needs exactly
+  // four Gaussians, a Mersenne Twister's construction (312-word state
+  // expansion) cost more than the whole pricing, and the
+  // fixed-consumption stream is also what lets risk_sample_cost_batch
+  // reproduce this function bitwise.
   exec::SplitMix64 rng(exec::SeedSequence::for_task(seed, index));
   const exec::GaussPair g12 = exec::gauss_pair(rng);
   const exec::GaussPair g34 = exec::gauss_pair(rng);

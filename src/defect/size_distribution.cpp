@@ -89,23 +89,6 @@ units::Micrometers DefectSizeDistribution::mean() const noexcept {
   return units::Micrometers{norm_ * (below + above)};
 }
 
-units::Micrometers DefectSizeDistribution::sample(std::mt19937_64& rng) const {
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  const double m = uni(rng) * total_mass_;
-  const double x0 = peak_.value();
-  const double a = xmin_.value();
-  if (m <= below_mass_) {
-    // Solve (x^2 - a^2) / (2 x0^2) = m.
-    return units::Micrometers{std::sqrt(a * a + 2.0 * x0 * x0 * m)};
-  }
-  // Solve x0^(q-1) (x0^(1-q) - x^(1-q)) / (q-1) = m - below_mass_.
-  const double rem = m - below_mass_;
-  const double t = std::pow(x0, 1.0 - q_) - rem * (q_ - 1.0) / std::pow(x0, q_ - 1.0);
-  double x = std::pow(t, 1.0 / (1.0 - q_));
-  if (x > xmax_.value()) x = xmax_.value();  // numerical guard at the tail end
-  return units::Micrometers{x};
-}
-
 namespace {
 
 /// Precomputed inverse-CDF constants shared by the batch paths: with

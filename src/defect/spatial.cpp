@@ -1,7 +1,7 @@
 #include "nanocost/defect/spatial.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "nanocost/exec/rng_batch.hpp"
@@ -36,85 +36,16 @@ double DefectField::expected_count() const noexcept {
   return params_.density_per_cm2 * wafer_.area().value();
 }
 
-void DefectField::sample_position(std::mt19937_64& rng, Defect& d) const {
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  const double radius_mm = wafer_.radius().value();
-  // Envelope rejection against the radial profile's maximum (at the edge).
-  const double max_mult =
-      params_.radial.is_flat() ? 1.0 : params_.radial.multiplier(1.0);
-  for (;;) {
-    const double u = std::sqrt(uni(rng));  // uniform over disc in radius
-    if (!params_.radial.is_flat()) {
-      if (uni(rng) * max_mult > params_.radial.multiplier(u)) continue;
-    }
-    const double theta = 2.0 * std::numbers::pi * uni(rng);
-    const double r = u * radius_mm;
-    d.x = units::Millimeters{r * std::cos(theta)};
-    d.y = units::Millimeters{r * std::sin(theta)};
-    return;
-  }
-}
-
-std::vector<Defect> DefectField::sample_wafer(std::mt19937_64& rng) const {
-  std::vector<Defect> defects;
-  sample_wafer(rng, defects);
-  return defects;
-}
-
 namespace {
 
 /// Exact Poisson draw by Knuth's product-of-uniforms method, applied to
 /// additive chunks of the mean (Poisson(a + b) = Poisson(a) +
 /// Poisson(b)) so exp(-chunk) never underflows.  Used instead of
-/// std::poisson_distribution because libstdc++'s large-mean setup calls
-/// glibc lgamma(), which writes the global `signgam` -- a data race
-/// when wafers are sampled concurrently.  This sampler touches only
-/// local state.
-long sample_poisson(std::mt19937_64& rng, double mean) {
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  long total = 0;
-  while (mean > 0.0) {
-    const double chunk = std::min(mean, 60.0);
-    const double limit = std::exp(-chunk);
-    long k = -1;
-    double prod = 1.0;
-    do {
-      prod *= uni(rng);
-      ++k;
-    } while (prod > limit);
-    total += k;
-    mean -= chunk;
-  }
-  return total;
-}
-
-}  // namespace
-
-void DefectField::sample_wafer(std::mt19937_64& rng, std::vector<Defect>& out) const {
-  out.clear();
-  double mean = expected_count();
-  if (params_.clustered) {
-    // Gamma multiplier with shape alpha and mean 1: the gamma-mixed
-    // Poisson whose die-level counts are negative binomial.
-    std::gamma_distribution<double> gamma(params_.cluster_alpha, 1.0 / params_.cluster_alpha);
-    mean *= gamma(rng);
-  }
-  const long n = sample_poisson(rng, mean);
-
-  out.reserve(static_cast<std::size_t>(n));
-  for (long i = 0; i < n; ++i) {
-    Defect d;
-    sample_position(rng, d);
-    d.size = sizes_.sample(rng);
-    out.push_back(d);
-  }
-}
-
-namespace {
-
-/// The Knuth Poisson sampler above, on the counter-based exec stream.
-/// Same chunked product-of-uniforms scheme; consumption is
-/// data-dependent but scalar, hence identical at every SimdLevel.
+/// std::poisson_distribution, whose stream is implementation-defined
+/// and whose libstdc++ large-mean setup calls glibc lgamma() -- which
+/// writes the global `signgam`, a data race when wafers are sampled
+/// concurrently.  Consumption is data-dependent but scalar, hence
+/// identical at every SimdLevel.
 long sample_poisson(exec::SplitMix64& rng, double mean) {
   long total = 0;
   while (mean > 0.0) {
@@ -139,11 +70,10 @@ void DefectField::sample_wafer_at(exec::SimdLevel level, exec::SplitMix64& rng,
   out.clear();
   double mean = expected_count();
   if (params_.clustered) {
-    // Gamma multiplier with shape alpha and mean 1 (scalar draw in all
-    // paths -- the standard library's algorithm is fine here because
-    // every SimdLevel runs the identical code on the identical stream).
-    std::gamma_distribution<double> gamma(params_.cluster_alpha, 1.0 / params_.cluster_alpha);
-    mean *= gamma(rng);
+    // Gamma multiplier with shape alpha and mean 1: the gamma-mixed
+    // Poisson whose die-level counts are negative binomial.  One scalar
+    // draw per wafer, identical at every SimdLevel.
+    mean *= exec::gamma_draw(rng, params_.cluster_alpha) / params_.cluster_alpha;
   }
   const long n = sample_poisson(rng, mean);
   const auto count = static_cast<std::size_t>(n);
@@ -174,8 +104,10 @@ void DefectField::sample_wafer_at(exec::SimdLevel level, exec::SplitMix64& rng,
       }
     }
   } else {
-    // Radial profile: the same envelope rejection as sample_position,
-    // scalar at every level (the win is in the RNG and size columns).
+    // Radial profile: envelope rejection against the profile's maximum
+    // (at the edge), scalar at every level (the win is in the RNG and
+    // size columns).  sqrt of a uniform is uniform over the disc in
+    // radius.
     const double max_mult = params_.radial.multiplier(1.0);
     for (std::size_t i = 0; i < count; ++i) {
       for (;;) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "nanocost/exec/rng.hpp"
 #include "nanocost/units/quantity.hpp"
 
 namespace nanocost::fabsim {
@@ -27,9 +28,7 @@ BinningResult simulate_binning(const geometry::WaferMap& map, const BinningParam
   units::require_non_negative(params.sigma_random, "random sigma");
   units::require_non_negative(params.radial_slowdown, "radial slowdown");
 
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  std::normal_distribution<double> gauss(0.0, 1.0);
+  exec::SplitMix64 rng(seed);
 
   BinningResult result;
   result.bin_counts.assign(params.bin_floors_mhz.size() + 1, 0);  // + scrap
@@ -38,11 +37,11 @@ BinningResult simulate_binning(const geometry::WaferMap& map, const BinningParam
 
   for (std::int64_t w = 0; w < n_wafers; ++w) {
     for (const geometry::DieSite& site : map.sites()) {
-      if (uni(rng) >= functional_yield.value()) continue;  // defect loss
+      if (exec::uniform_unit(rng) >= functional_yield.value()) continue;  // defect loss
       ++result.functional_dies;
       const double u = site.radial_distance().value() / wafer_radius;
       const double systematic = 1.0 - params.radial_slowdown * u * u;
-      const double random = 1.0 + params.sigma_random * gauss(rng);
+      const double random = 1.0 + params.sigma_random * exec::gauss_pair(rng).z0;
       const double freq = params.nominal_frequency_mhz * systematic * random;
       freq_sum += freq;
 

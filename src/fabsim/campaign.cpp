@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "nanocost/cache/bytes.hpp"
-#include "nanocost/exec/seed.hpp"
+#include "nanocost/cache/hash.hpp"
 
 namespace nanocost::fabsim {
 
@@ -21,10 +21,14 @@ FabLotCampaign::FabLotCampaign(const FabSimulator& sim, std::int64_t n_wafers,
 }
 
 std::uint64_t FabLotCampaign::config_fingerprint() const {
-  // The seed plus the simulator geometry reshape every wafer result; the
-  // die grid size is a cheap proxy for the full simulator configuration.
-  return exec::splitmix64(seed_ ^
-                          static_cast<std::uint64_t>(sim_->wafer_map().die_count()));
+  // The full simulator configuration plus the seed.  KeyBuilder folds in
+  // cache::kKeySchemaVersion, so a checkpoint or artifact blob written
+  // under an older stream misses instead of resuming with its chunks.
+  return cache::KeyBuilder("fabsim.lot")
+      .sub("simulator", sim_->config_digest())
+      .u64("seed", seed_)
+      .digest()
+      .lo;
 }
 
 void FabLotCampaign::run_chunk(std::int64_t begin, std::int64_t end,

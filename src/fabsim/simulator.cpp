@@ -323,6 +323,30 @@ FabSimulator::FabSimulator(geometry::WaferSpec wafer, geometry::DieSize die,
   }
 }
 
+cache::Digest128 FabSimulator::config_digest() const {
+  cache::KeyBuilder key("fabsim.simulator");
+  key.f64("wafer.diameter_mm", wafer_.diameter().value())
+      .f64("wafer.edge_exclusion_mm", wafer_.edge_exclusion().value())
+      .f64("wafer.scribe_street_mm", wafer_.scribe_street().value())
+      .f64("die.width_mm", die_.width().value())
+      .f64("die.height_mm", die_.height().value());
+  key.f64("sizes.xmin_um", sizes_.xmin().value())
+      .f64("sizes.peak_um", sizes_.peak().value())
+      .f64("sizes.xmax_um", sizes_.xmax().value())
+      .f64("sizes.q", sizes_.tail_exponent());
+  key.f64("field.density_per_cm2", field_params_.density_per_cm2)
+      .f64("field.cluster_alpha", field_params_.cluster_alpha)
+      .boolean("field.clustered", field_params_.clustered)
+      .f64("field.radial.edge_boost", field_params_.radial.edge_boost())
+      .f64("field.radial.sharpness", field_params_.radial.sharpness());
+  const defect::WireArray& array = kill_.array();
+  key.f64("pattern.width_um", array.width().value())
+      .f64("pattern.spacing_um", array.spacing().value())
+      .f64("pattern.length_um", array.length().value())
+      .i32("pattern.wires", array.wire_count());
+  return key.digest();
+}
+
 double FabSimulator::analytic_mean_faults() const {
   return kill_.mean_faults_per_die(field_params_.density_per_cm2, sizes_);
 }

@@ -108,15 +108,15 @@ TEST(CacheKey, TagHashIsStable) {
 }
 
 TEST(CacheKey, GoldenEntryPointKeys) {
-  // Default-constructed inputs, frozen at schema version 1.
+  // Default-constructed inputs, frozen at schema version 2.
   const core::Eq4Inputs eq4;
   EXPECT_EQ(cache::sweep_eq4_key(eq4, 100.0, 2000.0, 24).hex(),
-            "516967a7ba1cb5162d2a9e02aea6321b");
+            "f581be55bf367af02cc57cefdf08110e");
   const core::UncertainInputs un;
   EXPECT_EQ(cache::monte_carlo_cost_key(un, 300.0, 20000, 1, 0.0).hex(),
-            "29fd29ecffee41241a9bab641339bde8");
+            "e4ff11b823dedc387934525a02a71e2c");
   EXPECT_EQ(cache::robust_sd_key(un, 0.9, 120.0, 1500.0, 24, 2000, 1).hex(),
-            "d58e820ac417634d56ead920af99806b");
+            "fe1d8212a875089bd97e321669c2bbe8");
 }
 
 TEST(CacheKey, GoldenContentDigests) {
@@ -125,10 +125,10 @@ TEST(CacheKey, GoldenContentDigests) {
   const auto b = nl.add_primary_input();
   const auto g0 = nl.add_gate(netlist::GateType::kNand2, {a, b});
   (void)nl.add_gate(netlist::GateType::kInv, {nl.output_net_of(g0)});
-  EXPECT_EQ(cache::netlist_content_digest(nl).hex(), "f571fb06d83a9a81ba1dd2449c249672");
+  EXPECT_EQ(cache::netlist_content_digest(nl).hex(), "983338628981341c7c23fc2fb7d393a5");
   const place::AnnealParams params;
   EXPECT_EQ(cache::anneal_place_multistart_key(nl, 2, 2, 2, params).hex(),
-            "467fc15a66dac98c970a8ce64573de33");
+            "afd1ebfd6820365880596098cf542bd9");
 
   layout::Library lib;
   layout::Cell& leaf = lib.create_cell("leaf");
@@ -140,9 +140,9 @@ TEST(CacheKey, GoldenContentDigests) {
   inst.ny = 1;
   inst.pitch_x = 12;
   top.add_instance(inst);
-  EXPECT_EQ(cache::cell_content_digest(top).hex(), "1f4ece6ec49ea2b7c60a78100f09742b");
+  EXPECT_EQ(cache::cell_content_digest(top).hex(), "b2166b00a4498d64cceb7483a895fc6b");
   EXPECT_EQ(cache::window_sweep_key(top, 8, 3, false).hex(),
-            "374404707203ab2c45a92a2aa8401323");
+            "4c7e58c3d157a1c8c65b56a8385c2a39");
 }
 
 TEST(CacheKey, KeysAreDeterministicAndSensitive) {

@@ -272,6 +272,35 @@ TEST(FabCampaign, AssembleDecodesGoldenChunkBytes) {
   EXPECT_EQ(out.lot.fault_histogram, (std::vector<std::int64_t>{6, 2, 1, 0, 2}));
 }
 
+TEST(FabCampaign, ClusteredRunChunkGoldenPinsTheStream) {
+  // The bytes run_chunk produces for the first chunk of a clustered
+  // lot: every draw of the wafer stream (gamma multiplier, Poisson
+  // count, positions, sizes, kill uniforms) feeds them.  A failing
+  // golden means a stream changed, which needs a kKeySchemaVersion
+  // bump, not a new golden.
+  defect::DefectFieldParams field;
+  field.density_per_cm2 = 0.8;
+  field.clustered = true;
+  field.cluster_alpha = 0.5;
+  const fabsim::FabSimulator sim{
+      geometry::WaferSpec::mm200(), geometry::DieSize{Millimeters{12.0}, Millimeters{12.0}},
+      defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}), field,
+      defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50}};
+  const fabsim::FabLotCampaign task(sim, 4, 11);
+  std::vector<std::uint8_t> chunk;
+  task.run_chunk(0, 4, chunk);
+  // Four wafer records (gross, good, defects, defects on dies), then
+  // the histogram length (8) and its entries.
+  EXPECT_EQ(nanocost::testing::to_hex(chunk),
+            "b100000000000000750000000000000047010000000000000c01000000000000"
+            "b1000000000000009e000000000000006f000000000000005300000000000000"
+            "b100000000000000b10000000000000002000000000000000100000000000000"
+            "b1000000000000001b000000000000007b050000000000007104000000000000"
+            "0800000000000000"
+            "df010000000000006f0000000000000044000000000000001a00000000000000"
+            "1100000000000000050000000000000001000000000000000100000000000000");
+}
+
 TEST(FabCampaign, AssembleRejectsAnImpossibleHistogramLengthAndTrailingBytes) {
   // The histogram length is checked against the bytes the chunk holds
   // before anything is sized by it, and a chunk must end where its

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "nanocost/defect/critical_area.hpp"
 #include "nanocost/defect/size_distribution.hpp"
@@ -76,12 +76,14 @@ TEST(SizeDistribution, MostMassIsNearThePeak) {
 
 TEST(SizeDistribution, SamplingMatchesCdf) {
   const auto dist = reference_dist();
-  std::mt19937_64 rng(7);
+  exec::SplitMix64 rng(7);
   const int n = 200000;
+  std::vector<double> drawn(n);
+  dist.sample_batch(rng, drawn.data(), drawn.size());
   int below_peak = 0, below_1um = 0;
   double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const Micrometers x = dist.sample(rng);
+  for (const double um : drawn) {
+    const Micrometers x{um};
     ASSERT_GE(x.value(), dist.xmin().value());
     ASSERT_LE(x.value(), dist.xmax().value());
     if (x < dist.peak()) ++below_peak;
@@ -209,11 +211,13 @@ TEST(DefectField, SampledCountsHaveRightMean) {
   DefectFieldParams params;
   params.density_per_cm2 = 0.3;
   const DefectField field(wafer, dist, params);
-  std::mt19937_64 rng(11);
+  exec::SplitMix64 rng(11);
+  DefectSoA defects;
   double total = 0.0;
   const int wafers = 500;
   for (int i = 0; i < wafers; ++i) {
-    total += static_cast<double>(field.sample_wafer(rng).size());
+    field.sample_wafer(rng, defects);
+    total += static_cast<double>(defects.size());
   }
   const double expected = field.expected_count();
   EXPECT_NEAR(total / wafers, expected, expected * 0.1);
@@ -226,12 +230,14 @@ TEST(DefectField, AllDefectsInsideWafer) {
   params.density_per_cm2 = 1.0;
   params.radial = RadialProfile{3.0, 2.0};
   const DefectField field(wafer, dist, params);
-  std::mt19937_64 rng(13);
+  exec::SplitMix64 rng(13);
+  DefectSoA defects;
   for (int i = 0; i < 20; ++i) {
-    for (const Defect& d : field.sample_wafer(rng)) {
-      const double r = std::hypot(d.x.value(), d.y.value());
+    field.sample_wafer(rng, defects);
+    for (std::size_t d = 0; d < defects.size(); ++d) {
+      const double r = std::hypot(defects.x_mm[d], defects.y_mm[d]);
       EXPECT_LE(r, wafer.radius().value() + 1e-9);
-      EXPECT_GT(d.size.value(), 0.0);
+      EXPECT_GT(defects.size_um[d], 0.0);
     }
   }
 }
@@ -247,12 +253,14 @@ TEST(DefectField, ClusteringInflatesWaferToWaferVariance) {
 
   const auto variance_of = [&](const DefectFieldParams& p, std::uint64_t seed) {
     const DefectField field(wafer, dist, p);
-    std::mt19937_64 rng(seed);
+    exec::SplitMix64 rng(seed);
+    DefectSoA defects;
     const int n = 400;
     std::vector<double> counts(n);
     double mean = 0.0;
     for (int i = 0; i < n; ++i) {
-      counts[i] = static_cast<double>(field.sample_wafer(rng).size());
+      field.sample_wafer(rng, defects);
+      counts[i] = static_cast<double>(defects.size());
       mean += counts[i];
     }
     mean /= n;
@@ -275,12 +283,14 @@ TEST(DefectField, RadialProfileSkewsDefectsOutward) {
 
   const auto mean_radius = [&](const DefectFieldParams& p) {
     const DefectField field(wafer, dist, p);
-    std::mt19937_64 rng(23);
+    exec::SplitMix64 rng(23);
+    DefectSoA defects;
     double sum = 0.0;
     int n = 0;
     for (int i = 0; i < 100; ++i) {
-      for (const Defect& d : field.sample_wafer(rng)) {
-        sum += std::hypot(d.x.value(), d.y.value());
+      field.sample_wafer(rng, defects);
+      for (std::size_t d = 0; d < defects.size(); ++d) {
+        sum += std::hypot(defects.x_mm[d], defects.y_mm[d]);
         ++n;
       }
     }

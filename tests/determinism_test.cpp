@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <vector>
 
 #include "nanocost/core/optimizer.hpp"
@@ -171,9 +170,12 @@ TEST(KillLut, AgreesWithDirectEvaluationAcrossTheSupport) {
   // Dense log grid plus random draws from the actual distribution.
   const int grid = 20000;
   const double step = std::log(b / a) / grid;
-  std::mt19937_64 rng(404);
+  exec::SplitMix64 rng(404);
+  std::vector<double> drawn(2000);
+  sizes.sample_batch(rng, drawn.data(), drawn.size());
   for (int i = 0; i <= grid + 2000; ++i) {
-    const double x = i <= grid ? a * std::exp(i * step) : sizes.sample(rng).value();
+    const double x = i <= grid ? a * std::exp(i * step)
+                               : drawn[static_cast<std::size_t>(i - grid - 1)];
     const double direct = kill.kill_probability(Micrometers{x});
     const double tabulated = lut(Micrometers{x});
     EXPECT_LE(std::abs(tabulated - direct), 1e-6 * std::max(direct, 1e-300))

@@ -2,7 +2,10 @@
 // and speed binning.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "nanocost/cost/fab_capex.hpp"
 #include "nanocost/cost/time_to_market.hpp"
@@ -173,7 +176,29 @@ TEST(Binning, YieldThinsTheDiePopulation) {
               static_cast<double>(full.functional_dies) * 0.05);
 }
 
-TEST(Binning, TighterProcessSellsMoreTopBin) {
+/// Expected revenue per functional die: at each site the speed is
+/// normal around the site's radially slowed nominal, so a die clears
+/// floor b with probability Phi((nominal_site - floor_b) / sigma_site).
+double analytic_revenue_per_die(const geometry::WaferMap& map,
+                                const fabsim::BinningParams& params) {
+  const double wafer_radius = map.wafer().radius().value();
+  double total = 0.0;
+  for (const geometry::DieSite& site : map.sites()) {
+    const double u = site.radial_distance().value() / wafer_radius;
+    const double nominal =
+        params.nominal_frequency_mhz * (1.0 - params.radial_slowdown * u * u);
+    double sold_above = 0.0;  // P(the die clears a faster bin)
+    for (std::size_t b = 0; b < params.bin_floors_mhz.size(); ++b) {
+      const double z = (params.bin_floors_mhz[b] - nominal) / (params.sigma_random * nominal);
+      const double clears = 0.5 * std::erfc(z / std::sqrt(2.0));
+      total += params.bin_prices[b].value() * (clears - sold_above);
+      sold_above = clears;
+    }
+  }
+  return total / static_cast<double>(map.sites().size());
+}
+
+TEST(Binning, TighterProcessScrapsLessAndRevenueMatchesTheNormalModel) {
   const geometry::WaferMap map = binning_map();
   fabsim::BinningParams loose;
   loose.sigma_random = 0.10;
@@ -184,8 +209,25 @@ TEST(Binning, TighterProcessSellsMoreTopBin) {
   // Mean frequency sits below nominal either way (radial slowdown),
   // but the loose process scatters more dies into low bins and scrap.
   EXPECT_GT(r_loose.scrap(), r_tight.scrap());
-  EXPECT_GT(r_tight.revenue_per_functional_die().value(),
-            r_loose.revenue_per_functional_die().value());
+  // Revenue per die is not ordered by sigma on this price book (the
+  // expectations are 423.0 tight and 425.2 loose), so each process is
+  // held to its own expectation.  Over seeds a 50-wafer run spreads by
+  // about 0.6 (tight) and 1.7 (loose).
+  EXPECT_NEAR(r_tight.revenue_per_functional_die().value(),
+              analytic_revenue_per_die(map, tight), 3.0);
+  EXPECT_NEAR(r_loose.revenue_per_functional_die().value(),
+              analytic_revenue_per_die(map, loose), 7.5);
+}
+
+TEST(Binning, GoldenResultPinsTheStream) {
+  // Bin counts and revenue of a short thinned run.  A failing golden
+  // means the binning stream changed, which needs a
+  // cache::kKeySchemaVersion bump, not a new golden.
+  const auto r =
+      fabsim::simulate_binning(binning_map(), fabsim::BinningParams{}, Probability{0.9}, 3, 11);
+  EXPECT_EQ(r.bin_counts, (std::vector<std::int64_t>{138, 284, 54, 0}));
+  EXPECT_EQ(r.functional_dies, 476);
+  EXPECT_EQ(r.revenue.value(), 209900.0);
 }
 
 TEST(Binning, RadialGradientCostsRevenue) {

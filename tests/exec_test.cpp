@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "nanocost/exec/parallel.hpp"
+#include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 
@@ -342,6 +345,48 @@ TEST(ParallelReduceCancellable, MergesOnlyBelowTheFrontierInOrder) {
     for (std::size_t k = 0; k < merged.size(); ++k) {
       EXPECT_EQ(merged[k], static_cast<std::int64_t>(k)) << "threads " << threads;
     }
+  }
+}
+
+TEST(GammaDraw, GoldenBitsPinTheStream) {
+  // The first four draws at a shape below the boost threshold and one
+  // above it, as IEEE bit patterns.  A failing golden means the stream
+  // changed, which needs a cache::kKeySchemaVersion bump, not a new
+  // golden.
+  const auto first_four = [](double shape) {
+    SplitMix64 rng(7);
+    std::vector<std::uint64_t> bits;
+    for (int i = 0; i < 4; ++i) {
+      bits.push_back(std::bit_cast<std::uint64_t>(gamma_draw(rng, shape)));
+    }
+    return bits;
+  };
+  // 1.13812, 0.12610, 0.11260, 0.45189
+  EXPECT_EQ(first_four(0.5),
+            (std::vector<std::uint64_t>{0x3FF235BC0C1B1DDBULL, 0x3FC023F3544510E6ULL,
+                                        0x3FBCD306B5B35C39ULL, 0x3FDCEBC653ECD38EULL}));
+  // 4.12290, 0.68538, 1.02385, 3.43953
+  EXPECT_EQ(first_four(2.0),
+            (std::vector<std::uint64_t>{0x40107DD8367E036FULL, 0x3FE5EEA1F00EB43CULL,
+                                        0x3FF061B45DC477F8ULL, 0x400B8427A3B9B34AULL}));
+}
+
+TEST(GammaDraw, MomentsMatchTheShape) {
+  // Gamma(shape, 1) has mean and variance both equal to the shape.
+  const int n = 200000;
+  for (const double shape : {0.5, 1.0, 1.5, 2.0, 8.0}) {
+    SplitMix64 rng(99);
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double g = gamma_draw(rng, shape);
+      sum += g;
+      sum_sq += g * g;
+    }
+    const double mean = sum / n;
+    const double variance = (sum_sq - n * mean * mean) / (n - 1);
+    EXPECT_NEAR(mean, shape, 0.02 * shape) << "shape " << shape;
+    EXPECT_NEAR(variance, shape, 0.05 * shape) << "shape " << shape;
   }
 }
 

@@ -645,7 +645,12 @@ TEST(SimulatorCache, EverySimulatorFieldSplitsTheCache) {
   };
   ASSERT_EQ(edits.size(), 18u) << "one edit per simulator field of CampaignJob";
 
-  Server server(ServerOptions{});
+  // One shared artifact tier: a configuration must never be served the
+  // chunk blobs another configuration stored.
+  const TempDir tmp("every_field");
+  ServerOptions options;
+  options.artifact_dir = tmp.path();
+  Server server(options);
   Client client = make_client(server);
   const CampaignJob base = small_campaign(4, 4);
   ASSERT_EQ(client.wait(client.submit(base)).status, ResponseStatus::kOk);
