@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "nanocost/cache/codec.hpp"
@@ -53,27 +55,40 @@ void run_physical_design_sample() {
       actual.critical_path_ps, estimated.critical_path_ps);
 }
 
-/// `--faults`: inject deterministic wafer faults and show graceful
-/// degradation; `--resume`: kill the campaign mid-run, resume it from
-/// the checkpoint, and verify the lot is bitwise what an uninterrupted
-/// run produces.  `--cache-dir <path>`: enable the content-addressed
-/// artifact tier -- a second invocation against the same directory
-/// serves every chunk from disk and reproduces the lot bitwise (the
-/// "lot digest" line is the proof).  All run the campaign engine
-/// instead of phases 1-3.
-int run_campaign_demo(bool with_faults, bool with_resume, const std::string& cache_dir) {
+/// The campaign demos' fab: 200 mm wafers, 13 mm dies, clustered defects.
+nanocost::fabsim::FabSimulator demo_simulator() {
   using namespace nanocost;
   using namespace nanocost::units::literals;
-
-  std::puts("=== Fault-tolerant fabline campaign ===\n");
   defect::DefectFieldParams field;
   field.density_per_cm2 = 0.6;
   field.clustered = true;
   field.cluster_alpha = 2.0;
-  const fabsim::FabSimulator sim(
+  return fabsim::FabSimulator(
       geometry::WaferSpec::mm200(), geometry::DieSize{13.0_mm, 13.0_mm},
       defect::DefectSizeDistribution::for_feature_size(0.25_um), field,
       defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50});
+}
+
+/// A fresh private directory for a demo's campaign record.
+std::string make_scratch_tier() {
+  std::string dir = (std::filesystem::temp_directory_path() / "fabline_tier.XXXXXX").string();
+  if (::mkdtemp(dir.data()) == nullptr) throw std::runtime_error("mkdtemp failed: " + dir);
+  return dir;
+}
+
+/// `--faults`: inject deterministic wafer faults and show graceful
+/// degradation; `--resume`: kill the campaign mid-run, resume it from its
+/// record in a temporary (or the `--cache-dir`) artifact tier, and verify
+/// the lot is bitwise what an uninterrupted run produces.  `--cache-dir
+/// <path>`: enable the content-addressed artifact tier -- a second
+/// invocation against the same directory serves every chunk from disk
+/// and reproduces the lot bitwise (the "lot digest" line is the proof).
+/// All run the campaign engine instead of phases 1-3.
+int run_campaign_demo(bool with_faults, bool with_resume, const std::string& cache_dir) {
+  using namespace nanocost;
+
+  std::puts("=== Fault-tolerant fabline campaign ===\n");
+  const fabsim::FabSimulator sim = demo_simulator();
   const std::int64_t n_wafers = 200;
   const std::uint64_t seed = 7;
   const fabsim::FabLotCampaign task(sim, n_wafers, seed);
@@ -94,21 +109,19 @@ int run_campaign_demo(bool with_faults, bool with_resume, const std::string& cac
   }
   robust::CampaignResult result;
   if (with_resume) {
-    const std::string path = "fabline_campaign.ckpt";
-    std::remove(path.c_str());
-    options.checkpoint_path = path;
+    if (cache_dir.empty()) options.artifact_dir = make_scratch_tier();
     options.wave_chunks = 8;
     options.max_chunks_this_run = 20;  // simulate a kill mid-campaign
     const robust::CampaignResult killed = robust::run_campaign(task, options);
-    std::printf("killed after %lld/%lld chunks (checkpoint: %s)\n",
+    std::printf("killed after %lld/%lld chunks (record in %s)\n",
                 static_cast<long long>(killed.completed_chunks),
-                static_cast<long long>(killed.total_chunks), path.c_str());
+                static_cast<long long>(killed.total_chunks), options.artifact_dir.c_str());
     options.max_chunks_this_run = 0;
     result = robust::run_campaign(task, options);
-    std::printf("resumed: %lld chunks restored from the checkpoint, %lld recomputed\n\n",
-                static_cast<long long>(result.resumed_chunks),
-                static_cast<long long>(result.completed_chunks - result.resumed_chunks));
-    std::remove(path.c_str());
+    std::printf("resumed: %lld chunks restored from the artifact tier, %lld recomputed\n\n",
+                static_cast<long long>(result.artifact_hits),
+                static_cast<long long>(result.completed_chunks - result.artifact_hits));
+    if (cache_dir.empty()) std::filesystem::remove_all(options.artifact_dir);
   } else {
     result = robust::run_campaign(task, options);
   }
@@ -127,8 +140,7 @@ int run_campaign_demo(bool with_faults, bool with_resume, const std::string& cac
     std::printf("artifact tier: %lld hits, %lld stores, %lld recomputed\n",
                 static_cast<long long>(result.artifact_hits),
                 static_cast<long long>(result.artifact_stores),
-                static_cast<long long>(result.completed_chunks - result.artifact_hits -
-                                       result.resumed_chunks));
+                static_cast<long long>(result.completed_chunks - result.artifact_hits));
     std::printf("lot digest: %s\n",
                 cache::hash128(encoded.data(), encoded.size()).hex().c_str());
   }
@@ -149,30 +161,20 @@ int run_campaign_demo(bool with_faults, bool with_resume, const std::string& cac
 
 /// `--deadline-ms N`: run a lot big enough that the wall-clock budget
 /// trips mid-campaign, show the graceful degradation (typed partial
-/// result, checkpointed frontier), then resume with no deadline and
-/// verify the finished lot is bitwise what an undisturbed run produces.
+/// result, persisted frontier), then resume from a temporary tier with
+/// no deadline and verify the lot is bitwise what an undisturbed run gives.
 int run_deadline_demo(double deadline_ms) {
   using namespace nanocost;
-  using namespace nanocost::units::literals;
 
   std::puts("=== Deadline-bounded fabline campaign ===\n");
-  defect::DefectFieldParams field;
-  field.density_per_cm2 = 0.6;
-  field.clustered = true;
-  field.cluster_alpha = 2.0;
-  const fabsim::FabSimulator sim(
-      geometry::WaferSpec::mm200(), geometry::DieSize{13.0_mm, 13.0_mm},
-      defect::DefectSizeDistribution::for_feature_size(0.25_um), field,
-      defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50});
+  const fabsim::FabSimulator sim = demo_simulator();
   // Big enough that tens of milliseconds cannot finish it.
   const std::int64_t n_wafers = 20000;
   const std::uint64_t seed = 7;
   const fabsim::FabLotCampaign task(sim, n_wafers, seed);
 
-  const std::string path = "fabline_deadline.ckpt";
-  std::remove(path.c_str());
   robust::CampaignOptions options;
-  options.checkpoint_path = path;
+  options.artifact_dir = make_scratch_tier();
   options.wave_chunks = 8;
   options.cancel = robust::CancelToken::with_deadline(deadline_ms);
   const robust::CampaignResult bounded = robust::run_campaign(task, options);
@@ -184,10 +186,10 @@ int run_deadline_demo(double deadline_ms) {
 
   options.cancel = robust::CancelToken{};  // resume with no deadline
   const robust::CampaignResult full = robust::run_campaign(task, options);
-  std::printf("\nresumed: %lld chunks restored from the checkpoint, %lld recomputed\n",
-              static_cast<long long>(full.resumed_chunks),
-              static_cast<long long>(full.completed_chunks - full.resumed_chunks));
-  std::remove(path.c_str());
+  std::printf("\nresumed: %lld chunks restored from the artifact tier, %lld recomputed\n",
+              static_cast<long long>(full.artifact_hits),
+              static_cast<long long>(full.completed_chunks - full.artifact_hits));
+  std::filesystem::remove_all(options.artifact_dir);
 
   const fabsim::PartialLot partial = task.assemble(full);
   std::printf("assembled lot: %lld/%lld wafers, measured yield %.4f\n",

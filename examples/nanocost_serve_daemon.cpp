@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       "nanocost_serve: drained. served %llu responses (%llu coalesced, %llu wire "
       "errors); campaigns: %llu completed, %llu stopped resumable, %llu shed (%llu "
       "tenant-quota), %llu simulators built; connections: %llu handshakes rejected, "
-      "%llu reaped, %llu evicted; artifact sweep evicted %llu/%llu blobs (%llu of %llu "
+      "%llu reaped, %llu evicted; artifact sweep evicted %llu/%llu files (%llu of %llu "
       "bytes)\n",
       static_cast<unsigned long long>(report.requests_served),
       static_cast<unsigned long long>(report.coalesced),

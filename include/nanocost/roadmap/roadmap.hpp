@@ -56,15 +56,21 @@ class Roadmap final {
   /// (the paper's "highly unlikely" optimistic scenario relaxed).
   [[nodiscard]] static Roadmap itrs1999_with_cost_escalation(double rate_per_node);
 
-  [[nodiscard]] std::span<const TechnologyNode> nodes() const noexcept { return nodes_; }
-  [[nodiscard]] const TechnologyNode& front() const noexcept { return nodes_.front(); }
-  [[nodiscard]] const TechnologyNode& back() const noexcept { return nodes_.back(); }
+  // Lvalue-only: a view into a temporary (`Roadmap::itrs1999().nodes()`) dangles.
+  [[nodiscard]] std::span<const TechnologyNode> nodes() const& noexcept { return nodes_; }
+  std::span<const TechnologyNode> nodes() const&& = delete;
+  [[nodiscard]] const TechnologyNode& front() const& noexcept { return nodes_.front(); }
+  const TechnologyNode& front() const&& = delete;
+  [[nodiscard]] const TechnologyNode& back() const& noexcept { return nodes_.back(); }
+  const TechnologyNode& back() const&& = delete;
 
   /// Node introduced in `year`; throws std::out_of_range if absent.
-  [[nodiscard]] const TechnologyNode& at_year(int year) const;
+  [[nodiscard]] const TechnologyNode& at_year(int year) const&;
+  const TechnologyNode& at_year(int year) const&& = delete;
 
   /// Node whose half pitch is nearest to `half_pitch`.
-  [[nodiscard]] const TechnologyNode& nearest(units::Nanometers half_pitch) const;
+  [[nodiscard]] const TechnologyNode& nearest(units::Nanometers half_pitch) const&;
+  const TechnologyNode& nearest(units::Nanometers half_pitch) const&& = delete;
 
   /// Geometric interpolation of the trajectory at an arbitrary year
   /// between the first and last nodes (clamped outside).

@@ -73,14 +73,15 @@ enum class SubmissionStatus : std::uint8_t {
   kPartial,    ///< ran, returned a partial result (budget/quarantine)
   kExpired,    ///< the queue deadline tripped before or during the run
   kStopped,    ///< stop() tripped before or during the run
+  kFailed,     ///< run_campaign threw (e.g. a corrupt record); message says why
 };
 
 struct SubmissionOutcome final {
   SubmissionStatus status = SubmissionStatus::kQueued;
   /// Populated for kCompleted/kPartial/kExpired-or-kStopped-during-run;
-  /// default for kShed and for campaigns that never started.
+  /// default for kShed, kFailed and campaigns that never started.
   CampaignResult result;
-  std::string message;  ///< shed/expired/stopped reason, empty otherwise
+  std::string message;  ///< shed/expired/stopped/failed reason, empty otherwise
 };
 
 /// Bounded FIFO of campaigns with deterministic load shedding.
@@ -113,7 +114,7 @@ class CampaignQueue final {
   /// this is how a long-lived server responds per request without
   /// waiting for the whole cycle.  The blobs move to the callback: the
   /// slot keeps only the status, message and counters (see
-  /// outcomes()).  Concurrent drains serialize.
+  /// outcomes()); a throwing run comes back kFailed.  Concurrent drains serialize.
   using CompletionFn = std::function<void(std::size_t, const SubmissionOutcome&)>;
   const std::vector<SubmissionOutcome>& drain(const CompletionFn& on_complete = {});
 

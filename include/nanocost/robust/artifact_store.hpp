@@ -1,11 +1,9 @@
 // Content-addressed on-disk artifact tier.
 //
-// Extends the NCCKPT01 checkpoint machinery downward: where a
-// checkpoint is one file holding a whole campaign's partial state, the
-// artifact store is a directory of independently addressable blobs,
-// one file per 128-bit content digest:
+// One directory of files named by a 128-bit digest:
 //
-//   <dir>/<32-hex-digest>.ncblob
+//   <dir>/<32-hex>.ncckpt   a campaign's NCCKPT01 record (campaign_record_key)
+//   <dir>/<32-hex>.ncblob   one NCBLOB01 blob per content digest
 //
 // Each blob file (the byte codec's conventions, cache/bytes.hpp; see
 // DESIGN.md section 13):
@@ -15,13 +13,12 @@
 //   payload bytes
 //   u64     fnv1a(payload)
 //
-// The same durability contract as checkpoints: stores publish through
-// a temp file plus atomic rename, so a blob either exists whole or not
-// at all, and loading is strict -- truncation, a digest that disagrees
+// Both kinds publish through publish_file (a per-writer temp file plus
+// atomic rename), so a file either exists whole or not at all, and
+// loading is strict -- truncation, a digest or identity that disagrees
 // with the filename's, a bad checksum, or trailing bytes throw
-// robust::CheckpointCorrupt naming the file.  Content addressing makes
-// stores idempotent (same digest => same bytes) and sharing free: any
-// campaign whose chunk hashes to an existing blob reuses it.
+// robust::CheckpointCorrupt naming the file.  The byte cap and the
+// eviction sweep cover both kinds.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +30,7 @@
 
 namespace nanocost::robust {
 
-/// What one eviction sweep did.
+/// What one eviction sweep did, over records and blobs alike.
 struct SweepReport final {
   std::uint64_t scanned_blobs = 0;
   std::uint64_t scanned_bytes = 0;
@@ -45,12 +42,16 @@ class ArtifactStore final {
  public:
   /// Creates `dir` (and parents) if absent; throws std::runtime_error
   /// when the directory cannot be created.  `byte_cap` bounds the total
-  /// on-disk blob bytes sweep() enforces; 0 leaves the store unbounded
-  /// (the pre-existing behaviour).
+  /// on-disk bytes of committed tier files that sweep() enforces; 0
+  /// leaves the store unbounded.
   explicit ArtifactStore(std::string dir, std::uint64_t byte_cap = 0);
 
   /// Blob path for a digest: <dir>/<hex>.ncblob.
   [[nodiscard]] std::string path_for(const cache::Digest128& key) const;
+  /// Campaign record path for a campaign_record_key: <dir>/<hex>.ncckpt.
+  [[nodiscard]] std::string record_path(const cache::Digest128& key) const {
+    return dir_ + "/" + key.hex() + ".ncckpt";
+  }
 
   /// Loads the blob for `key` into `payload`.  Returns false when no
   /// blob exists; throws CheckpointCorrupt (naming the file) on any
@@ -66,23 +67,28 @@ class ArtifactStore final {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] std::uint64_t byte_cap() const noexcept { return byte_cap_; }
 
-  /// Sum of all committed blob bytes on disk (in-flight .tmp files are
-  /// not blobs and do not count).
+  /// Sum of the bytes of every committed record and blob on disk
+  /// (in-flight .tmp files are neither and do not count).
   [[nodiscard]] std::uint64_t total_bytes() const;
 
-  /// Evicts committed blobs -- highest digest first, a pure function of
-  /// the directory contents, so two replicas holding the same blobs
-  /// evict the same ones -- until total bytes fit under byte_cap().
-  /// A no-op (scan only) when the cap is 0 or already satisfied.
-  /// Eviction is a plain unlink: a concurrent run_campaign consult that
-  /// already opened the blob keeps reading it, and one that misses the
-  /// evicted file simply recomputes the chunk -- never an error.
+  /// Evicts committed records and blobs -- highest digest first, a pure
+  /// function of the directory contents, so two replicas holding the
+  /// same files evict the same ones -- until total bytes fit under
+  /// byte_cap().  A no-op (scan only) when the cap is 0 or already
+  /// satisfied.  Eviction is a plain unlink: a concurrent run_campaign
+  /// that already opened a record keeps reading it, and one that misses
+  /// the evicted file simply recomputes its chunks -- never an error.
   SweepReport sweep() const;
 
  private:
   std::string dir_;
   std::uint64_t byte_cap_ = 0;
 };
+
+/// Key of a campaign's record: its identity (exactly the NCCKPT01
+/// header) under cache::KeyBuilder, which folds in the schema version.
+[[nodiscard]] cache::Digest128 campaign_record_key(std::uint64_t fingerprint,
+                                                   std::int64_t unit_count, std::int64_t grain);
 
 /// Artifact key of one campaign chunk: the campaign identity
 /// (fingerprint/unit_count/grain, exactly the NCCKPT01 header) plus the

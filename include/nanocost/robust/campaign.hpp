@@ -7,15 +7,15 @@
 //
 //  * determinism: chunk results do not depend on thread count or
 //    schedule, and the final merge walks chunks in ascending order;
-//  * resumability: a checkpoint is just the completed-chunk blobs
+//  * resumability: a campaign record is just the completed-chunk blobs
 //    (robust/checkpoint.hpp) -- no RNG or scheduler state to capture;
 //  * graceful degradation: a failing chunk is retried a bounded number
 //    of times (with robust::AttemptScope advancing the transient-fault
 //    schedule) and then quarantined, so one poisoned unit costs one
 //    chunk of coverage instead of the whole run.
 //
-// The engine runs chunks in waves on the thread pool, checkpointing
-// between waves, and reports completeness plus the quarantined-chunk
+// The engine runs chunks in waves on the thread pool, rewriting the
+// record between waves, and reports completeness plus the quarantined-chunk
 // list instead of rethrowing first-failure (the `allow_partial = false`
 // mode restores strict semantics: the lowest-index failure is
 // rethrown after the run drains).
@@ -40,10 +40,10 @@ class CampaignTask {
  public:
   virtual ~CampaignTask() = default;
 
-  /// Stable campaign name; part of the checkpoint fingerprint.
+  /// Stable campaign name; part of the campaign fingerprint.
   [[nodiscard]] virtual const char* name() const = 0;
   /// Hash of everything that shapes the results (seed, model config).
-  /// Mixed with name/unit_count/grain into the checkpoint fingerprint.
+  /// Mixed with name/unit_count/grain into the campaign fingerprint.
   [[nodiscard]] virtual std::uint64_t config_fingerprint() const = 0;
   [[nodiscard]] virtual std::int64_t unit_count() const = 0;
   /// Units per chunk; also the quarantine blast radius.
@@ -54,21 +54,17 @@ class CampaignTask {
 };
 
 struct CampaignOptions final {
-  /// Checkpoint file; empty disables persistence (in-memory run only).
-  std::string checkpoint_path;
-  /// Content-addressed artifact directory (robust/artifact_store.hpp);
-  /// empty disables the tier.  Before computing, each pending chunk is
-  /// looked up by its content address (campaign fingerprint + chunk
-  /// index under the cache key schema version) and a stored blob is
-  /// accepted verbatim -- chunks are pure functions of their index, so
-  /// the bytes are what run_chunk would produce.  Completed chunks
-  /// publish back into the directory (atomic rename; publish failures
-  /// are counted, never fatal).  Unlike a checkpoint, the directory is
-  /// shared: any campaign with the same fingerprint reuses the blobs,
-  /// across processes and runs.
+  /// The artifact tier (robust/artifact_store.hpp); empty keeps the run
+  /// in memory.  The campaign's one record there (NCCKPT01, named by
+  /// campaign_record_key) is loaded before scheduling -- its chunks are
+  /// accepted verbatim, being pure functions of their index -- and
+  /// rewritten after every wave that completed a chunk.  A failed publish
+  /// is counted in robust.artifact_store_errors, never fatal.  Any run of
+  /// the same campaign, in any process, resumes from the record.
   std::string artifact_dir;
-  /// Chunks per scheduling wave; a checkpoint is written after each
-  /// wave, so this is also the persistence cadence.
+  /// Chunks per scheduling wave; the record is rewritten after each
+  /// wave, so this is also the persistence cadence: a kill -9 loses at
+  /// most one wave of completed chunks.
   std::int64_t wave_chunks = 64;
   /// Total tries per chunk (1 = no retry) before quarantine.
   int max_attempts = 3;
@@ -76,7 +72,7 @@ struct CampaignOptions final {
   /// false: strict mode -- rethrow the lowest-index chunk failure after
   /// the run drains.
   bool allow_partial = true;
-  /// Stop (checkpoint and return, `interrupted` set) after processing
+  /// Stop (persist and return, `interrupted` set) after processing
   /// this many pending chunks; 0 means run to completion.  This is the
   /// hook kill/resume tests and demos use to interrupt mid-campaign.
   std::int64_t max_chunks_this_run = 0;
@@ -85,13 +81,13 @@ struct CampaignOptions final {
   /// Deadline / cancellation for this run.  An invalid token (the
   /// default) falls back to the caller's ambient token
   /// (current_cancel_token()).  Expiry stops the run on a chunk
-  /// boundary: completed chunks are checkpointed, pending ones stay
+  /// boundary: completed chunks are persisted, pending ones stay
   /// pending, and the result comes back with `expired` set -- resumable
   /// exactly like a killed run.
   CancelToken cancel;
   /// Soft per-wave wall-clock deadline in ms (0 disables).  A wave that
   /// overruns it halves the next wave's chunk count (floor 1), tightening
-  /// the checkpoint/cancellation cadence under overload; a wave back
+  /// the persistence/cancellation cadence under overload; a wave back
   /// under it restores `wave_chunks`.  Purely a scheduling knob -- chunk
   /// results are unaffected.
   double wave_soft_deadline_ms = 0.0;
@@ -120,11 +116,9 @@ struct CampaignResult final {
   std::int64_t completed_chunks = 0;
   std::int64_t total_units = 0;
   std::int64_t completed_units = 0;
-  /// Chunks restored from the checkpoint instead of recomputed.
-  std::int64_t resumed_chunks = 0;
-  /// Chunks served by the artifact tier instead of recomputed.
+  /// Chunks restored from the artifact tier instead of recomputed.
   std::int64_t artifact_hits = 0;
-  /// Chunks published into the artifact tier this run.
+  /// Chunks computed this run and published into the tier's record.
   std::int64_t artifact_stores = 0;
   /// Extra attempts spent beyond each chunk's first try.
   std::int64_t retries = 0;
@@ -148,14 +142,14 @@ struct CampaignResult final {
   [[nodiscard]] std::vector<std::int64_t> failed_units() const;
 };
 
-/// Fingerprint binding a checkpoint to one campaign configuration.
+/// Fingerprint binding a campaign record to one campaign configuration.
 [[nodiscard]] std::uint64_t campaign_fingerprint(const CampaignTask& task);
 
 /// Runs (or resumes) `task` under `options`.  Always returns a result;
-/// throws only on checkpoint identity mismatch or corruption, I/O
-/// failure, or -- in strict mode -- the lowest-index chunk failure.
-/// Deadline expiry never throws: it checkpoints and returns a partial
-/// result with `expired` set.
+/// throws only on a foreign or corrupt record, an artifact directory it
+/// cannot create, or -- in strict mode -- the lowest-index chunk failure.
+/// Deadline expiry never throws: it persists the completed chunks and
+/// returns a partial result with `expired` set.
 [[nodiscard]] CampaignResult run_campaign(const CampaignTask& task,
                                           const CampaignOptions& options = {});
 

@@ -67,11 +67,11 @@ class CheckpointCorrupt final : public std::runtime_error {
 /// failure.
 std::size_t save_checkpoint(const std::string& path, const Checkpoint& ckpt);
 
-/// Publishes `bytes` as the file `path` atomically: writes `path`.tmp,
-/// flushes it, and renames it over `path`, so a reader sees the whole
-/// old file or the whole new one.  Checkpoints and artifact blobs both
-/// publish through this.  Throws std::runtime_error naming `what` (the
-/// kind of file) on I/O failure.
+/// Publishes `bytes` as the file `path` atomically: writes a temp file
+/// unique to this call (`path`.<pid>.<n>.tmp) and renames it over
+/// `path`, so readers see a whole file and concurrent writers never
+/// tear it.  Campaign records and artifact blobs both publish through
+/// this.  Throws std::runtime_error naming `what` on I/O failure.
 void publish_file(const std::string& path, const std::vector<std::uint8_t>& bytes,
                   const char* what);
 

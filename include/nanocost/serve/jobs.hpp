@@ -154,8 +154,8 @@ struct Response final {
   std::vector<std::uint8_t> result;
   double completeness = 1.0;          ///< fraction of units completed
   std::int64_t frontier_chunks = 0;   ///< completed leading chunks
-  std::uint64_t artifact_hits = 0;    ///< chunks restored (checkpoint or blob
-                                      ///< tier) instead of recomputed
+  std::uint64_t artifact_hits = 0;    ///< chunks restored from the artifact
+                                      ///< tier instead of recomputed
   bool coalesced = false;             ///< piggybacked on an identical in-flight job
 };
 

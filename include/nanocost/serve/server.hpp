@@ -12,9 +12,9 @@
 //     a robust::CampaignQueue, so overload sheds or degrades
 //     deterministically (acceptance depends only on the submission
 //     sequence), and run one at a time on a dedicated runner thread
-//     with checkpoints and the content-addressed artifact tier
-//     underneath: kill the server mid-campaign, restart, resubmit, and
-//     the completed chunks replay from blobs with zero recompute;
+//     with the artifact tier underneath: kill the server mid-campaign,
+//     restart, resubmit, and every chunk of a completed wave replays
+//     from the campaign's record instead of being recomputed;
 //   * identical in-flight requests coalesce on their canonical cache
 //     key: one computation, every waiter gets the same bytes.
 //
@@ -51,10 +51,10 @@ struct ServerOptions final {
   /// Campaign admission capacity and policy (robust/admission.hpp).
   std::size_t campaign_capacity = 4;
   robust::ShedPolicy campaign_policy = robust::ShedPolicy::kRejectNewest;
-  /// Artifact tier root; empty disables checkpoints and blobs.
+  /// Artifact tier root; empty disables persistence.
   std::string artifact_dir;
-  /// Byte cap the shutdown sweep enforces on the artifact tier; 0 =
-  /// unbounded.
+  /// Byte cap the shutdown sweep enforces on the artifact tier's records
+  /// and blobs; 0 = unbounded.
   std::uint64_t artifact_byte_cap = 0;
   /// Per-request wall-clock budget for light jobs, ms; 0 = none.
   double request_budget_ms = 0.0;
@@ -62,7 +62,7 @@ struct ServerOptions final {
   /// them at a chunk boundary (checkpointed, resumable); 0 = wait for
   /// them to finish.
   double drain_budget_ms = 0.0;
-  /// CampaignOptions::wave_chunks for served campaigns.
+  /// CampaignOptions::wave_chunks for served campaigns (a kill -9 loses at most one wave).
   std::int64_t campaign_wave_chunks = 64;
   /// Compute pool for kernels (null: the global pool).
   exec::ThreadPool* pool = nullptr;

@@ -75,8 +75,8 @@ std::string render_campaign(const robust::CampaignResult& result,
                 static_cast<long long>(result.total_units), unit_name.c_str(),
                 result.completeness());
   out += line;
-  std::snprintf(line, sizeof(line), "  resumed chunks: %lld, retries: %lld%s\n",
-                static_cast<long long>(result.resumed_chunks),
+  std::snprintf(line, sizeof(line), "  restored chunks: %lld, retries: %lld%s\n",
+                static_cast<long long>(result.artifact_hits),
                 static_cast<long long>(result.retries),
                 result.expired       ? ", deadline expired (checkpointed, resumable)"
                 : result.interrupted ? ", interrupted (checkpointed mid-run)"

@@ -74,14 +74,14 @@ Roadmap Roadmap::itrs1999_with_cost_escalation(double rate_per_node) {
   return Roadmap{std::move(nodes)};
 }
 
-const TechnologyNode& Roadmap::at_year(int year) const {
+const TechnologyNode& Roadmap::at_year(int year) const& {
   for (const TechnologyNode& n : nodes_) {
     if (n.year == year) return n;
   }
   throw std::out_of_range("no roadmap node for year " + std::to_string(year));
 }
 
-const TechnologyNode& Roadmap::nearest(units::Nanometers half_pitch) const {
+const TechnologyNode& Roadmap::nearest(units::Nanometers half_pitch) const& {
   const TechnologyNode* best = &nodes_.front();
   double best_err = std::fabs(best->half_pitch.value() - half_pitch.value());
   for (const TechnologyNode& n : nodes_) {

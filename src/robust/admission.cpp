@@ -110,11 +110,17 @@ const std::vector<SubmissionOutcome>& CampaignQueue::drain(const CompletionFn& o
                 : share;
       }
       lk.unlock();
-      result = run_campaign(*a.task, run_options);
+      try {
+        result = run_campaign(*a.task, run_options);
+        ran = true;
+      } catch (const std::exception& e) {
+        message = std::string("failed: ") + e.what();
+      }
       lk.lock();
       running_ = false;
-      ran = true;
-      if (result.expired) {
+      if (!ran) {
+        status = SubmissionStatus::kFailed;
+      } else if (result.expired) {
         if (stop_requested_) {
           status = SubmissionStatus::kStopped;
           message = "stopped: the queue was stopped mid-run; checkpointed, resumable";

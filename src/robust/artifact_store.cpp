@@ -80,36 +80,36 @@ void ArtifactStore::store(const cache::Digest128& key,
 
 namespace {
 
-/// Committed blobs in the store, named (filename, bytes).  Filenames
-/// are fixed-width lowercase hex, so lexicographic order IS digest
-/// order -- the determinism the eviction sweep rests on.
-std::vector<std::pair<std::string, std::uint64_t>> list_blobs(const std::string& dir) {
-  std::vector<std::pair<std::string, std::uint64_t>> blobs;
+/// Committed records and blobs in the store, named (filename, bytes).
+/// Filenames are fixed-width lowercase hex, so lexicographic order IS
+/// digest order -- the determinism the eviction sweep rests on.
+std::vector<std::pair<std::string, std::uint64_t>> list_files(const std::string& dir) {
+  std::vector<std::pair<std::string, std::uint64_t>> files;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file(ec)) continue;
     const std::filesystem::path& p = entry.path();
-    if (p.extension() != ".ncblob") continue;  // skip in-flight .tmp files
+    if (p.extension() != ".ncblob" && p.extension() != ".ncckpt") continue;  // skip .tmp
     const std::uintmax_t size = entry.file_size(ec);
-    if (ec) continue;  // racing eviction/rename: not our blob any more
-    blobs.emplace_back(p.filename().string(), static_cast<std::uint64_t>(size));
+    if (ec) continue;  // racing eviction/rename: not our file any more
+    files.emplace_back(p.filename().string(), static_cast<std::uint64_t>(size));
   }
-  std::sort(blobs.begin(), blobs.end());
-  return blobs;
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 }  // namespace
 
 std::uint64_t ArtifactStore::total_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [name, size] : list_blobs(dir_)) total += size;
+  for (const auto& [name, size] : list_files(dir_)) total += size;
   return total;
 }
 
 SweepReport ArtifactStore::sweep() const {
   SweepReport report;
-  const auto blobs = list_blobs(dir_);
-  for (const auto& [name, size] : blobs) {
+  const auto files = list_files(dir_);
+  for (const auto& [name, size] : files) {
     ++report.scanned_blobs;
     report.scanned_bytes += size;
   }
@@ -117,7 +117,7 @@ SweepReport ArtifactStore::sweep() const {
   // Walk from the highest digest down, unlinking until we fit.  The
   // victim set depends only on the directory contents and the cap.
   std::uint64_t remaining = report.scanned_bytes;
-  for (auto it = blobs.rbegin(); it != blobs.rend() && remaining > byte_cap_; ++it) {
+  for (auto it = files.rbegin(); it != files.rend() && remaining > byte_cap_; ++it) {
     std::error_code ec;
     if (std::filesystem::remove(std::filesystem::path(dir_) / it->first, ec) && !ec) {
       ++report.evicted_blobs;
@@ -130,6 +130,15 @@ SweepReport ArtifactStore::sweep() const {
     evicted.add(report.evicted_blobs);
   }
   return report;
+}
+
+cache::Digest128 campaign_record_key(std::uint64_t fingerprint, std::int64_t unit_count,
+                                     std::int64_t grain) {
+  return cache::KeyBuilder("robust.campaign_record")
+      .u64("fingerprint", fingerprint)
+      .i64("unit_count", unit_count)
+      .i64("grain", grain)
+      .digest();
 }
 
 cache::Digest128 chunk_artifact_key(std::uint64_t fingerprint, std::int64_t unit_count,

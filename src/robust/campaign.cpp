@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include <memory>
-
 #include "nanocost/cache/bytes.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/seed.hpp"
@@ -74,48 +72,23 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
   result.total_units = units;
   result.chunks.assign(static_cast<std::size_t>(n_chunks), {});
 
-  // Resume: restore completed chunk blobs from the checkpoint, if any.
+  // The campaign's record in the artifact tier, loaded once, before
+  // scheduling: a corrupt or foreign one throws here, deterministically,
+  // and is never silently recomputed.
   Checkpoint expected;
   expected.fingerprint = campaign_fingerprint(task);
   expected.unit_count = units;
   expected.grain = grain;
-  if (!options.checkpoint_path.empty()) {
-    Checkpoint loaded;
-    if (load_checkpoint(options.checkpoint_path, expected, loaded)) {
-      for (std::size_t c = 0; c < loaded.chunks.size() && c < result.chunks.size(); ++c) {
-        if (!loaded.chunks[c].empty()) {
-          result.chunks[c] = std::move(loaded.chunks[c]);
-          ++result.resumed_chunks;
-        }
-      }
-    }
-  }
-
-  // Artifact tier: fill remaining gaps from the content-addressed blob
-  // directory.  Loads run here, on the caller's thread and outside the
-  // chunk retry loop, so a corrupt blob throws CheckpointCorrupt
-  // deterministically instead of being mis-filed as a retryable chunk
-  // failure (strict rejection, like checkpoints).
-  std::unique_ptr<ArtifactStore> artifacts;
+  std::string record;
   if (!options.artifact_dir.empty()) {
-    artifacts = std::make_unique<ArtifactStore>(options.artifact_dir);
-    obs::ObsSpan span("robust.artifact_scan");
-    for (std::int64_t c = 0; c < n_chunks; ++c) {
-      auto& slot = result.chunks[static_cast<std::size_t>(c)];
-      if (!slot.empty()) continue;
-      std::vector<std::uint8_t> payload;
-      if (!artifacts->load(chunk_artifact_key(expected.fingerprint, units, grain, c),
-                           payload)) {
-        continue;
-      }
-      if (payload.empty()) {
-        // Chunk blobs are non-empty by contract (run_campaign enforces
-        // it below); an empty artifact was never a valid chunk.
-        throw CheckpointCorrupt("artifact blob for chunk " + std::to_string(c) + " in " +
-                                options.artifact_dir + " holds an empty chunk payload");
-      }
-      slot = std::move(payload);
-      ++result.artifact_hits;
+    record = ArtifactStore(options.artifact_dir)
+                 .record_path(campaign_record_key(expected.fingerprint, units, grain));
+    obs::ObsSpan span("robust.record_load");
+    Checkpoint loaded;
+    if (load_checkpoint(record, expected, loaded)) {
+      // The header matched, so the record has exactly n_chunks slots.
+      result.artifact_hits = loaded.completed_chunks();
+      result.chunks = std::move(loaded.chunks);
     }
     span.arg("hits", static_cast<std::uint64_t>(result.artifact_hits));
     if (obs::metrics_enabled() && result.artifact_hits > 0) {
@@ -140,24 +113,40 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
       options.cancel.valid() ? options.cancel : current_cancel_token();
 
   std::atomic<std::int64_t> retries{0};
-  std::atomic<std::int64_t> artifact_stores{0};
+  // Chunks computed this run; `published` of them are in the record on
+  // disk.  The next wave's rewrite carries any a failed publish missed.
+  std::atomic<std::int64_t> computed{0};
+  std::int64_t published = 0;
   // Set when a chunk gave up on its remaining retry attempts because
   // the backoff would not fit the remaining budget; the chunk stays
   // pending (not quarantined), so a resume retries it fresh.
   std::atomic<bool> abandoned_retries{false};
   std::mutex quarantine_mu;
-  const auto save = [&] {
-    if (options.checkpoint_path.empty()) return;
+  const auto publish = [&] {
+    const std::int64_t done = computed.load(std::memory_order_relaxed);
+    if (record.empty() || done == published) return;
     obs::ObsSpan span("robust.checkpoint");
     Checkpoint ckpt = expected;
     ckpt.chunks = result.chunks;  // copy: blobs stay owned by the result
-    const std::size_t bytes = save_checkpoint(options.checkpoint_path, ckpt);
-    span.arg("bytes", static_cast<std::uint64_t>(bytes));
-    if (obs::metrics_enabled()) {
-      static obs::Counter& writes = obs::counter("robust.checkpoint_writes");
-      static obs::Counter& written = obs::counter("robust.checkpoint_bytes");
-      writes.add();
-      written.add(static_cast<std::uint64_t>(bytes));
+    try {
+      const std::size_t bytes = save_checkpoint(record, ckpt);
+      span.arg("bytes", static_cast<std::uint64_t>(bytes));
+      if (obs::metrics_enabled()) {
+        static obs::Counter& writes = obs::counter("robust.checkpoint_writes");
+        static obs::Counter& written = obs::counter("robust.checkpoint_bytes");
+        static obs::Counter& stored = obs::counter("robust.artifact_stores");
+        writes.add();
+        written.add(static_cast<std::uint64_t>(bytes));
+        stored.add(static_cast<std::uint64_t>(done - published));
+      }
+      published = done;
+    } catch (const std::exception&) {
+      // Best-effort: the results are in hand, so a full disk costs the
+      // *next* run a recompute, never this run its answer.
+      if (obs::metrics_enabled()) {
+        static obs::Counter& errors = obs::counter("robust.artifact_store_errors");
+        errors.add();
+      }
     }
   };
 
@@ -184,25 +173,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
             retried.add(static_cast<std::uint64_t>(attempt));
           }
         }
-        if (artifacts) {
-          // Publish is best-effort: the result is already in hand, so a
-          // full disk or permission error costs the *next* run a
-          // recompute, never this run its answer.
-          try {
-            artifacts->store(chunk_artifact_key(expected.fingerprint, units, grain, chunk),
-                             blob);
-            artifact_stores.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metrics_enabled()) {
-              static obs::Counter& stored = obs::counter("robust.artifact_stores");
-              stored.add();
-            }
-          } catch (const std::exception&) {
-            if (obs::metrics_enabled()) {
-              static obs::Counter& errors = obs::counter("robust.artifact_store_errors");
-              errors.add();
-            }
-          }
-        }
+        computed.fetch_add(1, std::memory_order_relaxed);
         return;
       } catch (const std::exception& e) {
         last_error = e.what();
@@ -297,12 +268,12 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
                              ? std::max<std::int64_t>(1, wave / 2)
                              : options.wave_chunks;
     }
-    save();
+    publish();
     wave_start += wave;
   }
 
   result.retries = retries.load(std::memory_order_relaxed);
-  result.artifact_stores = artifact_stores.load(std::memory_order_relaxed);
+  result.artifact_stores = published;
   std::sort(result.quarantined.begin(), result.quarantined.end(),
             [](const ChunkFailure& a, const ChunkFailure& b) { return a.chunk < b.chunk; });
   result.frontier_chunks = n_chunks;
@@ -321,7 +292,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
       result.completed_chunks + static_cast<std::int64_t>(result.quarantined.size()) <
       result.total_chunks;
   if (token.valid() && work_left && token.expired()) result.expired = true;
-  // Every executed wave already checkpointed, so the frontier at
+  // Every executed wave already published, so the frontier at
   // interruption is on disk; just flag the result as resumable.
   if (result.expired || abandoned_retries.load(std::memory_order_relaxed)) {
     result.interrupted = true;

@@ -1,10 +1,13 @@
 #include "nanocost/robust/checkpoint.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "nanocost/cache/bytes.hpp"
 
@@ -33,20 +36,25 @@ std::int64_t Checkpoint::completed_chunks() const noexcept {
 
 void publish_file(const std::string& path, const std::vector<std::uint8_t>& bytes,
                   const char* what) {
-  const std::string tmp = path + ".tmp";
-  {
-    File f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) {
-      throw std::runtime_error(std::string("cannot open ") + what + " temp file " + tmp);
-    }
-    bool ok = bytes.empty() ||
-              std::fwrite(bytes.data(), 1, bytes.size(), f.get()) == bytes.size();
-    ok = ok && std::fflush(f.get()) == 0;
-    if (!ok) {
-      throw std::runtime_error(std::string("failed writing ") + what + " " + tmp);
-    }
+  // A temp name per writer (pid + counter, created O_EXCL): writers of one
+  // path -- two daemons sharing a tier -- never write through or rename
+  // away each other's temp file.  Mode 0666 less the umask, as before.
+  static std::atomic<std::uint64_t> serial{0};
+  const std::string tmp =
+      path + "." + std::to_string(::getpid()) + "." + std::to_string(serial++) + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    throw std::runtime_error(std::string("cannot open ") + what + " temp file " + tmp);
+  }
+  // A short write to a regular file means the disk refused the rest.
+  const bool written =
+      ::write(fd, bytes.data(), bytes.size()) == static_cast<::ssize_t>(bytes.size());
+  if (::close(fd) != 0 || !written) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(std::string("failed writing ") + what + " " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
     throw std::runtime_error(std::string("cannot rename ") + what + " into place: " + path);
   }
 }

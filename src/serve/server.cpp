@@ -30,7 +30,6 @@
 
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/hash.hpp"
-#include "nanocost/cache/key.hpp"
 #include "nanocost/exec/simd.hpp"
 #include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/obs/metrics.hpp"
@@ -806,14 +805,9 @@ struct Server::Impl {
       }
       auto task = std::make_unique<fabsim::FabLotCampaign>(*sim, job.n_wafers, job.seed);
       robust::CampaignOptions run;
-      if (store != nullptr) {
-        // Checkpoint named by the *run* identity (not max_chunks), so a
-        // budget-limited run and its full resubmission share state.
-        const cache::Digest128 run_key =
-            cache::fabsim_run_key(*sim, job.n_wafers, job.seed);
-        run.checkpoint_path = store->dir() + "/" + run_key.hex() + ".ncckpt";
-        run.artifact_dir = store->dir();
-      }
+      // The campaign's record is named by its identity (not max_chunks),
+      // so a budget-limited run and its full resubmission share it.
+      if (store != nullptr) run.artifact_dir = store->dir();
       run.wave_chunks = options.campaign_wave_chunks;
       run.max_chunks_this_run = job.max_chunks;
       run.pool = options.pool;
@@ -973,6 +967,10 @@ struct Server::Impl {
           r.status = ResponseStatus::kStopped;
           campaigns_stopped.fetch_add(1, std::memory_order_relaxed);
           break;
+        case robust::SubmissionStatus::kFailed:  // e.g. a corrupt record; the message names it
+          r.status = ResponseStatus::kError;
+          r.message = "campaign " + outcome.message;
+          break;
         case robust::SubmissionStatus::kShed:
         case robust::SubmissionStatus::kQueued:
           r.status = ResponseStatus::kError;
@@ -989,10 +987,7 @@ struct Server::Impl {
           r.status = ResponseStatus::kError;
           r.message = std::string("campaign assembly failed: ") + e.what();
         }
-        // "Served without recompute" from the client's perspective:
-        // checkpoint-resumed chunks plus blob-tier hits.
-        r.artifact_hits = static_cast<std::uint64_t>(outcome.result.resumed_chunks +
-                                                     outcome.result.artifact_hits);
+        r.artifact_hits = static_cast<std::uint64_t>(outcome.result.artifact_hits);
       } else {
         r.completeness = 0.0;
       }

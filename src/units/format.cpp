@@ -58,7 +58,8 @@ std::string format_si(double v) {
 std::string format_money(Money m) {
   const double v = m.value();
   const double mag = std::fabs(v);
-  if (mag >= 1e3) return "$" + format_si(v);
+  // Appended: GCC 12 flags `"$" + std::string` with a false -Wrestrict.
+  if (mag >= 1e3) return std::string("$").append(format_si(v));
   if (mag >= 0.01 || v == 0.0) return printf_to_string("$%.2f", v);
   // Sub-cent values (per-transistor costs) need scientific notation.
   return printf_to_string("$%.3e", v);

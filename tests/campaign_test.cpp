@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,10 +14,12 @@
 #include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/fabsim/simulator.hpp"
 #include "nanocost/report/campaign_report.hpp"
+#include "nanocost/robust/artifact_store.hpp"
 #include "nanocost/robust/campaign.hpp"
 #include "nanocost/robust/checkpoint.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
+#include "temp_dir.hpp"
 
 namespace nanocost {
 namespace {
@@ -51,11 +53,7 @@ void expect_same_lot(const fabsim::LotResult& a, const fabsim::LotResult& b) {
   EXPECT_EQ(a.fault_histogram, b.fault_histogram);
 }
 
-std::string temp_checkpoint(const char* tag) {
-  const std::string path = ::testing::TempDir() + "nanocost_campaign_" + tag + ".ckpt";
-  std::remove(path.c_str());
-  return path;
-}
+using nanocost::testing::TempDir;
 
 TEST(FabCampaign, CompleteCampaignReproducesRunBitwise) {
   const auto sim = make_simulator();
@@ -92,9 +90,9 @@ TEST(FabCampaign, KilledAndResumedCampaignIsBitwiseIdentical) {
   const fabsim::PartialLot reference = task.assemble(robust::run_campaign(task, plain));
 
   // "Kill" after 6 chunks, then resume on a *different* thread count.
-  const std::string path = temp_checkpoint("kill_resume");
+  const TempDir tier("kill_resume");
   robust::CampaignOptions first;
-  first.checkpoint_path = path;
+  first.artifact_dir = tier.path();
   first.pool = &two;
   first.wave_chunks = 3;
   first.max_chunks_this_run = 6;
@@ -104,30 +102,41 @@ TEST(FabCampaign, KilledAndResumedCampaignIsBitwiseIdentical) {
 
   exec::ThreadPool serial(1);
   robust::CampaignOptions second;
-  second.checkpoint_path = path;
+  second.artifact_dir = tier.path();
   second.pool = &serial;
   const robust::CampaignResult resumed = robust::run_campaign(task, second);
   EXPECT_FALSE(resumed.interrupted);
-  EXPECT_EQ(resumed.resumed_chunks, 6);
+  EXPECT_EQ(resumed.artifact_hits, 6);
   EXPECT_EQ(resumed.completed_chunks, resumed.total_chunks);
 
   const fabsim::PartialLot assembled = task.assemble(resumed);
   expect_same_lot(assembled.lot, reference.lot);
-  std::remove(path.c_str());
 }
 
 TEST(FabCampaign, ResumeRejectsACheckpointFromAnotherConfiguration) {
   const auto sim = make_simulator();
-  const std::string path = temp_checkpoint("mismatch");
+  const TempDir tier("mismatch");
   const fabsim::FabLotCampaign task(sim, 24, 3);
   robust::CampaignOptions options;
-  options.checkpoint_path = path;
+  options.artifact_dir = tier.path();
   (void)robust::run_campaign(task, options);
 
-  // Same file, different seed: the fingerprint must not match.
+  // Same directory, different seed: a record of its own, nothing reused.
   const fabsim::FabLotCampaign other(sim, 24, 4);
+  const robust::CampaignResult fresh = robust::run_campaign(other, options);
+  EXPECT_EQ(fresh.artifact_hits, 0);
+  expect_same_lot(other.assemble(fresh).lot, sim.run(24, 4));
+
+  // One campaign's record planted under the other's name: the header
+  // check refuses it instead of resuming someone else's campaign.
+  const robust::ArtifactStore store(tier.path());
+  const auto record_of = [&](const robust::CampaignTask& t) {
+    return store.record_path(robust::campaign_record_key(robust::campaign_fingerprint(t),
+                                                         t.unit_count(), t.grain()));
+  };
+  std::filesystem::copy_file(record_of(task), record_of(other),
+                             std::filesystem::copy_options::overwrite_existing);
   EXPECT_THROW((void)robust::run_campaign(other, options), robust::CheckpointMismatch);
-  std::remove(path.c_str());
 }
 
 TEST(FabCampaign, PersistentFaultsDegradeGracefullyAndDeterministically) {
@@ -367,24 +376,23 @@ TEST(RiskCampaign, KilledAndResumedMatchesMonteCarloBitwise) {
   const core::RiskResult reference = core::monte_carlo_cost(u, 250.0, samples, 3, 0.0, &serial);
 
   const core::RiskCampaign task(u, 250.0, samples, 3);
-  const std::string path = temp_checkpoint("risk_resume");
+  const TempDir tier("risk_resume");
   exec::ThreadPool two(2);
   robust::CampaignOptions first;
-  first.checkpoint_path = path;
+  first.artifact_dir = tier.path();
   first.pool = &two;
   first.wave_chunks = 2;
   first.max_chunks_this_run = 3;
   EXPECT_TRUE(robust::run_campaign(task, first).interrupted);
 
   robust::CampaignOptions second;
-  second.checkpoint_path = path;
+  second.artifact_dir = tier.path();
   second.pool = &serial;
   const robust::CampaignResult resumed = robust::run_campaign(task, second);
-  EXPECT_EQ(resumed.resumed_chunks, 3);
+  EXPECT_EQ(resumed.artifact_hits, 3);
   const core::PartialRisk partial = task.assemble(resumed);
   EXPECT_DOUBLE_EQ(partial.result.mean, reference.mean);
   EXPECT_DOUBLE_EQ(partial.result.p90, reference.p90);
-  std::remove(path.c_str());
 }
 
 TEST(RiskCampaign, AssembleDecodesGoldenChunkBytes) {

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -33,6 +32,7 @@
 #include "nanocost/robust/campaign.hpp"
 #include "nanocost/robust/cancel.hpp"
 #include "nanocost/route/router.hpp"
+#include "temp_dir.hpp"
 
 namespace nanocost {
 namespace {
@@ -68,11 +68,7 @@ void expect_histograms_equal(const std::vector<std::int64_t>& a,
   }
 }
 
-std::string temp_checkpoint(const char* tag) {
-  const std::string path = ::testing::TempDir() + "nanocost_deadline_" + tag + ".ckpt";
-  std::remove(path.c_str());
-  return path;
-}
+using nanocost::testing::TempDir;
 
 // ---------------------------------------------------------------------------
 // Token and scope semantics.
@@ -324,29 +320,29 @@ TEST(CampaignDeadline, ExpiredCampaignResumesToBitwiseIdenticalLot) {
   const std::int64_t n_wafers = 4000;
   const std::uint64_t seed = 11;
   const fabsim::FabLotCampaign task(sim, n_wafers, seed);
-  const std::string path = temp_checkpoint("expiry_resume");
+  const TempDir tier("expiry_resume");
 
   robust::CampaignOptions bounded;
-  bounded.checkpoint_path = path;
+  bounded.artifact_dir = tier.path();
   bounded.wave_chunks = 8;
   bounded.cancel = robust::CancelToken::with_deadline(5.0);
   const robust::CampaignResult first = robust::run_campaign(task, bounded);
   if (first.completed_chunks < first.total_chunks) {
     EXPECT_TRUE(first.expired);
     EXPECT_TRUE(first.interrupted);
-    // The frontier is persisted: completed chunks survive in the file.
+    // The frontier is persisted: completed chunks survive in the record.
     EXPECT_GE(first.frontier_chunks, 0);
   }
 
   // Resume on a different thread count with no deadline.
   exec::ThreadPool serial(1);
   robust::CampaignOptions unbounded;
-  unbounded.checkpoint_path = path;
+  unbounded.artifact_dir = tier.path();
   unbounded.pool = &serial;
   const robust::CampaignResult full = robust::run_campaign(task, unbounded);
   EXPECT_FALSE(full.expired);
   EXPECT_EQ(full.completed_chunks, full.total_chunks);
-  EXPECT_EQ(full.resumed_chunks, first.completed_chunks);
+  EXPECT_EQ(full.artifact_hits, first.completed_chunks);
 
   const fabsim::PartialLot assembled = task.assemble(full);
   EXPECT_DOUBLE_EQ(assembled.completeness, 1.0);
@@ -354,7 +350,6 @@ TEST(CampaignDeadline, ExpiredCampaignResumesToBitwiseIdenticalLot) {
   EXPECT_EQ(assembled.lot.total_dies, direct.total_dies);
   EXPECT_EQ(assembled.lot.good_dies, direct.good_dies);
   expect_histograms_equal(assembled.lot.fault_histogram, direct.fault_histogram);
-  std::remove(path.c_str());
 }
 
 TEST(CampaignDeadline, AmbientTokenIsHonoredWhenOptionsCancelIsInvalid) {

@@ -48,7 +48,8 @@ TEST(Floorplan, TwoSquaresPackPerfectlyWithFlexibleShapes) {
 TEST(Floorplan, BlocksNeverOverlapAndStayInside) {
   std::vector<Block> blocks;
   for (int i = 0; i < 8; ++i) {
-    blocks.push_back(block(("b" + std::to_string(i)).c_str(), 1.0 + i * 0.7));
+    // Appended: GCC 12 flags `"b" + std::string` with a false -Wrestrict.
+    blocks.push_back(block(std::string("b").append(std::to_string(i)).c_str(), 1.0 + i * 0.7));
   }
   const FloorplanResult r = floorplan::floorplan(blocks);
   ASSERT_EQ(r.blocks.size(), blocks.size());
@@ -75,7 +76,8 @@ TEST(Floorplan, AnnealingBeatsNaiveStacking) {
   // Ten varied blocks: the annealed result should waste little silicon.
   std::vector<Block> blocks;
   for (int i = 0; i < 10; ++i) {
-    blocks.push_back(block(("b" + std::to_string(i)).c_str(), 0.5 + (i % 4) * 1.3));
+    blocks.push_back(block(std::string("b").append(std::to_string(i)).c_str(),
+                           0.5 + (i % 4) * 1.3));
   }
   const FloorplanResult r = floorplan::floorplan(blocks);
   EXPECT_LT(r.dead_space(), 0.15);

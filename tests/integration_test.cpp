@@ -126,7 +126,8 @@ TEST(Integration, TableA1DesignsPricedAcrossTheBoard) {
 TEST(Integration, RoadmapNodesSupportFullGeneralizedModel) {
   // Every roadmap node yields a working generalized model whose
   // optimum is feasible and interior.
-  for (const roadmap::TechnologyNode& node : roadmap::Roadmap::itrs1999().nodes()) {
+  const roadmap::Roadmap itrs = roadmap::Roadmap::itrs1999();
+  for (const roadmap::TechnologyNode& node : itrs.nodes()) {
     core::ProductScenario scenario;
     scenario.transistors = node.mpu_transistors;
     scenario.lambda = node.lambda();

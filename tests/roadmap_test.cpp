@@ -38,7 +38,8 @@ TEST(Roadmap, FeatureSizeShrinksMonotonically) {
 TEST(Roadmap, Anchor1999MatchesThePaper) {
   // The paper's Fig. 3 anchor: 1999 cost/performance MPU at ~$34 die,
   // 8 $/cm^2, yield 0.8 -> 3.4 cm^2 at introduction.
-  const TechnologyNode& n = Roadmap::itrs1999().at_year(1999);
+  const Roadmap rm = Roadmap::itrs1999();
+  const TechnologyNode& n = rm.at_year(1999);
   EXPECT_DOUBLE_EQ(n.mpu_chip_area.value(), 3.40);
   EXPECT_DOUBLE_EQ(n.cost_per_cm2.value(), 8.0);
   EXPECT_DOUBLE_EQ(n.mpu_transistors, 21e6);
@@ -96,8 +97,8 @@ TEST(Roadmap, CostEscalationCompoundsPerNode) {
 }
 
 TEST(Roadmap, ConstructionValidatesOrdering) {
-  std::vector<TechnologyNode> nodes = {Roadmap::itrs1999().at_year(2002),
-                                       Roadmap::itrs1999().at_year(1999)};
+  const Roadmap rm = Roadmap::itrs1999();
+  std::vector<TechnologyNode> nodes = {rm.at_year(2002), rm.at_year(1999)};
   EXPECT_THROW(Roadmap{nodes}, std::invalid_argument);
   EXPECT_THROW(Roadmap{std::vector<TechnologyNode>{}}, std::invalid_argument);
 }

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "corruption_matrix.hpp"
@@ -13,6 +17,7 @@
 #include "nanocost/robust/checkpoint.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
+#include "temp_dir.hpp"
 
 namespace nanocost::robust {
 namespace {
@@ -181,13 +186,6 @@ TEST(FiniteGuard, PassesFiniteRejectsNaNAndInf) {
 
 class CheckpointFile : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "nanocost_ckpt_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".bin";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
   static Checkpoint sample() {
     Checkpoint c;
     c.fingerprint = 0xFEEDBEEF;
@@ -217,7 +215,8 @@ class CheckpointFile : public ::testing::Test {
     std::fclose(f);
   }
 
-  std::string path_;
+  const nanocost::testing::TempDir dir_{"ckpt"};
+  const std::string path_ = dir_.file("campaign.ncckpt");
 };
 
 TEST_F(CheckpointFile, RoundTripsBitwise) {
@@ -308,6 +307,54 @@ TEST_F(CheckpointFile, CorruptionMatrixRejectsEveryCell) {
         return v;
       },
       opts);
+}
+
+TEST_F(CheckpointFile, ConcurrentSavesToOnePathNeverTearIt) {
+  // Two writers of one record -- two daemons sharing a tier -- each
+  // publish through a temp file of their own: no save fails, and every
+  // concurrent load finds one writer's checkpoint, whole.
+  const Checkpoint a = sample();
+  Checkpoint b = sample();
+  b.chunks[1] = {4, 4, 4, 4, 4, 4, 4, 4};
+  b.chunks[2].assign(300, 0x5C);
+  save_checkpoint(path_, a);
+  constexpr int kRounds = 4000;
+  std::atomic<int> failed_saves{0};
+  std::atomic<int> writers_left{2};
+  const auto writer = [&](const Checkpoint& ckpt) {
+    for (int round = 0; round < kRounds; ++round) {
+      try {
+        save_checkpoint(path_, ckpt);
+      } catch (const std::exception&) {
+        failed_saves.fetch_add(1);
+      }
+    }
+    writers_left.fetch_sub(1);
+  };
+  std::thread first(writer, std::cref(a));
+  std::thread second(writer, std::cref(b));
+  int loads = 0;
+  int torn_loads = 0;
+  while (writers_left.load() > 0) {
+    Checkpoint loaded;
+    ++loads;
+    try {
+      if (!load_checkpoint(path_, a, loaded) ||
+          (loaded.chunks != a.chunks && loaded.chunks != b.chunks)) {
+        ++torn_loads;
+      }
+    } catch (const std::exception&) {
+      ++torn_loads;
+    }
+  }
+  first.join();
+  second.join();
+  EXPECT_EQ(failed_saves.load(), 0);
+  EXPECT_EQ(torn_loads, 0) << "of " << loads << " loads";
+  // Every temp file was renamed into place: the record is all that is left.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_.path()),
+                          std::filesystem::directory_iterator{}),
+            1);
 }
 
 TEST_F(CheckpointFile, GarbageMagicThrows) {

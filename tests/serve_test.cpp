@@ -42,6 +42,7 @@
 #include "nanocost/serve/resilient.hpp"
 #include "nanocost/serve/server.hpp"
 #include "nanocost/serve/wire.hpp"
+#include "temp_dir.hpp"
 
 namespace nanocost::serve {
 namespace {
@@ -52,21 +53,7 @@ struct PlanGuard {
   ~PlanGuard() { robust::clear_fault_plan(); }
 };
 
-class TempDir final {
- public:
-  explicit TempDir(const char* tag) {
-    dir_ = std::filesystem::temp_directory_path() /
-           (std::string("nanocost_serve_test_") + tag + "_" +
-            std::to_string(static_cast<unsigned long long>(::getpid())));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~TempDir() { std::filesystem::remove_all(dir_); }
-  [[nodiscard]] std::string path() const { return dir_.string(); }
-
- private:
-  std::filesystem::path dir_;
-};
+using nanocost::testing::TempDir;
 
 /// Connects one Client to `server` over a socketpair.
 Client make_client(Server& server) {
@@ -289,6 +276,7 @@ TEST(WireFrame, DiagnosticsNameTheFrameAndOffense) {
   EXPECT_NE(diagnostic_of(unknown).find("unknown type tag 99"), std::string::npos);
 
   std::vector<std::uint8_t> oversized = good;
+  ASSERT_GE(oversized.size(), 24u);
   for (int i = 0; i < 8; ++i) oversized[16 + i] = 0;
   oversized[23] = 0x40;  // 2^62 bytes
   const std::string over_diag = diagnostic_of(oversized);
@@ -731,6 +719,46 @@ TEST(CrashTolerance, KillRestartResumesBitwiseWithZeroRecompute) {
   }
 }
 
+TEST(CrashTolerance, CorruptRecordAnswersErrorAndTheServerKeepsServing) {
+  const CampaignJob lot = small_campaign(5, 16);  // 4 chunks
+  const TempDir tmp("corrupt_record");
+  {
+    ServerOptions options;
+    options.artifact_dir = tmp.path();
+    Server server(options);
+    Client client = make_client(server);
+    ASSERT_EQ(client.wait(client.submit(lot)).status, ResponseStatus::kOk);
+  }
+  // Truncate the lot's record.
+  std::string record;
+  for (const auto& entry : std::filesystem::directory_iterator(tmp.path())) {
+    if (entry.path().extension() == ".ncckpt") record = entry.path().string();
+  }
+  ASSERT_FALSE(record.empty());
+  std::filesystem::resize_file(record, std::filesystem::file_size(record) - 3);
+
+  // A corrupt record is reported, naming the file, never recomputed --
+  // and never takes the daemon down with it.
+  ServerOptions options;
+  options.artifact_dir = tmp.path();
+  Server server(options);
+  Client client = make_client(server);
+  const Response r = client.wait(client.submit(lot));
+  EXPECT_EQ(r.status, ResponseStatus::kError);
+  EXPECT_NE(r.message.find(record), std::string::npos) << r.message;
+  EXPECT_TRUE(r.result.empty());
+
+  // The same connection still serves an eq4 job and another campaign.
+  const Eq4Job eq4 = small_eq4();
+  const Response light = client.wait(client.submit(eq4));
+  EXPECT_EQ(light.status, ResponseStatus::kOk) << light.message;
+  EXPECT_EQ(light.result, direct_eq4_bytes(eq4));
+  const CampaignJob other = small_campaign(6, 16);
+  const Response next = client.wait(client.submit(other));
+  EXPECT_EQ(next.status, ResponseStatus::kOk) << next.message;
+  EXPECT_EQ(next.result, direct_campaign_bytes(other));
+}
+
 // ---------------------------------------------------------------------------
 // (d) Overload: deterministic shed / degrade with per-request outcomes.
 
@@ -859,6 +887,32 @@ TEST(Drain, ShutdownStopsInFlightCampaignsResumable) {
     EXPECT_GE(full.artifact_hits, static_cast<std::uint64_t>(r.frontier_chunks));
     EXPECT_EQ(full.result, direct_campaign_bytes(big));
   }
+}
+
+TEST(Drain, ShutdownSweepKeepsTheWholeTierUnderTheByteCap) {
+  // Six 40-wafer lots write ~11 KiB of records; the shutdown sweep must
+  // bring every file in the tier, records included, under the cap.
+  constexpr std::uint64_t kCap = 4096;
+  const TempDir tmp("byte_cap");
+  {
+    ServerOptions options;
+    options.artifact_dir = tmp.path();
+    options.artifact_byte_cap = kCap;
+    Server server(options);
+    Client client = make_client(server);
+    for (std::uint64_t seed = 20; seed < 26; ++seed) {
+      const Response r = client.wait(client.submit(small_campaign(seed, 40)));
+      ASSERT_EQ(r.status, ResponseStatus::kOk) << r.message;
+    }
+    const DrainReport report = server.shutdown();
+    EXPECT_GT(report.artifact_sweep.evicted_blobs, 0u);
+  }
+  std::uint64_t total = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(tmp.path())) {
+    if (entry.is_regular_file()) total += entry.file_size();
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_LE(total, kCap);
 }
 
 // ---------------------------------------------------------------------------
