@@ -67,6 +67,18 @@ struct DefectFieldParams final {
   RadialProfile radial{};
 };
 
+/// Draws `count` points uniform over the disc of radius `radius_mm`
+/// about the origin into x_mm/y_mm (resized to `count`): the flat
+/// profile's position sampler.  Square rejection in rounds of 16
+/// uniforms -- 8 candidate x's, then their 8 y's -- whose acceptances
+/// are kept in order until `count` is reached; the last round's surplus
+/// is discarded.  Many rounds come from one exec::uniform_unit_batch_at
+/// call and are tested without branches, then the engine is rewound to
+/// exactly 16 uniforms per round used.  Positions and stream position
+/// are therefore those of a round-by-round loop, at every level.
+void sample_disc_at(exec::SimdLevel level, exec::SplitMix64& rng, double radius_mm,
+                    std::size_t count, std::vector<double>& x_mm, std::vector<double>& y_mm);
+
 /// Samples complete defect populations for one wafer at a time.
 class DefectField final {
  public:
@@ -80,12 +92,11 @@ class DefectField final {
   /// With clustering enabled, first draws a wafer-level gamma
   /// multiplier (shape alpha, mean 1; exec::gamma_draw), realizing the
   /// gamma-mixed Poisson that yields negative-binomial die statistics.
-  /// Positions come from square rejection against the disc (flat radial
-  /// profile) with the candidate uniforms drawn through the vectorized
-  /// rng_batch path, or from scalar envelope rejection (radial profile);
-  /// the size column runs through DefectSizeDistribution::
-  /// sample_batch_at.  Bitwise identical -- values and stream
-  /// consumption -- at every SimdLevel (simd_parity_test).
+  /// Positions come from sample_disc_at (flat radial profile) or from
+  /// scalar envelope rejection (radial profile); the size column runs
+  /// through DefectSizeDistribution::sample_batch_at.  Bitwise
+  /// identical -- values and stream consumption -- at every SimdLevel
+  /// (simd_parity_test).
   void sample_wafer(exec::SplitMix64& rng, DefectSoA& out) const;
   void sample_wafer_at(exec::SimdLevel level, exec::SplitMix64& rng, DefectSoA& out) const;
 

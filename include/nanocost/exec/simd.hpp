@@ -1,12 +1,13 @@
 // Runtime SIMD lane selection for the SoA batch kernels.
 //
 // Every batched kernel in the repo (rng_batch, defect sampling, the
-// kill-probability LUT, the risk sample pricer, the HPWL pin scan)
-// ships a scalar path plus SSE2/AVX2 lanes that are *bitwise identical*
-// to it -- the vector lanes restrict themselves to IEEE-exact
-// operations (add/sub/mul/div/sqrt/min/max and integer arithmetic),
-// which evaluate lane-wise exactly like their scalar counterparts, and
-// everything transcendental stays on scalar libm in all paths.  The
+// wafer-map site lookup, the kill-probability LUT, the risk sample
+// pricer, the HPWL pin scan) ships a scalar path plus SSE2/AVX2 lanes
+// that are *bitwise identical* to it -- the vector lanes restrict
+// themselves to IEEE-exact operations (add/sub/mul/div/sqrt/min/max/
+// floor and integer arithmetic), which evaluate lane-wise exactly like
+// their scalar counterparts, and everything transcendental stays on
+// scalar libm in all paths.  The
 // level picked here therefore changes *speed only*, never results:
 // the PR 1-5 determinism contracts (thread-count invariance, cancel
 // frontiers, checkpoint resume) hold at any level.

@@ -59,13 +59,13 @@ class DieKillModel final {
 
 /// Log-spaced lookup table over defect size for DieKillModel::
 /// kill_probability.  Built once per simulator; evaluating a defect then
-/// costs one log + one linear interpolation instead of two critical-area
-/// evaluations.  The kill probability is piecewise linear in the defect
-/// size, so bins verified linear at construction interpolate *exactly*;
-/// the handful of bins containing a slope breakpoint (spacing/width
-/// onsets, saturation, the probability cap) fall back to direct
-/// evaluation -- the table agrees with the model to rounding error
-/// everywhere on the support.
+/// costs a hint-table bin lookup (no log) + one linear interpolation
+/// instead of two critical-area evaluations.  The kill probability is
+/// piecewise linear in the defect size, so bins verified linear at
+/// construction interpolate *exactly*; the handful of bins containing a
+/// slope breakpoint (spacing/width onsets, saturation, the probability
+/// cap) fall back to direct evaluation -- the table agrees with the
+/// model to rounding error everywhere on the support.
 class KillProbabilityLut final {
  public:
   KillProbabilityLut(const DieKillModel& model, units::Micrometers xmin,

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nanocost/exec/simd.hpp"
 #include "nanocost/geometry/die.hpp"
 #include "nanocost/geometry/wafer.hpp"
 
@@ -66,11 +67,15 @@ class WaferMap final {
   [[nodiscard]] std::int64_t site_at(units::Millimeters x, units::Millimeters y) const noexcept;
 
   /// Column form of site_at for the SoA fab-simulator pipeline:
-  /// out[i] = site_at(x_mm[i], y_mm[i]).  A plain scalar loop -- the
-  /// lookup is grid math plus two indirections, which the batch layout
-  /// keeps cache-friendly without needing a vector lane.
+  /// out[i] = site_at(x_mm[i], y_mm[i]), bitwise at every level
+  /// (simd_parity_test).  The AVX2 lane locates four points at once
+  /// with exact operations only -- divide, floor, compares -- then
+  /// gathers the grid cell and the site center; SSE2 has no floor and
+  /// runs the scalar loop, the oracle.
   void site_at_batch(const double* x_mm, const double* y_mm, std::int64_t* out,
                      std::size_t n) const noexcept;
+  void site_at_batch_at(exec::SimdLevel level, const double* x_mm, const double* y_mm,
+                        std::int64_t* out, std::size_t n) const noexcept;
 
  private:
   WaferSpec wafer_;
@@ -84,6 +89,10 @@ class WaferMap final {
   std::int32_t cols_ = 0;
   std::int32_t rows_ = 0;
   std::vector<std::int64_t> site_index_;  // rows_*cols_ grid -> site index or -1
+  // Site centers as plain columns, indexed like sites_, for the vector
+  // lane's gathers.
+  std::vector<double> center_x_mm_;
+  std::vector<double> center_y_mm_;
 };
 
 }  // namespace nanocost::geometry

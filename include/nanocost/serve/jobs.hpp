@@ -125,6 +125,14 @@ struct CampaignJob final {
   std::int64_t max_chunks = 0;
 };
 
+/// The most defects a served campaign may expect per wafer (defect
+/// density x full wafer area).  Sampling time and the sampler's columns
+/// (>= 24 B per defect) grow linearly with it, so one runaway density
+/// could stall the campaign runner or exhaust its memory.  10^6 is
+/// ~470x the densest lot in the benchmark (300 mm at 3/cm^2); the
+/// server answers a job past it with kError at validation.
+inline constexpr double kMaxMeanDefectsPerWafer = 1e6;
+
 /// Reconstructs the simulator a CampaignJob describes.  Throws
 /// std::invalid_argument / std::domain_error on configurations the
 /// library constructors reject -- the server maps that to an error

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -21,12 +22,37 @@ namespace {
 /// which the risk.samples FiniteGuard then catches by name.
 constexpr robust::FaultSite kSampleFaultSite{"risk.sample"};
 
-double percentile(std::vector<double>& sorted, double q) {
-  const double idx = q * (static_cast<double>(sorted.size()) - 1.0);
+/// The k-th smallest of `v`, moved into v[k].  v[0, from) is already
+/// settled: v[from - 1] is in its sorted place and nothing after it is
+/// smaller, so only v[from, end) is searched, and k == from is the
+/// minimum of the rest.  Calls take ascending k; a k below `from` is one
+/// an earlier call placed.
+double select_rank(std::vector<double>& v, std::size_t& from, std::size_t k) {
+  if (k >= from) {
+    const auto nth = v.begin() + static_cast<std::ptrdiff_t>(k);
+    if (k == from) {
+      std::iter_swap(nth, std::min_element(nth, v.end()));
+    } else {
+      std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(from), nth, v.end());
+    }
+    from = k + 1;
+  }
+  return v[k];
+}
+
+/// The q-quantile of `v`, interpolated between the two order statistics
+/// around q * (n - 1) exactly as on the sorted vector, but found by
+/// selection instead of a full sort.  Quantiles of one vector go in
+/// ascending q through the shared `from` (start it at 0), so each one
+/// searches only the part above the previous one.
+double select_percentile(std::vector<double>& v, std::size_t& from, double q) {
+  const double idx = q * (static_cast<double>(v.size()) - 1.0);
   const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double t = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - t) + sorted[hi] * t;
+  const double below = select_rank(v, from, lo);
+  const double above = select_rank(v, from, hi);
+  return below * (1.0 - t) + above * t;
 }
 
 /// Samples per parallel chunk; the chunk grid depends only on the
@@ -200,10 +226,10 @@ RiskResult summarize_cost_samples(std::vector<double> costs, const UncertainInpu
   double ss = 0.0;
   for (const double c : costs) ss += (c - result.mean) * (c - result.mean);
   result.stddev = std::sqrt(ss / static_cast<double>(costs.size() - 1));
-  std::sort(costs.begin(), costs.end());
-  result.p10 = percentile(costs, 0.10);
-  result.p50 = percentile(costs, 0.50);
-  result.p90 = percentile(costs, 0.90);
+  std::size_t placed = 0;
+  result.p10 = select_percentile(costs, placed, 0.10);
+  result.p50 = select_percentile(costs, placed, 0.50);
+  result.p90 = select_percentile(costs, placed, 0.90);
   result.prob_over_budget =
       die_budget > 0.0 ? static_cast<double>(over) / static_cast<double>(costs.size())
                        : 0.0;
@@ -251,8 +277,9 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
         for (std::int64_t i = begin; i < end; ++i) {
           std::vector<double> costs =
               sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool);
-          std::sort(costs.begin(), costs.end());
-          quantile_cost[static_cast<std::size_t>(i)] = percentile(costs, quantile);
+          std::size_t placed = 0;
+          quantile_cost[static_cast<std::size_t>(i)] =
+              select_percentile(costs, placed, quantile);
         }
       });
 

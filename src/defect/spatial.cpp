@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "nanocost/exec/rng_batch.hpp"
@@ -65,6 +66,41 @@ long sample_poisson(exec::SplitMix64& rng, double mean) {
 
 }  // namespace
 
+void sample_disc_at(exec::SimdLevel level, exec::SplitMix64& rng, double radius_mm,
+                    std::size_t count, std::vector<double>& x_mm, std::vector<double>& y_mm) {
+  constexpr std::size_t kRound = 16;      // uniforms per round: 8 x's, then 8 y's
+  constexpr std::size_t kMaxRounds = 64;  // rounds per batched draw
+  // Every candidate is written at the accept cursor, which the final
+  // round can push up to 7 past `count`; the slack takes those writes.
+  x_mm.resize(count + kRound / 2);
+  y_mm.resize(count + kRound / 2);
+  const std::uint64_t state0 = rng.state();
+  double u[kMaxRounds * kRound];
+  std::size_t have = 0;
+  std::uint64_t rounds_used = 0;
+  while (have < count) {
+    // pi/4 of a round's 8 candidates (~6.3) land in the disc, so one
+    // round per 6 points still needed seldom overdraws by more than one.
+    const std::size_t rounds = std::min((count - have) / 6 + 1, kMaxRounds);
+    exec::uniform_unit_batch_at(level, rng, u, rounds * kRound);
+    for (std::size_t r = 0; r < rounds && have < count; ++r, ++rounds_used) {
+      const double* ur = u + r * kRound;
+      for (std::size_t i = 0; i < kRound / 2; ++i) {
+        const double cx = (2.0 * ur[i] - 1.0) * radius_mm;
+        const double cy = (2.0 * ur[kRound / 2 + i] - 1.0) * radius_mm;
+        x_mm[have] = cx;
+        y_mm[have] = cy;
+        have += static_cast<std::size_t>(cx * cx + cy * cy <= radius_mm * radius_mm);
+      }
+    }
+  }
+  x_mm.resize(count);
+  y_mm.resize(count);
+  // Rewind past the rounds drawn but not used.
+  rng = exec::SplitMix64(state0);
+  rng.advance(kRound * rounds_used);
+}
+
 void DefectField::sample_wafer_at(exec::SimdLevel level, exec::SplitMix64& rng,
                                   DefectSoA& out) const {
   out.clear();
@@ -77,37 +113,18 @@ void DefectField::sample_wafer_at(exec::SimdLevel level, exec::SplitMix64& rng,
   }
   const long n = sample_poisson(rng, mean);
   const auto count = static_cast<std::size_t>(n);
-  out.x_mm.reserve(count);
-  out.y_mm.reserve(count);
   out.size_um.resize(count);
 
   const double radius_mm = wafer_.radius().value();
   if (params_.radial.is_flat()) {
-    // Uniform over the disc by square rejection: each round draws 8
-    // candidate points (16 uniforms) through the batched RNG and keeps
-    // the ones inside the disc.  Whole 16-uniform blocks are always
-    // consumed -- surplus acceptances in the final block are discarded
-    // -- and the accept tests are plain scalar arithmetic on bitwise
-    // identical uniforms, so the stream position after sampling agrees
-    // across SimdLevels.
-    double u[16];
-    while (out.x_mm.size() < count) {
-      exec::uniform_unit_batch_at(level, rng, u, 16);
-      for (int i = 0; i < 8; ++i) {
-        if (out.x_mm.size() == count) break;
-        const double cx = (2.0 * u[i] - 1.0) * radius_mm;
-        const double cy = (2.0 * u[8 + i] - 1.0) * radius_mm;
-        if (cx * cx + cy * cy <= radius_mm * radius_mm) {
-          out.x_mm.push_back(cx);
-          out.y_mm.push_back(cy);
-        }
-      }
-    }
+    sample_disc_at(level, rng, radius_mm, count, out.x_mm, out.y_mm);
   } else {
     // Radial profile: envelope rejection against the profile's maximum
     // (at the edge), scalar at every level (the win is in the RNG and
     // size columns).  sqrt of a uniform is uniform over the disc in
     // radius.
+    out.x_mm.reserve(count);
+    out.y_mm.reserve(count);
     const double max_mult = params_.radial.multiplier(1.0);
     for (std::size_t i = 0; i < count; ++i) {
       for (;;) {

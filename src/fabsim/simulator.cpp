@@ -368,18 +368,20 @@ void FabSimulator::simulate_wafer(exec::SplitMix64& rng, const defect::DefectFie
   }
 
   // Locate every defect in one pass over the position columns, then
-  // compact the on-die survivors so the kill stage runs dense.
+  // compact the on-die survivors so the kill stage runs dense: each
+  // defect is written at the cursor, which advances only past on-die
+  // ones -- no branch on the site.
   scratch.sites.resize(n);
   map_.site_at_batch(scratch.defects.x_mm.data(), scratch.defects.y_mm.data(),
                      scratch.sites.data(), n);
-  scratch.on_die_size.clear();
-  scratch.on_die_site.clear();
+  scratch.on_die_size.resize(n);
+  scratch.on_die_site.resize(n);
+  std::size_t on_die = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (scratch.sites[i] < 0) continue;
-    scratch.on_die_size.push_back(scratch.defects.size_um[i]);
-    scratch.on_die_site.push_back(scratch.sites[i]);
+    scratch.on_die_size[on_die] = scratch.defects.size_um[i];
+    scratch.on_die_site[on_die] = scratch.sites[i];
+    on_die += static_cast<std::size_t>(scratch.sites[i] >= 0);
   }
-  const std::size_t on_die = scratch.on_die_size.size();
   result.defects_on_dies = static_cast<std::int64_t>(on_die);
 
   // Batch the kill stage: LUT over the size column, one batched block

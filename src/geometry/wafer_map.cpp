@@ -2,7 +2,13 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numbers>
+
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+#define NANOCOST_X86_SIMD 1
+#include <immintrin.h>
+#endif
 
 namespace nanocost::geometry {
 
@@ -169,6 +175,12 @@ WaferMap::WaferMap(const WaferSpec& wafer, const DieSize& die, GridAnchor anchor
     origin_x_mm_ = (min_i + ax) * step_x_mm_ - step_x_mm_ / 2.0;
     origin_y_mm_ = (min_j + ay) * step_y_mm_ - step_y_mm_ / 2.0;
   }
+  center_x_mm_.reserve(sites_.size());
+  center_y_mm_.reserve(sites_.size());
+  for (const DieSite& s : sites_) {
+    center_x_mm_.push_back(s.center_x.value());
+    center_y_mm_.push_back(s.center_y.value());
+  }
 }
 
 double WaferMap::area_utilization() const noexcept {
@@ -180,12 +192,14 @@ double WaferMap::area_utilization() const noexcept {
 
 std::int64_t WaferMap::site_at(units::Millimeters x, units::Millimeters y) const noexcept {
   if (sites_.empty()) return -1;
-  const double gx = (x.value() - origin_x_mm_) / step_x_mm_;
-  const double gy = (y.value() - origin_y_mm_) / step_y_mm_;
-  const auto col = static_cast<std::int64_t>(std::floor(gx));
-  const auto row = static_cast<std::int64_t>(std::floor(gy));
-  if (col < 0 || col >= cols_ || row < 0 || row >= rows_) return -1;
-  const std::int64_t idx = site_index_[static_cast<std::size_t>(row) * cols_ + col];
+  const double gx = std::floor((x.value() - origin_x_mm_) / step_x_mm_);
+  const double gy = std::floor((y.value() - origin_y_mm_) / step_y_mm_);
+  // Range-test in double, so far-off and non-finite points never reach
+  // the integer conversion.
+  if (!(gx >= 0.0 && gx < cols_ && gy >= 0.0 && gy < rows_)) return -1;
+  const auto col = static_cast<std::size_t>(gx);
+  const auto row = static_cast<std::size_t>(gy);
+  const std::int64_t idx = site_index_[row * static_cast<std::size_t>(cols_) + col];
   if (idx < 0) return -1;
   // The point must land on the die body, not its street margin.
   const DieSite& s = sites_[static_cast<std::size_t>(idx)];
@@ -196,11 +210,112 @@ std::int64_t WaferMap::site_at(units::Millimeters x, units::Millimeters y) const
   return idx;
 }
 
-void WaferMap::site_at_batch(const double* x_mm, const double* y_mm, std::int64_t* out,
-                             std::size_t n) const noexcept {
+#if defined(NANOCOST_X86_SIMD)
+
+namespace {
+
+/// Raw views of the grid for the vector lane (the lane is a free
+/// function so it can carry a target attribute).
+struct SiteGridView final {
+  const std::int64_t* site_index;
+  const double* center_x;
+  const double* center_y;
+  double origin_x;
+  double origin_y;
+  double step_x;
+  double step_y;
+  std::int32_t cols;
+  std::int32_t rows;
+  double half_w;
+  double half_h;
+};
+
+/// 4-wide site_at.  Every step mirrors the scalar form: the same
+/// subtract and correctly rounded divide, floor by vroundpd, the range
+/// test in double, then masked gathers of the cell's site index and of
+/// that site's center for the body test.  Masked-off lanes load
+/// nothing, so out-of-grid and non-finite points are safe.
+__attribute__((target("avx2"))) void site_at_avx2(const WaferMap& map, const SiteGridView& v,
+                                                  const double* x, const double* y,
+                                                  std::int64_t* out, std::size_t n) {
+  const __m256d origin_x = _mm256_set1_pd(v.origin_x);
+  const __m256d origin_y = _mm256_set1_pd(v.origin_y);
+  const __m256d step_x = _mm256_set1_pd(v.step_x);
+  const __m256d step_y = _mm256_set1_pd(v.step_y);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d cols = _mm256_set1_pd(v.cols);
+  const __m256d rows = _mm256_set1_pd(v.rows);
+  const __m128i cols_i32 = _mm_set1_epi32(v.cols);
+  const __m256d half_w = _mm256_set1_pd(v.half_w);
+  const __m256d half_h = _mm256_set1_pd(v.half_h);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(std::numeric_limits<std::int64_t>::max()));
+  const __m256i none = _mm256_set1_epi64x(-1);
+  const auto* site_index = reinterpret_cast<const long long*>(v.site_index);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xs = _mm256_loadu_pd(x + i);
+    const __m256d ys = _mm256_loadu_pd(y + i);
+    const __m256d gx = _mm256_round_pd(_mm256_div_pd(_mm256_sub_pd(xs, origin_x), step_x),
+                                       _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    const __m256d gy = _mm256_round_pd(_mm256_div_pd(_mm256_sub_pd(ys, origin_y), step_y),
+                                       _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    const __m256d in_x = _mm256_and_pd(_mm256_cmp_pd(gx, zero, _CMP_GE_OQ),
+                                       _mm256_cmp_pd(gx, cols, _CMP_LT_OQ));
+    const __m256d in_y = _mm256_and_pd(_mm256_cmp_pd(gy, zero, _CMP_GE_OQ),
+                                       _mm256_cmp_pd(gy, rows, _CMP_LT_OQ));
+    const __m256i in = _mm256_castpd_si256(_mm256_and_pd(in_x, in_y));
+    // In-grid lanes hold exact small integers, so the truncating
+    // conversion and the 32-bit cell arithmetic are exact there; the
+    // other lanes' values are never used.
+    const __m128i cell = _mm_add_epi32(_mm_mullo_epi32(_mm256_cvttpd_epi32(gy), cols_i32),
+                                       _mm256_cvttpd_epi32(gx));
+    const __m256i idx = _mm256_mask_i32gather_epi64(none, site_index, cell, in, 8);
+    const __m256i on_site = _mm256_cmpgt_epi64(idx, none);
+    const __m256d on_site_pd = _mm256_castsi256_pd(on_site);
+    const __m256d cx = _mm256_mask_i64gather_pd(zero, v.center_x, idx, on_site_pd, 8);
+    const __m256d cy = _mm256_mask_i64gather_pd(zero, v.center_y, idx, on_site_pd, 8);
+    // The point must land on the die body: !(|x - cx| > half_w), and
+    // likewise in y.
+    const __m256d dx = _mm256_and_pd(_mm256_sub_pd(xs, cx), abs_mask);
+    const __m256d dy = _mm256_and_pd(_mm256_sub_pd(ys, cy), abs_mask);
+    const __m256d body = _mm256_and_pd(_mm256_cmp_pd(dx, half_w, _CMP_NGT_UQ),
+                                       _mm256_cmp_pd(dy, half_h, _CMP_NGT_UQ));
+    const __m256i keep = _mm256_and_si256(on_site, _mm256_castpd_si256(body));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_blendv_epi8(none, idx, keep));
+  }
+  for (; i < n; ++i) out[i] = map.site_at(units::Millimeters{x[i]}, units::Millimeters{y[i]});
+}
+
+}  // namespace
+
+#endif  // NANOCOST_X86_SIMD
+
+void WaferMap::site_at_batch_at(exec::SimdLevel level, const double* x_mm, const double* y_mm,
+                                std::int64_t* out, std::size_t n) const noexcept {
+#if defined(NANOCOST_X86_SIMD)
+  // The lane's cell index is 32-bit; a grid too large for it (billions
+  // of cells) keeps the scalar loop.
+  if (level == exec::SimdLevel::kAvx2 && !sites_.empty() &&
+      site_index_.size() <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    const SiteGridView v{site_index_.data(), center_x_mm_.data(), center_y_mm_.data(),
+                         origin_x_mm_, origin_y_mm_, step_x_mm_, step_y_mm_, cols_, rows_,
+                         die_.width().value() / 2.0, die_.height().value() / 2.0};
+    site_at_avx2(*this, v, x_mm, y_mm, out, n);
+    return;
+  }
+#endif
+  // SSE2 has no floor instruction; the scalar loop is its honest
+  // fallback, as for the kill LUT.
+  (void)level;
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = site_at(units::Millimeters{x_mm[i]}, units::Millimeters{y_mm[i]});
   }
+}
+
+void WaferMap::site_at_batch(const double* x_mm, const double* y_mm, std::int64_t* out,
+                             std::size_t n) const noexcept {
+  site_at_batch_at(exec::simd_level(), x_mm, y_mm, out, n);
 }
 
 }  // namespace nanocost::geometry

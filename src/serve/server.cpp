@@ -266,6 +266,22 @@ cache::Digest128 simulator_config_digest(CampaignJob job) {
   return cache::hash128(bytes.data(), bytes.size());
 }
 
+/// Rejects a campaign expecting more than kMaxMeanDefectsPerWafer
+/// defects per wafer, before any simulator is built for it.
+void check_defect_bound(const CampaignJob& job) {
+  const geometry::WaferSpec wafer(units::Millimeters{job.wafer_diameter_mm},
+                                  units::Millimeters{job.wafer_edge_exclusion_mm},
+                                  units::Millimeters{job.wafer_scribe_mm});
+  const double mean = job.defect_density_per_cm2 * wafer.area().value();
+  if (mean > kMaxMeanDefectsPerWafer) {
+    char what[160];
+    std::snprintf(what, sizeof what,
+                  "%.3g defects/cm^2 expects %.3g defects per wafer, past the bound of %.3g",
+                  job.defect_density_per_cm2, mean, kMaxMeanDefectsPerWafer);
+    throw std::invalid_argument(what);
+  }
+}
+
 /// Latency bookkeeping for one answered job request (response encoded,
 /// not yet written): the overall serve.request_us histogram -- whose
 /// count is exactly the job responses served -- plus the per-type x
@@ -756,6 +772,7 @@ struct Server::Impl {
     cache::Digest128 key;
     try {
       job = decode_campaign_job(frame.payload);
+      check_defect_bound(job);
       sim = simulator_for(job);
       key = job_key(job, *sim);
     } catch (const std::exception& e) {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "nanocost/defect/critical_area.hpp"
 #include "nanocost/defect/size_distribution.hpp"
 #include "nanocost/defect/spatial.hpp"
+#include "nanocost/exec/rng.hpp"
+#include "nanocost/exec/simd.hpp"
 #include "nanocost/geometry/wafer.hpp"
 
 namespace nanocost::defect {
@@ -298,6 +302,67 @@ TEST(DefectField, RadialProfileSkewsDefectsOutward) {
   };
 
   EXPECT_GT(mean_radius(edgy), mean_radius(flat) * 1.05);
+}
+
+/// The flat-profile position sampler as it ran before blocking: one
+/// 16-uniform round at a time, stopping the moment `count` points are
+/// in.  The reference the blocked sampler must reproduce bitwise.
+void disc_round_by_round(exec::SplitMix64& rng, double radius_mm, std::size_t count,
+                         std::vector<double>& x_mm, std::vector<double>& y_mm) {
+  x_mm.clear();
+  y_mm.clear();
+  double u[16];
+  while (x_mm.size() < count) {
+    for (double& v : u) v = exec::uniform_unit(rng);
+    for (int i = 0; i < 8; ++i) {
+      if (x_mm.size() == count) break;
+      const double cx = (2.0 * u[i] - 1.0) * radius_mm;
+      const double cy = (2.0 * u[8 + i] - 1.0) * radius_mm;
+      if (cx * cx + cy * cy <= radius_mm * radius_mm) {
+        x_mm.push_back(cx);
+        y_mm.push_back(cy);
+      }
+    }
+  }
+}
+
+TEST(DefectField, BlockedDiscSamplerMatchesTheRoundOracle) {
+  // Counts around one round's 8 candidates, on both sides of a full
+  // 64-round block, and past the dense benchmark lot's ~2,100 defects.
+  // Every level runs the same blocking code, so only this oracle can
+  // catch a rewind that leaves the stream in the wrong place.
+  const double radius = geometry::WaferSpec::mm300().radius().value();
+  std::vector<exec::SimdLevel> levels{exec::SimdLevel::kScalar};
+  if (exec::detected_simd_level() >= exec::SimdLevel::kSse2) {
+    levels.push_back(exec::SimdLevel::kSse2);
+  }
+  if (exec::detected_simd_level() >= exec::SimdLevel::kAvx2) {
+    levels.push_back(exec::SimdLevel::kAvx2);
+  }
+  for (const std::size_t count : {0, 1, 7, 8, 9, 63, 400, 401, 2133, 5000}) {
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      std::vector<double> want_x;
+      std::vector<double> want_y;
+      exec::SplitMix64 want_rng(seed);
+      disc_round_by_round(want_rng, radius, count, want_x, want_y);
+      for (const exec::SimdLevel level : levels) {
+        std::vector<double> x{1.0, 2.0, 3.0};  // stale contents are replaced
+        std::vector<double> y;
+        exec::SplitMix64 rng(seed);
+        sample_disc_at(level, rng, radius, count, x, y);
+        ASSERT_EQ(x.size(), count);
+        ASSERT_EQ(y.size(), count);
+        if (count > 0) {
+          EXPECT_EQ(0, std::memcmp(x.data(), want_x.data(), count * sizeof(double)))
+              << "x diverges: count " << count << " seed " << seed;
+          EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(), count * sizeof(double)))
+              << "y diverges: count " << count << " seed " << seed;
+        }
+        EXPECT_EQ(rng.state(), want_rng.state())
+            << "stream position diverges: count " << count << " seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -674,6 +674,27 @@ TEST(SimulatorCache, InvalidConfigurationGetsErrorAndIsNotCached) {
   EXPECT_EQ(report.simulators_built, 1u);
 }
 
+TEST(SimulatorCache, RunawayDefectDensityIsRejectedBeforeABuild) {
+  // 1e9/cm^2 over a 200 mm wafer is ~3e11 expected defects: admitted,
+  // it would hold a campaign runner for hours.
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  CampaignJob runaway = small_campaign(6);
+  runaway.defect_density_per_cm2 = 1e9;
+  const Response r = client.wait(client.submit(runaway));
+  EXPECT_EQ(r.status, ResponseStatus::kError);
+  EXPECT_NE(r.message.find("invalid campaign job"), std::string::npos) << r.message;
+  EXPECT_NE(r.message.find("past the bound of 1e+06"), std::string::npos) << r.message;
+  EXPECT_TRUE(r.result.empty());
+  // The same connection still completes a campaign at a real density.
+  const CampaignJob good = small_campaign(6);
+  const Response ok = client.wait(client.submit(good));
+  EXPECT_EQ(ok.status, ResponseStatus::kOk) << ok.message;
+  EXPECT_EQ(ok.result, direct_campaign_bytes(good));
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.simulators_built, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // (c) Kill mid-campaign, restart, resubmit: zero recompute, bitwise match.
 

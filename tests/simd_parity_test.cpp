@@ -11,8 +11,11 @@
 // kill-probability LUT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nanocost/core/risk.hpp"
@@ -22,6 +25,7 @@
 #include "nanocost/exec/rng_batch.hpp"
 #include "nanocost/exec/simd.hpp"
 #include "nanocost/fabsim/simulator.hpp"
+#include "nanocost/geometry/wafer_map.hpp"
 #include "nanocost/place/pin_scan.hpp"
 
 namespace {
@@ -230,6 +234,90 @@ TEST(SimdParity, DefectFieldSoA) {
       expect_bitwise_equal(ref.y_mm, got.y_mm, "defect y", ref.size());
       expect_bitwise_equal(ref.size_um, got.size_um, "defect size", ref.size());
       EXPECT_EQ(rng_ref.state(), rng.state()) << "wafer stream position diverges";
+    }
+  }
+}
+
+TEST(SimdParity, WaferSiteBatch) {
+  // Every outcome of the scalar site_at oracle, at every lane position:
+  // die centers; points exactly on each body edge and one ulp outside
+  // it; cell and street boundaries; points past the grid; far-off and
+  // non-finite values (the oracle range-tests in double, so those are
+  // defined too); and random points over the wafer's bounding square.
+  using units::Millimeters;
+  const geometry::WaferMap maps[] = {
+      geometry::WaferMap(geometry::WaferSpec::mm300(),
+                         geometry::DieSize{Millimeters{13.0}, Millimeters{13.0}}),
+      geometry::WaferMap(geometry::WaferSpec::mm200(),
+                         geometry::DieSize{Millimeters{7.5}, Millimeters{11.0}},
+                         geometry::GridAnchor::kStreetCentered),
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const geometry::WaferMap& map : maps) {
+    std::vector<double> xs;
+    std::vector<double> ys;
+    const auto add = [&](double x, double y) {
+      xs.push_back(x);
+      ys.push_back(y);
+    };
+    const double half_w = map.die().width().value() / 2.0;
+    const double half_h = map.die().height().value() / 2.0;
+    const double street = map.wafer().scribe_street().value();
+    const double cell_w = map.die().width().value() + street;
+    const double cell_h = map.die().height().value() + street;
+    for (const geometry::DieSite& site : map.sites()) {
+      const double cx = site.center_x.value();
+      const double cy = site.center_y.value();
+      add(cx, cy);
+      for (const double edge : {cx - half_w, cx + half_w}) {
+        add(edge, cy);
+        add(std::nextafter(edge, edge < cx ? -inf : inf), cy);
+      }
+      for (const double edge : {cy - half_h, cy + half_h}) {
+        add(cx, edge);
+        add(cx, std::nextafter(edge, edge < cy ? -inf : inf));
+      }
+      add(cx + cell_w / 2.0, cy);  // cell boundaries
+      add(cx, cy - cell_h / 2.0);
+      add(cx + (half_w + cell_w / 2.0) / 2.0, cy);  // mid-street
+      add(cx + cell_w / 2.0, cy + cell_h / 2.0);    // street crossing
+    }
+    const double r = map.wafer().radius().value();
+    const double max = std::numeric_limits<double>::max();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double far[] = {0.0,   -0.0,   r + 1.0, -r - 1.0, 1e19, -1e19, 1e300,
+                          -1e300, 5e-324, max,     -max,     inf,  -inf,  nan};
+    for (const double a : far) {
+      for (const double b : far) add(a, b);
+    }
+    exec::SplitMix64 rng(4242);
+    for (int i = 0; i < 2000; ++i) {
+      add((2.0 * exec::uniform_unit(rng) - 1.0) * (r + 5.0),
+          (2.0 * exec::uniform_unit(rng) - 1.0) * (r + 5.0));
+    }
+
+    std::vector<std::int64_t> ref(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ref[i] = map.site_at(Millimeters{xs[i]}, Millimeters{ys[i]});
+    }
+    ASSERT_GT(std::count_if(ref.begin(), ref.end(), [](std::int64_t s) { return s >= 0; }),
+              static_cast<std::ptrdiff_t>(map.sites().size()));
+    for (const SimdLevel level : levels()) {
+      // Windows of every length 0-9 at every offset put each point in
+      // every lane and in every scalar tail.
+      for (std::size_t n = 0; n <= 9; ++n) {
+        for (std::size_t begin = 0; begin + n <= xs.size(); begin += std::max<std::size_t>(n, 1)) {
+          std::vector<std::int64_t> got(n);
+          map.site_at_batch_at(level, xs.data() + begin, ys.data() + begin, got.data(), n);
+          const std::vector<std::int64_t> want(ref.begin() + static_cast<std::ptrdiff_t>(begin),
+                                               ref.begin() +
+                                                   static_cast<std::ptrdiff_t>(begin + n));
+          expect_bitwise_equal(want, got, "site_at_batch", n);
+        }
+      }
+      std::vector<std::int64_t> got(xs.size());
+      map.site_at_batch_at(level, xs.data(), ys.data(), got.data(), xs.size());
+      expect_bitwise_equal(ref, got, "site_at_batch (full)", xs.size());
     }
   }
 }
