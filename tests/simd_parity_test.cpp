@@ -239,7 +239,7 @@ TEST(SimdParity, DefectFieldSoA) {
 }
 
 TEST(SimdParity, WaferSiteBatch) {
-  // Every outcome of the scalar site_at oracle, at every lane position:
+  // Every outcome of the scalar site_at oracle, in lanes and tails:
   // die centers; points exactly on each body edge and one ulp outside
   // it; cell and street boundaries; points past the grid; far-off and
   // non-finite values (the oracle range-tests in double, so those are
@@ -303,8 +303,8 @@ TEST(SimdParity, WaferSiteBatch) {
     ASSERT_GT(std::count_if(ref.begin(), ref.end(), [](std::int64_t s) { return s >= 0; }),
               static_cast<std::ptrdiff_t>(map.sites().size()));
     for (const SimdLevel level : levels()) {
-      // Windows of every length 0-9 at every offset put each point in
-      // every lane and in every scalar tail.
+      // Consecutive windows of each length 0-9 tile the points, so each
+      // point runs through the 4-wide body and through scalar tails.
       for (std::size_t n = 0; n <= 9; ++n) {
         for (std::size_t begin = 0; begin + n <= xs.size(); begin += std::max<std::size_t>(n, 1)) {
           std::vector<std::int64_t> got(n);
