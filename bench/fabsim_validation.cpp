@@ -19,12 +19,12 @@ fabsim::FabSimulator make_sim(double die_mm, double density, bool clustered, dou
   field.density_per_cm2 = density;
   field.clustered = clustered;
   field.cluster_alpha = alpha;
-  return fabsim::FabSimulator{
+  return fabsim::FabSimulator{fabsim::FabConfig{
       geometry::WaferSpec::mm200(),
       geometry::DieSize{units::Millimeters{die_mm}, units::Millimeters{die_mm}},
       defect::DefectSizeDistribution::for_feature_size(units::Micrometers{0.25}), field,
       defect::WireArray{units::Micrometers{0.25}, units::Micrometers{0.25},
-                        units::Micrometers{100.0}, 50}};
+                        units::Micrometers{100.0}, 50}}};
 }
 
 }  // namespace

@@ -43,12 +43,12 @@ using namespace nanocost;
 fabsim::FabSimulator make_fabsim() {
   defect::DefectFieldParams field;
   field.density_per_cm2 = 0.5;
-  return fabsim::FabSimulator{
+  return fabsim::FabSimulator{fabsim::FabConfig{
       geometry::WaferSpec::mm200(),
       geometry::DieSize{units::Millimeters{12.0}, units::Millimeters{12.0}},
       defect::DefectSizeDistribution::for_feature_size(units::Micrometers{0.25}), field,
       defect::WireArray{units::Micrometers{0.25}, units::Micrometers{0.25},
-                        units::Micrometers{100.0}, 50}};
+                        units::Micrometers{100.0}, 50}}};
 }
 
 core::UncertainInputs make_risk_inputs() {

@@ -63,10 +63,10 @@ nanocost::fabsim::FabSimulator demo_simulator() {
   field.density_per_cm2 = 0.6;
   field.clustered = true;
   field.cluster_alpha = 2.0;
-  return fabsim::FabSimulator(
+  return fabsim::FabSimulator(fabsim::FabConfig{
       geometry::WaferSpec::mm200(), geometry::DieSize{13.0_mm, 13.0_mm},
       defect::DefectSizeDistribution::for_feature_size(0.25_um), field,
-      defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50});
+      defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50}});
 }
 
 /// A fresh private directory for a demo's campaign record.
@@ -309,9 +309,9 @@ int main(int argc, char** argv) {
   field.clustered = true;
   field.cluster_alpha = 2.0;
   field.radial = defect::RadialProfile{1.5, 2.0};
-  const fabsim::FabSimulator sim(
+  const fabsim::FabSimulator sim(fabsim::FabConfig{
       wafer, die, defect::DefectSizeDistribution::for_feature_size(0.25_um), field,
-      defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50});
+      defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50}});
 
   // Phase 1: process bring-up.  Defect density learns down the curve.
   const yield::LearningCurve curve{2.4, 0.3, 4000.0};
@@ -330,11 +330,9 @@ int main(int argc, char** argv) {
 
   // Phase 2: mature production.  Compare measurement against models.
   std::puts("\n--- mature line vs analytic models ---");
-  defect::DefectFieldParams mature = field;
-  mature.density_per_cm2 = curve.floor_density();
-  const fabsim::FabSimulator mature_sim(
-      wafer, die, defect::DefectSizeDistribution::for_feature_size(0.25_um), mature,
-      defect::WireArray{0.25_um, 0.25_um, 100.0_um, 50});
+  fabsim::FabConfig mature = sim.config();
+  mature.field.density_per_cm2 = curve.floor_density();
+  const fabsim::FabSimulator mature_sim(mature);
   // Deadline-aware: under --budget an expired clock truncates the lot
   // at the chunk frontier instead of overrunning; with no budget this
   // is bitwise sim.run(500, 7).

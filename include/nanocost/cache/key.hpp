@@ -66,10 +66,10 @@ namespace nanocost::cache {
                                       std::uint64_t seed);
 
 /// Fabline lot simulation: fabsim::FabSimulator::run.  Hashes the full
-/// simulator configuration (FabSimulator::config_digest: wafer, die,
-/// size distribution, defect field, representative pattern) plus the
-/// run shape.
-[[nodiscard]] Digest128 fabsim_run_key(const fabsim::FabSimulator& sim, std::int64_t n_wafers,
+/// simulator configuration (FabConfig::digest: wafer, die, size
+/// distribution, defect field, representative pattern) plus the run
+/// shape.
+[[nodiscard]] Digest128 fabsim_run_key(const fabsim::FabConfig& config, std::int64_t n_wafers,
                                        std::uint64_t seed);
 
 /// Multi-start annealing: place::anneal_place_multistart.  The netlist

@@ -31,6 +31,11 @@ struct UncertainInputs final {
   double volume_sigma_rel = 0.5;      ///< lognormal sigma on N_w (demand risk)
 };
 
+/// Appends every UncertainInputs field to `key`: the nominal eq.-4
+/// inputs (append_eq4_inputs), then the four sigmas in declaration
+/// order.  The one field list behind every key over uncertain inputs.
+void append_uncertain_inputs(cache::KeyBuilder& key, const UncertainInputs& in);
+
 /// Distribution summary of C_tr at one s_d.
 struct RiskResult final {
   double mean = 0.0;

@@ -62,7 +62,6 @@ class RiskCampaign final : public robust::CampaignTask {
   RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64_t samples,
                std::uint64_t seed, double die_budget = 0.0);
 
-  [[nodiscard]] const char* name() const override { return "risk.monte_carlo"; }
   [[nodiscard]] std::uint64_t config_fingerprint() const override;
   [[nodiscard]] std::int64_t unit_count() const override { return samples_; }
   [[nodiscard]] std::int64_t grain() const override { return kGrain; }

@@ -4,6 +4,7 @@
 // transistors that end up in fully functional dice.
 #pragma once
 
+#include "nanocost/cache/hash.hpp"
 #include "nanocost/cost/design_cost.hpp"
 #include "nanocost/units/area.hpp"
 #include "nanocost/units/length.hpp"
@@ -50,6 +51,11 @@ struct Eq4Inputs final {
   cost::DesignCostModel design_model{};         ///< C_DE(N_tr, s_d), eq. (6)
   units::Probability utilization{1.0};          ///< the u of Sec. 2.5 (uY substitution)
 };
+
+/// Appends every Eq4Inputs field to `key` in declaration order, the
+/// design model expanded to its four eq.-6 parameters: the one field
+/// list behind every key over eq.-4 inputs (cache/key.hpp).
+void append_eq4_inputs(cache::KeyBuilder& key, const Eq4Inputs& in);
 
 /// Per-transistor cost decomposition under eq. (4).
 struct Eq4Breakdown final {

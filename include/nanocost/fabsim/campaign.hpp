@@ -31,7 +31,6 @@ class FabLotCampaign final : public robust::CampaignTask {
   /// `sim` must outlive the campaign.
   FabLotCampaign(const FabSimulator& sim, std::int64_t n_wafers, std::uint64_t seed);
 
-  [[nodiscard]] const char* name() const override { return "fabsim.lot"; }
   [[nodiscard]] std::uint64_t config_fingerprint() const override;
   [[nodiscard]] std::int64_t unit_count() const override { return n_wafers_; }
   [[nodiscard]] std::int64_t grain() const override { return kGrain; }

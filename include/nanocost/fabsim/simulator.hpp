@@ -48,10 +48,6 @@ class DieKillModel final {
   [[nodiscard]] double mean_faults_per_die(double defect_density_per_cm2,
                                            const defect::DefectSizeDistribution& sizes) const;
 
-  /// The representative pattern -- part of the simulator's input
-  /// closure, exposed for content-hashed cache keys.
-  [[nodiscard]] const defect::WireArray& array() const noexcept { return array_; }
-
  private:
   defect::WireArray array_;
   units::SquareCentimeters die_area_;
@@ -156,12 +152,28 @@ struct PartialLot final {
   bool cancelled = false;
 };
 
+/// A simulator's configuration: one die product on one process, the
+/// full input closure of FabSimulator::run()/run_ramp() besides the run
+/// shape.
+struct FabConfig final {
+  geometry::WaferSpec wafer;
+  geometry::DieSize die;
+  defect::DefectSizeDistribution sizes;
+  defect::DefectFieldParams field;
+  /// Representative layout pattern behind the kill model.
+  defect::WireArray pattern;
+
+  /// Content digest of every field above, under cache::kKeySchemaVersion.
+  /// The one field list behind cache::fabsim_run_key, FabLotCampaign's
+  /// fingerprint and the serve daemon's simulator cache: configurations
+  /// that differ in any field get different digests.
+  [[nodiscard]] cache::Digest128 digest() const;
+};
+
 /// The simulator: one die product on one process.
 class FabSimulator final {
  public:
-  FabSimulator(geometry::WaferSpec wafer, geometry::DieSize die,
-               defect::DefectSizeDistribution sizes, defect::DefectFieldParams field,
-               defect::WireArray representative_pattern);
+  explicit FabSimulator(FabConfig config);
 
   /// Simulate `n_wafers` at constant defect density.  Wafers execute in
   /// parallel on `pool` (null: the global pool); wafer i always consumes
@@ -199,22 +211,8 @@ class FabSimulator final {
                                                 std::uint64_t seed = 42,
                                                 exec::ThreadPool* pool = nullptr) const;
 
+  [[nodiscard]] const FabConfig& config() const noexcept { return config_; }
   [[nodiscard]] const geometry::WaferMap& wafer_map() const noexcept { return map_; }
-  /// Content digest of the configuration -- every field of the
-  /// accessors below, under cache::kKeySchemaVersion.  The one field
-  /// list behind cache::fabsim_run_key and FabLotCampaign's fingerprint:
-  /// simulators that differ in any field get different digests.
-  [[nodiscard]] cache::Digest128 config_digest() const;
-  // Configuration accessors: the full input closure of run()/run_ramp().
-  [[nodiscard]] const geometry::WaferSpec& wafer_spec() const noexcept { return wafer_; }
-  [[nodiscard]] const geometry::DieSize& die() const noexcept { return die_; }
-  [[nodiscard]] const defect::DefectSizeDistribution& size_distribution() const noexcept {
-    return sizes_;
-  }
-  [[nodiscard]] const defect::DefectFieldParams& field_params() const noexcept {
-    return field_params_;
-  }
-  [[nodiscard]] const DieKillModel& kill_model() const noexcept { return kill_; }
   [[nodiscard]] const KillProbabilityLut& kill_lut() const noexcept { return lut_; }
   /// The analytic mean faults per die this configuration implies.
   [[nodiscard]] double analytic_mean_faults() const;
@@ -225,10 +223,7 @@ class FabSimulator final {
   [[nodiscard]] std::vector<std::int32_t> snapshot_faults(std::uint64_t seed) const;
 
  private:
-  geometry::WaferSpec wafer_;
-  geometry::DieSize die_;
-  defect::DefectSizeDistribution sizes_;
-  defect::DefectFieldParams field_params_;
+  FabConfig config_;
   geometry::WaferMap map_;
   DieKillModel kill_;
   KillProbabilityLut lut_;

@@ -36,6 +36,8 @@ struct SweepReport final {
   std::uint64_t scanned_bytes = 0;
   std::uint64_t evicted_blobs = 0;
   std::uint64_t evicted_bytes = 0;
+  /// Temp files of writers that no longer exist, removed.
+  std::uint64_t removed_temps = 0;
 };
 
 class ArtifactStore final {
@@ -74,10 +76,12 @@ class ArtifactStore final {
   /// Evicts committed records and blobs -- highest digest first, a pure
   /// function of the directory contents, so two replicas holding the
   /// same files evict the same ones -- until total bytes fit under
-  /// byte_cap().  A no-op (scan only) when the cap is 0 or already
-  /// satisfied.  Eviction is a plain unlink: a concurrent run_campaign
+  /// byte_cap().  Eviction is a plain unlink: a concurrent run_campaign
   /// that already opened a record keeps reading it, and one that misses
   /// the evicted file simply recomputes its chunks -- never an error.
+  /// Whatever the cap, it also removes the publish temp files whose
+  /// writer pid is gone (kill(pid, 0) fails with ESRCH): a writer killed
+  /// mid-publish leaves one that nothing else would ever remove.
   SweepReport sweep() const;
 
  private:

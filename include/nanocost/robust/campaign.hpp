@@ -40,10 +40,11 @@ class CampaignTask {
  public:
   virtual ~CampaignTask() = default;
 
-  /// Stable campaign name; part of the campaign fingerprint.
-  [[nodiscard]] virtual const char* name() const = 0;
-  /// Hash of everything that shapes the results (seed, model config).
-  /// Mixed with name/unit_count/grain into the campaign fingerprint.
+  /// The campaign's identity, written unchanged into its record's
+  /// NCCKPT01 header: the low 64 bits of a cache::KeyBuilder digest
+  /// whose entry point names the task and which covers every field
+  /// run_chunk reads (seed, model configuration).  The header and
+  /// campaign_record_key bind unit_count and grain beside it.
   [[nodiscard]] virtual std::uint64_t config_fingerprint() const = 0;
   [[nodiscard]] virtual std::int64_t unit_count() const = 0;
   /// Units per chunk; also the quarantine blast radius.
@@ -141,9 +142,6 @@ struct CampaignResult final {
   /// Unit indices covered by quarantined chunks, ascending.
   [[nodiscard]] std::vector<std::int64_t> failed_units() const;
 };
-
-/// Fingerprint binding a campaign record to one campaign configuration.
-[[nodiscard]] std::uint64_t campaign_fingerprint(const CampaignTask& task);
 
 /// Runs (or resumes) `task` under `options`.  Always returns a result;
 /// throws only on a foreign or corrupt record, an artifact directory it

@@ -93,7 +93,7 @@ std::vector<regularity::WindowSweepPoint> sweep_windows_cached(const layout::Cel
 fabsim::LotResult fabsim_run_cached(const fabsim::FabSimulator& sim, std::int64_t n_wafers,
                                     std::uint64_t seed, exec::ThreadPool* pool) {
   return hit_or_compute(
-      fabsim_run_key(sim, n_wafers, seed),
+      fabsim_run_key(sim.config(), n_wafers, seed),
       [](const std::vector<std::uint8_t>& blob) { return decode_lot_result(blob); },
       [&] { return sim.run(n_wafers, seed, pool); });
 }

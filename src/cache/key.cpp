@@ -6,31 +6,6 @@ namespace nanocost::cache {
 
 namespace {
 
-/// Eq4Inputs, field by field in declaration order (design_model
-/// expanded to its four eq.-6 parameters).
-void append_eq4_inputs(KeyBuilder& key, const core::Eq4Inputs& in) {
-  key.f64("lambda_um", in.lambda.value())
-      .f64("yield", in.yield.value())
-      .f64("cm_sq", in.manufacturing_cost.value())
-      .f64("n_tr", in.transistors_per_chip)
-      .f64("n_w", in.n_wafers)
-      .f64("a_w_cm2", in.wafer_area.value())
-      .f64("c_ma", in.mask_cost.value())
-      .f64("design.a0", in.design_model.params().a0)
-      .f64("design.p1", in.design_model.params().p1)
-      .f64("design.p2", in.design_model.params().p2)
-      .f64("design.s_d0", in.design_model.params().s_d0)
-      .f64("utilization", in.utilization.value());
-}
-
-void append_uncertain_inputs(KeyBuilder& key, const core::UncertainInputs& in) {
-  append_eq4_inputs(key, in.nominal);
-  key.f64("yield_sigma", in.yield_sigma)
-      .f64("cm_sq_sigma_rel", in.cm_sq_sigma_rel)
-      .f64("design_cost_sigma_rel", in.design_cost_sigma_rel)
-      .f64("volume_sigma_rel", in.volume_sigma_rel);
-}
-
 /// Recursive cell content digest with per-cell memoization: shared
 /// sub-cells (the common case -- an SRAM array references one bitcell
 /// thousands of times) hash once.  The hierarchy is acyclic by Library
@@ -68,7 +43,7 @@ Digest128 cell_digest(const layout::Cell& cell,
 
 Digest128 sweep_eq4_key(const core::Eq4Inputs& inputs, double lo, double hi, int steps) {
   KeyBuilder key("core.sweep_eq4");
-  append_eq4_inputs(key, inputs);
+  core::append_eq4_inputs(key, inputs);
   key.f64("lo", lo).f64("hi", hi).i32("steps", steps);
   return key.digest();
 }
@@ -76,7 +51,7 @@ Digest128 sweep_eq4_key(const core::Eq4Inputs& inputs, double lo, double hi, int
 Digest128 monte_carlo_cost_key(const core::UncertainInputs& inputs, double s_d, int samples,
                                std::uint64_t seed, double die_budget) {
   KeyBuilder key("core.monte_carlo_cost");
-  append_uncertain_inputs(key, inputs);
+  core::append_uncertain_inputs(key, inputs);
   key.f64("s_d", s_d).i32("samples", samples).u64("seed", seed).f64("die_budget", die_budget);
   return key.digest();
 }
@@ -84,7 +59,7 @@ Digest128 monte_carlo_cost_key(const core::UncertainInputs& inputs, double s_d, 
 Digest128 robust_sd_key(const core::UncertainInputs& inputs, double quantile, double lo,
                         double hi, int steps, int samples, std::uint64_t seed) {
   KeyBuilder key("core.robust_sd");
-  append_uncertain_inputs(key, inputs);
+  core::append_uncertain_inputs(key, inputs);
   key.f64("quantile", quantile)
       .f64("lo", lo)
       .f64("hi", hi)
@@ -94,10 +69,10 @@ Digest128 robust_sd_key(const core::UncertainInputs& inputs, double quantile, do
   return key.digest();
 }
 
-Digest128 fabsim_run_key(const fabsim::FabSimulator& sim, std::int64_t n_wafers,
+Digest128 fabsim_run_key(const fabsim::FabConfig& config, std::int64_t n_wafers,
                          std::uint64_t seed) {
   return KeyBuilder("fabsim.run")
-      .sub("simulator", sim.config_digest())
+      .sub("simulator", config.digest())
       .i64("n_wafers", n_wafers)
       .u64("seed", seed)
       .digest();

@@ -75,6 +75,14 @@ std::vector<double> sample_costs(const UncertainInputs& inputs, double s_d, int 
 
 }  // namespace
 
+void append_uncertain_inputs(cache::KeyBuilder& key, const UncertainInputs& in) {
+  append_eq4_inputs(key, in.nominal);
+  key.f64("yield_sigma", in.yield_sigma)
+      .f64("cm_sq_sigma_rel", in.cm_sq_sigma_rel)
+      .f64("design_cost_sigma_rel", in.design_cost_sigma_rel)
+      .f64("volume_sigma_rel", in.volume_sigma_rel);
+}
+
 double risk_sample_cost(const UncertainInputs& inputs, double s_d, std::uint64_t seed,
                         std::uint64_t index) {
   // One RNG per scenario, derived from the sample index: scenario i

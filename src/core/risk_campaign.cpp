@@ -1,13 +1,12 @@
 #include "nanocost/core/risk_campaign.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 #include "nanocost/cache/bytes.hpp"
+#include "nanocost/cache/hash.hpp"
 #include "nanocost/exec/parallel.hpp"
-#include "nanocost/exec/seed.hpp"
 #include "nanocost/robust/finite_guard.hpp"
 
 namespace nanocost::core {
@@ -21,13 +20,11 @@ RiskCampaign::RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64
 }
 
 std::uint64_t RiskCampaign::config_fingerprint() const {
-  std::uint64_t h = exec::splitmix64(seed_);
-  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(s_d_));
-  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.nominal.transistors_per_chip));
-  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.nominal.n_wafers));
-  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(inputs_.volume_sigma_rel));
-  h = exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(die_budget_));
-  return h;
+  // Exactly what run_chunk reads; die_budget_ enters only assemble, so
+  // campaigns differing in the budget alone share their samples.
+  cache::KeyBuilder key("risk.monte_carlo");
+  append_uncertain_inputs(key, inputs_);
+  return key.f64("s_d", s_d_).u64("seed", seed_).digest().lo;
 }
 
 void RiskCampaign::run_chunk(std::int64_t begin, std::int64_t end,

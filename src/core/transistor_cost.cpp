@@ -93,4 +93,19 @@ Eq4Breakdown cost_per_transistor_eq4(const Eq4Inputs& inputs, double s_d) {
   return out;
 }
 
+void append_eq4_inputs(cache::KeyBuilder& key, const Eq4Inputs& in) {
+  key.f64("lambda_um", in.lambda.value())
+      .f64("yield", in.yield.value())
+      .f64("cm_sq", in.manufacturing_cost.value())
+      .f64("n_tr", in.transistors_per_chip)
+      .f64("n_w", in.n_wafers)
+      .f64("a_w_cm2", in.wafer_area.value())
+      .f64("c_ma", in.mask_cost.value())
+      .f64("design.a0", in.design_model.params().a0)
+      .f64("design.p1", in.design_model.params().p1)
+      .f64("design.p2", in.design_model.params().p2)
+      .f64("design.s_d0", in.design_model.params().s_d0)
+      .f64("utilization", in.utilization.value());
+}
+
 }  // namespace nanocost::core

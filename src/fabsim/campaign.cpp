@@ -25,7 +25,7 @@ std::uint64_t FabLotCampaign::config_fingerprint() const {
   // cache::kKeySchemaVersion, so a checkpoint or artifact blob written
   // under an older stream misses instead of resuming with its chunks.
   return cache::KeyBuilder("fabsim.lot")
-      .sub("simulator", sim_->config_digest())
+      .sub("simulator", sim_->config().digest())
       .u64("seed", seed_)
       .digest()
       .lo;

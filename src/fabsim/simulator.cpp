@@ -311,44 +311,40 @@ double LotResult::yield_stddev() const noexcept {
   return std::sqrt(ss / static_cast<double>(wafers.size() - 1));
 }
 
-FabSimulator::FabSimulator(geometry::WaferSpec wafer, geometry::DieSize die,
-                           defect::DefectSizeDistribution sizes,
-                           defect::DefectFieldParams field,
-                           defect::WireArray representative_pattern)
-    : wafer_(wafer), die_(die), sizes_(sizes), field_params_(field), map_(wafer, die),
-      kill_(std::move(representative_pattern), die.area()),
-      lut_(kill_, sizes.xmin(), sizes.xmax()) {
+cache::Digest128 FabConfig::digest() const {
+  cache::KeyBuilder key("fabsim.simulator");
+  key.f64("wafer.diameter_mm", wafer.diameter().value())
+      .f64("wafer.edge_exclusion_mm", wafer.edge_exclusion().value())
+      .f64("wafer.scribe_street_mm", wafer.scribe_street().value())
+      .f64("die.width_mm", die.width().value())
+      .f64("die.height_mm", die.height().value());
+  key.f64("sizes.xmin_um", sizes.xmin().value())
+      .f64("sizes.peak_um", sizes.peak().value())
+      .f64("sizes.xmax_um", sizes.xmax().value())
+      .f64("sizes.q", sizes.tail_exponent());
+  key.f64("field.density_per_cm2", field.density_per_cm2)
+      .f64("field.cluster_alpha", field.cluster_alpha)
+      .boolean("field.clustered", field.clustered)
+      .f64("field.radial.edge_boost", field.radial.edge_boost())
+      .f64("field.radial.sharpness", field.radial.sharpness());
+  key.f64("pattern.width_um", pattern.width().value())
+      .f64("pattern.spacing_um", pattern.spacing().value())
+      .f64("pattern.length_um", pattern.length().value())
+      .i32("pattern.wires", pattern.wire_count());
+  return key.digest();
+}
+
+FabSimulator::FabSimulator(FabConfig config)
+    : config_(std::move(config)), map_(config_.wafer, config_.die),
+      kill_(config_.pattern, config_.die.area()),
+      lut_(kill_, config_.sizes.xmin(), config_.sizes.xmax()) {
   if (map_.die_count() == 0) {
     throw std::invalid_argument("die does not fit on the wafer");
   }
 }
 
-cache::Digest128 FabSimulator::config_digest() const {
-  cache::KeyBuilder key("fabsim.simulator");
-  key.f64("wafer.diameter_mm", wafer_.diameter().value())
-      .f64("wafer.edge_exclusion_mm", wafer_.edge_exclusion().value())
-      .f64("wafer.scribe_street_mm", wafer_.scribe_street().value())
-      .f64("die.width_mm", die_.width().value())
-      .f64("die.height_mm", die_.height().value());
-  key.f64("sizes.xmin_um", sizes_.xmin().value())
-      .f64("sizes.peak_um", sizes_.peak().value())
-      .f64("sizes.xmax_um", sizes_.xmax().value())
-      .f64("sizes.q", sizes_.tail_exponent());
-  key.f64("field.density_per_cm2", field_params_.density_per_cm2)
-      .f64("field.cluster_alpha", field_params_.cluster_alpha)
-      .boolean("field.clustered", field_params_.clustered)
-      .f64("field.radial.edge_boost", field_params_.radial.edge_boost())
-      .f64("field.radial.sharpness", field_params_.radial.sharpness());
-  const defect::WireArray& array = kill_.array();
-  key.f64("pattern.width_um", array.width().value())
-      .f64("pattern.spacing_um", array.spacing().value())
-      .f64("pattern.length_um", array.length().value())
-      .i32("pattern.wires", array.wire_count());
-  return key.digest();
-}
-
 double FabSimulator::analytic_mean_faults() const {
-  return kill_.mean_faults_per_die(field_params_.density_per_cm2, sizes_);
+  return kill_.mean_faults_per_die(config_.field.density_per_cm2, config_.sizes);
 }
 
 void FabSimulator::simulate_wafer(exec::SplitMix64& rng, const defect::DefectField& field,
@@ -408,7 +404,7 @@ void FabSimulator::simulate_wafer(exec::SplitMix64& rng, const defect::DefectFie
 
 std::vector<std::int32_t> FabSimulator::snapshot_faults(std::uint64_t seed) const {
   exec::SplitMix64 rng(seed);
-  const defect::DefectField field(wafer_, sizes_, field_params_);
+  const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
   WaferResult wafer_result;
   WaferScratch scratch;
   simulate_wafer(rng, field, wafer_result, scratch);
@@ -443,7 +439,7 @@ LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
   }
   obs::ObsSpan span("fabsim.lot");
   span.arg("wafers", static_cast<std::uint64_t>(n_wafers));
-  const defect::DefectField field(wafer_, sizes_, field_params_);
+  const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
 
   LotResult lot;
   lot.fault_histogram.assign(4, 0);
@@ -471,7 +467,7 @@ PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
   obs::ObsSpan span("fabsim.lot_partial");
   span.arg("wafers", static_cast<std::uint64_t>(n_wafers));
   const robust::CancelToken token = robust::current_cancel_token();
-  const defect::DefectField field(wafer_, sizes_, field_params_);
+  const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
 
   PartialLot out;
   LotResult& lot = out.lot;
@@ -511,7 +507,7 @@ void FabSimulator::run_units(std::int64_t begin, std::int64_t end, std::uint64_t
   }
   obs::ObsSpan span("fabsim.units");
   span.arg("wafers", static_cast<std::uint64_t>(end - begin));
-  const defect::DefectField field(wafer_, sizes_, field_params_);
+  const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
   WaferScratch scratch;
   for (std::int64_t i = begin; i < end; ++i) {
     robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
@@ -560,9 +556,9 @@ std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
             robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(global));
             const double density = curve.density_at(static_cast<double>(global));
             if (!scratch.field || density != scratch.density) {
-              defect::DefectFieldParams params = field_params_;
+              defect::DefectFieldParams params = config_.field;
               params.density_per_cm2 = density;
-              scratch.field.emplace(wafer_, sizes_, params);
+              scratch.field.emplace(config_.wafer, config_.sizes, params);
               scratch.density = density;
             }
             exec::SplitMix64 rng(

@@ -1,8 +1,12 @@
 #include "nanocost/robust/artifact_store.hpp"
 
+#include <signal.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <regex>
 #include <utility>
 
 #include "nanocost/cache/bytes.hpp"
@@ -108,6 +112,17 @@ std::uint64_t ArtifactStore::total_bytes() const {
 
 SweepReport ArtifactStore::sweep() const {
   SweepReport report;
+  // publish_file's temp names: <32-hex>.<ncckpt|ncblob>.<pid>.<n>.tmp.
+  static const std::regex kTemp(R"([0-9a-f]{32}\.(ncckpt|ncblob)\.([0-9]{1,9})\.[0-9]+\.tmp)");
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    std::smatch m;
+    if (std::regex_match(name, m, kTemp) && ::kill(std::stoi(m[2].str()), 0) != 0 &&
+        errno == ESRCH && std::filesystem::remove(entry.path(), ec)) {
+      ++report.removed_temps;
+    }
+  }
   const auto files = list_files(dir_);
   for (const auto& [name, size] : files) {
     ++report.scanned_blobs;
@@ -118,7 +133,6 @@ SweepReport ArtifactStore::sweep() const {
   // victim set depends only on the directory contents and the cap.
   std::uint64_t remaining = report.scanned_bytes;
   for (auto it = files.rbegin(); it != files.rend() && remaining > byte_cap_; ++it) {
-    std::error_code ec;
     if (std::filesystem::remove(std::filesystem::path(dir_) / it->first, ec) && !ec) {
       ++report.evicted_blobs;
       report.evicted_bytes += it->second;

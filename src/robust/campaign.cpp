@@ -8,9 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "nanocost/cache/bytes.hpp"
 #include "nanocost/exec/parallel.hpp"
-#include "nanocost/exec/seed.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/trace.hpp"
@@ -21,34 +19,12 @@
 
 namespace nanocost::robust {
 
-namespace {
-
-struct Mix {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  void operator()(std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001B3ULL;
-    h = exec::splitmix64(h);
-  }
-};
-
-}  // namespace
-
 std::vector<std::int64_t> CampaignResult::failed_units() const {
   std::vector<std::int64_t> units;
   for (const ChunkFailure& f : quarantined) {
     for (std::int64_t u = f.unit_begin; u < f.unit_end; ++u) units.push_back(u);
   }
   return units;
-}
-
-std::uint64_t campaign_fingerprint(const CampaignTask& task) {
-  Mix mix;
-  mix(cache::fnv1a(task.name()));
-  mix(static_cast<std::uint64_t>(task.unit_count()));
-  mix(static_cast<std::uint64_t>(task.grain()));
-  mix(task.config_fingerprint());
-  return mix.h;
 }
 
 CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& options) {
@@ -76,7 +52,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
   // scheduling: a corrupt or foreign one throws here, deterministically,
   // and is never silently recomputed.
   Checkpoint expected;
-  expected.fingerprint = campaign_fingerprint(task);
+  expected.fingerprint = task.config_fingerprint();
   expected.unit_count = units;
   expected.grain = grain;
   std::string record;

@@ -75,8 +75,8 @@ core::UncertainInputs get_uncertain_inputs(ByteReader& r) {
 
 }  // namespace
 
-fabsim::FabSimulator make_simulator(const CampaignJob& job) {
-  return fabsim::FabSimulator(
+fabsim::FabConfig simulator_config(const CampaignJob& job) {
+  return fabsim::FabConfig{
       geometry::WaferSpec(units::Millimeters{job.wafer_diameter_mm},
                           units::Millimeters{job.wafer_edge_exclusion_mm},
                           units::Millimeters{job.wafer_scribe_mm}),
@@ -90,7 +90,11 @@ fabsim::FabSimulator make_simulator(const CampaignJob& job) {
           defect::RadialProfile(job.radial_edge_boost, job.radial_sharpness)},
       defect::WireArray(units::Micrometers{job.wire_width_um},
                         units::Micrometers{job.wire_spacing_um},
-                        units::Micrometers{job.wire_length_um}, job.wire_count));
+                        units::Micrometers{job.wire_length_um}, job.wire_count)};
+}
+
+fabsim::FabSimulator make_simulator(const CampaignJob& job) {
+  return fabsim::FabSimulator(simulator_config(job));
 }
 
 const char* response_status_name(ResponseStatus s) noexcept {
@@ -329,13 +333,11 @@ cache::Digest128 job_key(const RiskJob& job) {
                                      job.die_budget);
 }
 
-cache::Digest128 job_key(const CampaignJob& job) { return job_key(job, make_simulator(job)); }
-
-cache::Digest128 job_key(const CampaignJob& job, const fabsim::FabSimulator& sim) {
+cache::Digest128 job_key(const CampaignJob& job) {
   // The run key addresses the computation; max_chunks shapes how much
   // of it this submission performs, so it must split coalescing groups.
   return cache::KeyBuilder("serve.campaign")
-      .sub("run", cache::fabsim_run_key(sim, job.n_wafers, job.seed))
+      .sub("run", cache::fabsim_run_key(simulator_config(job), job.n_wafers, job.seed))
       .i64("max_chunks", job.max_chunks)
       .digest();
 }

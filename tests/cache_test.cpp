@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -467,9 +469,9 @@ TEST(CachedEntryPoints, FabsimRunHitMatchesCold) {
   const geometry::DieSize die{Millimeters{15.0}, Millimeters{15.0}};
   defect::DefectFieldParams field;
   field.density_per_cm2 = 0.5;
-  const fabsim::FabSimulator sim(
+  const fabsim::FabSimulator sim(fabsim::FabConfig{
       wafer, die, defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}), field,
-      defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50});
+      defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50}});
 
   const std::vector<std::uint8_t> cold = cache::encode(sim.run(6, 99));
   exec::ThreadPool p1(1), p2(2);
@@ -698,6 +700,28 @@ TEST(ArtifactStore, UncappedSweepOnlyScans) {
   EXPECT_EQ(payload, blob_of(512, 0x7E));
 }
 
+TEST(ArtifactStore, SweepRemovesTheTempFilesOfDeadWritersOnly) {
+  // A writer killed mid-publish leaves its temp file behind, which no
+  // reader opens and no byte cap counts.  A pid above pid_max names a
+  // writer that cannot be alive; our own pid names one that is.
+  std::ifstream pid_max_file("/proc/sys/kernel/pid_max");
+  long pid_max = 0;
+  ASSERT_TRUE(pid_max_file >> pid_max);
+  const TempDir tmp("stale_temps");
+  const robust::ArtifactStore store(tmp.path());
+  const std::string stem = tmp.path() + "/" + cache::hash128("stale").hex();
+  const std::string dead = stem + ".ncckpt." + std::to_string(pid_max + 1) + ".0.tmp";
+  const std::string live = stem + ".ncblob." + std::to_string(::getpid()) + ".3.tmp";
+  for (const std::string& path : {dead, live}) {
+    std::ofstream(path, std::ios::binary) << std::string(2048, 'x');
+  }
+  const robust::SweepReport report = store.sweep();
+  EXPECT_EQ(report.removed_temps, 1u);
+  EXPECT_EQ(report.scanned_blobs, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  EXPECT_TRUE(std::filesystem::exists(live));
+}
+
 // ---------------------------------------------------------------------------
 // Campaign artifact tier: kill, rerun, recompute nothing.
 
@@ -706,7 +730,6 @@ TEST(ArtifactStore, UncappedSweepOnlyScans) {
 class BlobTask final : public robust::CampaignTask {
  public:
   BlobTask(std::int64_t units, std::int64_t grain) : units_(units), grain_(grain) {}
-  [[nodiscard]] const char* name() const override { return "test.cache.blob"; }
   [[nodiscard]] std::uint64_t config_fingerprint() const override { return 0xB10BULL; }
   [[nodiscard]] std::int64_t unit_count() const override { return units_; }
   [[nodiscard]] std::int64_t grain() const override { return grain_; }
@@ -780,7 +803,7 @@ TEST(CampaignArtifacts, CorruptBlobFailsTheRunDeterministically) {
   // (a corrupt artifact is an integrity failure, not a retryable miss).
   robust::ArtifactStore store(tmp.path());
   const std::string path = store.record_path(
-      robust::campaign_record_key(robust::campaign_fingerprint(task), 8, 4));
+      robust::campaign_record_key(task.config_fingerprint(), 8, 4));
   ASSERT_TRUE(std::filesystem::exists(path));
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
   EXPECT_THROW((void)robust::run_campaign(task, options), robust::CheckpointCorrupt);
@@ -791,7 +814,6 @@ TEST(CampaignArtifacts, CorruptBlobFailsTheRunDeterministically) {
 class VanishingTierTask final : public robust::CampaignTask {
  public:
   explicit VanishingTierTask(std::string dir) : dir_(std::move(dir)) {}
-  [[nodiscard]] const char* name() const override { return "test.cache.vanishing"; }
   [[nodiscard]] std::uint64_t config_fingerprint() const override { return 0x7A1ULL; }
   [[nodiscard]] std::int64_t unit_count() const override { return 8; }
   [[nodiscard]] std::int64_t grain() const override { return 4; }

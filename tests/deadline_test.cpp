@@ -43,10 +43,10 @@ using units::Millimeters;
 fabsim::FabSimulator make_simulator(double density = 0.8) {
   defect::DefectFieldParams field;
   field.density_per_cm2 = density;
-  return fabsim::FabSimulator{
+  return fabsim::FabSimulator{fabsim::FabConfig{
       geometry::WaferSpec::mm200(), geometry::DieSize{Millimeters{12.0}, Millimeters{12.0}},
       defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}), field,
-      defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50}};
+      defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50}}};
 }
 
 core::UncertainInputs risk_inputs() {
@@ -384,7 +384,6 @@ class ToyTask final : public robust::CampaignTask {
   ToyTask(std::int64_t units, std::int64_t grain, std::int64_t failing_chunk = -1)
       : units_(units), grain_(grain), failing_chunk_(failing_chunk) {}
 
-  [[nodiscard]] const char* name() const override { return "test.toy"; }
   [[nodiscard]] std::uint64_t config_fingerprint() const override {
     return 0xABCDu ^ static_cast<std::uint64_t>(units_ * 31 + grain_);
   }

@@ -40,10 +40,10 @@ fabsim::FabSimulator make_simulator(double density, bool clustered = false,
   field.density_per_cm2 = density;
   field.clustered = clustered;
   field.cluster_alpha = alpha;
-  return fabsim::FabSimulator{
+  return fabsim::FabSimulator{fabsim::FabConfig{
       geometry::WaferSpec::mm200(), geometry::DieSize{Millimeters{12.0}, Millimeters{12.0}},
       defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}), field,
-      reference_pattern()};
+      reference_pattern()}};
 }
 
 void expect_identical(const fabsim::LotResult& a, const fabsim::LotResult& b) {

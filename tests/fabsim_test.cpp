@@ -24,10 +24,10 @@ FabSimulator make_simulator(double density, bool clustered = false,
   field.density_per_cm2 = density;
   field.clustered = clustered;
   field.cluster_alpha = alpha;
-  return FabSimulator{geometry::WaferSpec::mm200(),
+  return FabSimulator{FabConfig{geometry::WaferSpec::mm200(),
                       geometry::DieSize{Millimeters{12.0}, Millimeters{12.0}},
                       defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}),
-                      field, reference_pattern()};
+                      field, reference_pattern()}};
 }
 
 TEST(KillModel, ProbabilityIsBoundedAndMonotone) {
@@ -139,11 +139,11 @@ TEST(Simulator, ResultBookkeepingConsistent) {
 TEST(Simulator, Validation) {
   EXPECT_THROW(make_simulator(0.5).run(0), std::invalid_argument);
   defect::DefectFieldParams field;
-  EXPECT_THROW(FabSimulator(geometry::WaferSpec::mm150(),
+  EXPECT_THROW(FabSimulator(FabConfig{geometry::WaferSpec::mm150(),
                             geometry::DieSize{Millimeters{200.0}, Millimeters{200.0}},
                             defect::DefectSizeDistribution::for_feature_size(
                                 Micrometers{0.25}),
-                            field, reference_pattern()),
+                            field, reference_pattern()}),
                std::invalid_argument);
 }
 

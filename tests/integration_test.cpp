@@ -80,9 +80,9 @@ TEST(Integration, SimulatedFabYieldPricedThroughEq1MatchesEq3) {
   const geometry::DieSize die{Millimeters{12.0}, Millimeters{12.0}};
   defect::DefectFieldParams field;
   field.density_per_cm2 = 0.4;
-  const fabsim::FabSimulator sim(
+  const fabsim::FabSimulator sim(fabsim::FabConfig{
       wafer, die, defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}),
-      field, defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50});
+      field, defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50}});
   const fabsim::LotResult lot = sim.run(200, 77);
 
   const cost::WaferCostModel wafer_model{Micrometers{0.25}, wafer, 24};

@@ -632,12 +632,12 @@ fabsim::FabSimulator make_sim() {
   field.density_per_cm2 = 0.6;
   field.clustered = true;
   field.cluster_alpha = 2.0;
-  return fabsim::FabSimulator{
+  return fabsim::FabSimulator{fabsim::FabConfig{
       geometry::WaferSpec::mm200(),
       geometry::DieSize{units::Millimeters{14.0}, units::Millimeters{14.0}},
       defect::DefectSizeDistribution::for_feature_size(units::Micrometers{0.25}), field,
       defect::WireArray{units::Micrometers{0.25}, units::Micrometers{0.25},
-                        units::Micrometers{100.0}, 50}};
+                        units::Micrometers{100.0}, 50}}};
 }
 
 bool same_lot(const fabsim::LotResult& a, const fabsim::LotResult& b) {

@@ -73,9 +73,9 @@ TEST(RadialYield, AgreesWithMonteCarloFab) {
   field.radial = profile;
   const defect::WireArray pattern{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0},
                                   50};
-  const fabsim::FabSimulator sim(
+  const fabsim::FabSimulator sim(fabsim::FabConfig{
       wafer, die, defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}),
-      field, pattern);
+      field, pattern});
 
   // The simulator kills with the capped size-dependent probability; its
   // effective faults/die divided by (density * area) is the CA ratio to

@@ -167,12 +167,12 @@ TEST(SimdParity, DefectSizeBatch) {
 }
 
 fabsim::FabSimulator make_simulator(defect::DefectFieldParams field) {
-  return fabsim::FabSimulator{
+  return fabsim::FabSimulator{fabsim::FabConfig{
       geometry::WaferSpec::mm200(),
       geometry::DieSize{units::Millimeters{12.0}, units::Millimeters{12.0}},
       defect::DefectSizeDistribution::for_feature_size(units::Micrometers{0.25}), field,
       defect::WireArray{units::Micrometers{0.25}, units::Micrometers{0.25},
-                        units::Micrometers{100.0}, 50}};
+                        units::Micrometers{100.0}, 50}}};
 }
 
 TEST(SimdParity, KillLutBatch) {
