@@ -11,7 +11,7 @@
 // File layout (the byte codec's conventions, cache/bytes.hpp; see
 // DESIGN.md section 9):
 //   magic   "NCCKPT01"                     8 bytes
-//   u64     fingerprint (campaign identity: name/config/seed hash)
+//   u64     fingerprint (the task's config_fingerprint(), a KeyBuilder digest)
 //   i64     unit_count
 //   i64     grain (units per chunk)
 //   i64     record count
