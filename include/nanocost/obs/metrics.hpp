@@ -1,5 +1,5 @@
-// Thread-safe metrics registry: named counters, gauges, fixed-bucket
-// histograms.
+// Thread-safe metrics registry: named counters, gauges, and histograms
+// that all share one bucket layout.
 //
 // The engine's long campaigns (fabsim lots, risk sweeps, anneals) are
 // invisible without instrumentation, but instrumentation must be free
@@ -14,18 +14,53 @@
 // metric value, so enabling them cannot perturb results (enforced by
 // tests/obs_test.cpp bitwise-determinism checks).
 //
+// Every histogram uses the same log-linear layout (bucket_index below):
+// a bucket per value below 16, then 8 equal sub-buckets per power of
+// two, 496 buckets over all of u64.  A bucket is narrower than 1/8 of
+// its lower value, which is what bounds the quantile estimates of
+// obs/stats.hpp; no site picks bounds of its own.
+//
 // Enable via code (`set_metrics_enabled(true)`) or the environment
 // (`NANOCOST_METRICS=1`).  A malformed NANOCOST_METRICS value prints
 // one diagnostic to stderr and leaves metrics disabled.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace nanocost::obs {
+
+/// Buckets in the layout: 16 exact values, then 8 per power of two
+/// from 2^4 to 2^63.
+inline constexpr std::size_t kHistogramBuckets = 496;
+
+/// The bucket holding `v`, in O(1): below 16 the value itself, above it
+/// the power of two (from the bit width) and the next 3 bits below the
+/// leading one.
+[[nodiscard]] constexpr std::size_t bucket_index(std::uint64_t v) noexcept {
+  const int bits = static_cast<int>(std::bit_width(v));
+  const int shift = bits > 4 ? bits - 4 : 0;
+  return (static_cast<std::size_t>(shift) << 3) + static_cast<std::size_t>(v >> shift);
+}
+
+/// Smallest value in bucket `i` (< kHistogramBuckets).
+[[nodiscard]] constexpr std::uint64_t bucket_lower(std::size_t i) noexcept {
+  if (i < 16) return i;
+  return std::uint64_t{(i & 7) | 8} << ((i >> 3) - 1);
+}
+
+/// Largest value in bucket `i`, inclusive: the buckets partition
+/// [0, 2^64 - 1] and the last one ends at UINT64_MAX.
+[[nodiscard]] constexpr std::uint64_t bucket_upper(std::size_t i) noexcept {
+  if (i < 16) return i;
+  return bucket_lower(i) + ((std::uint64_t{1} << ((i >> 3) - 1)) - 1);
+}
 
 /// Monotone event count.  add() is a relaxed fetch_add: lock-free, and
 /// safe from any thread.
@@ -75,22 +110,20 @@ class Gauge final {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram over non-negative integer samples (durations
-/// in microseconds, byte counts, ...).  Bucket i counts samples
-/// `v <= bounds[i]` (first match); larger samples land in the overflow
-/// bucket.  All updates are relaxed atomics; record() is wait-free
-/// except the min/max CAS loops (which converge in a handful of steps).
+/// Histogram over non-negative integer samples (durations in
+/// microseconds, byte counts, ...), bucketed by bucket_index.  All
+/// updates are relaxed atomics; record() is wait-free except the
+/// min/max CAS loops (which converge in a handful of steps).
 class Histogram final {
  public:
-  Histogram(std::string name, std::vector<std::uint64_t> bounds);
+  explicit Histogram(std::string name) : name_(std::move(name)) {}
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
   void record(std::uint64_t v) noexcept;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& bounds() const noexcept { return bounds_; }
-  /// Count in bucket i (i == bounds().size() is the overflow bucket).
+  /// Count in layout bucket i (< kHistogramBuckets).
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const noexcept {
     return buckets_[i].load(std::memory_order_relaxed);
   }
@@ -110,9 +143,7 @@ class Histogram final {
 
  private:
   std::string name_;
-  std::vector<std::uint64_t> bounds_;  ///< ascending upper bounds
-  /// bounds_.size() + 1 slots; the last is the overflow bucket.
-  std::vector<std::atomic<std::uint64_t>> buckets_;
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{~0ULL};
@@ -125,9 +156,7 @@ class Histogram final {
 ///   static obs::Counter& c = obs::counter("fabsim.wafers");
 [[nodiscard]] Counter& counter(std::string_view name);
 [[nodiscard]] Gauge& gauge(std::string_view name);
-/// `bounds` must be non-empty and strictly ascending; a second lookup of
-/// an existing histogram returns it unchanged (bounds ignored).
-[[nodiscard]] Histogram& histogram(std::string_view name, std::vector<std::uint64_t> bounds);
+[[nodiscard]] Histogram& histogram(std::string_view name);
 
 /// Value of a registered counter, or 0 when no such counter exists --
 /// for report surfaces that must not create metrics as a side effect.
@@ -145,8 +174,7 @@ void reset_metrics();
 /// Point-in-time copy of every registered metric, sorted by name.
 struct HistogramSnapshot final {
   std::string name;
-  std::vector<std::uint64_t> bounds;
-  std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
+  std::vector<std::uint64_t> buckets;  ///< kHistogramBuckets counts, by layout index
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
   std::uint64_t min = 0;
@@ -166,6 +194,8 @@ struct MetricsSnapshot final {
 [[nodiscard]] std::string render_metrics_text();
 /// The same snapshot as a JSON object:
 ///   {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}
+/// A histogram lists its non-empty buckets as "buckets": [[le, count],
+/// ...], `le` being the bucket's inclusive upper value.
 [[nodiscard]] std::string render_metrics_json(const MetricsSnapshot& snap);
 [[nodiscard]] std::string render_metrics_json();
 

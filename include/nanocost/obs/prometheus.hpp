@@ -5,7 +5,8 @@
 // (every illegal byte becomes '_', a leading digit gets a '_' prefix).
 // Counters and gauges render as one sample each; histograms render in
 // the cumulative `_bucket{le="..."}` / `_sum` / `_count` form Prometheus
-// expects -- bucket counts accumulate left to right and the "+Inf"
+// expects, one `le` per non-empty bucket of the layout (its inclusive
+// upper value) -- bucket counts accumulate left to right and the "+Inf"
 // bucket always equals `_count`.  Each metric is preceded by a `# TYPE`
 // line; scrapers compute rates themselves (the daemon never resets on
 // scrape, DESIGN.md section 15).

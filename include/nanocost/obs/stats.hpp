@@ -14,16 +14,21 @@
 //   u64     counter count,   each: u8 tag 0x01, str name, u64 value
 //   u64     gauge count,     each: u8 tag 0x02, str name, f64 value (IEEE bits)
 //   u64     histogram count, each: u8 tag 0x03, str name,
-//             u64 bound count, u64 bounds[] (strictly ascending),
-//             u64 buckets[bounds+1] (overflow last),
+//             u64 pair count (<= kHistogramBuckets),
+//             pairs of (u64 bucket index, u64 count), indices strictly
+//             ascending, one per non-empty bucket of the layout,
 //             u64 count, u64 sum, u64 min, u64 max
-//   u64     fnv1a over everything after the magic (version .. last bucket)
+//   u64     fnv1a over everything after the magic (version .. last max)
 //
-// Quantile estimation reconstructs percentiles from the fixed buckets:
-// the target rank q*count is located in its bucket and linearly
-// interpolated between the bucket's lower and upper bound, then clamped
-// to the histogram's exact [min, max]; ranks landing in the overflow
-// bucket report the exact max (DESIGN.md section 15 states the rule).
+// There is no layout id: the version pins obs/metrics.hpp's layout, so
+// changing the layout is another version bump.
+//
+// Quantile estimation locates the target rank q*count in its bucket,
+// interpolates linearly across the bucket's inclusive [lower, upper],
+// and clamps to the histogram's exact [min, max].  The estimate and the
+// exact order statistic share that bucket, so they differ by less than
+// 1/8 of the exact value, and not at all below 16 (DESIGN.md section 15
+// states the rule).
 //
 // Deltas subtract an older scrape from a newer one so scrapers can
 // compute rates; the daemon itself never resets counters on scrape.
@@ -39,29 +44,29 @@
 namespace nanocost::obs {
 
 inline constexpr char kStatMagic[8] = {'N', 'C', 'S', 'T', 'A', 'T', '0', '1'};
-inline constexpr std::uint32_t kStatVersion = 1;
-/// Decode-side sanity caps: a corrupt length past these is rejected
+inline constexpr std::uint32_t kStatVersion = 2;
+/// Decode-side sanity cap: a corrupt name length past it is rejected
 /// before any allocation is attempted.
 inline constexpr std::uint64_t kMaxStatNameBytes = 4096;
-inline constexpr std::uint64_t kMaxStatBounds = 4096;
 
 /// Thrown on any structural damage to an NCSTAT01 blob.  The message
-/// names the offense and where: the field for a bad tag, cap, bound
-/// order or checksum, the byte offset for truncation, an impossible
+/// names the offense and where: the field for a bad tag, cap, bucket
+/// index or checksum, the byte offset for truncation, an impossible
 /// count or trailing bytes.
 class StatError final : public std::runtime_error {
  public:
   explicit StatError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Serializes a snapshot.  Throws StatError on a malformed snapshot
-/// (bucket/bound count mismatch) -- encode never produces bytes decode
-/// would reject.
+/// Serializes a snapshot.  Throws StatError on a malformed snapshot (a
+/// histogram without kHistogramBuckets counts) -- encode never produces
+/// bytes decode would reject.
 [[nodiscard]] std::vector<std::uint8_t> encode_stats(const MetricsSnapshot& snap);
 
 /// Strict decode; throws StatError on truncation, bad magic/version,
-/// unknown field tags, corrupt lengths, non-ascending bounds, trailing
-/// bytes, or a checksum mismatch.
+/// unknown field tags, corrupt lengths, a bucket index out of the layout
+/// or out of order, an empty bucket pair, trailing bytes, or a checksum
+/// mismatch.
 [[nodiscard]] MetricsSnapshot decode_stats(const std::vector<std::uint8_t>& blob);
 
 /// Estimated value at quantile `q` in [0, 1] (clamped).  0 on an empty

@@ -126,8 +126,7 @@ struct ThreadPool::Impl {
       }
       if (!batch) continue;
       if (batch->publish_ns != 0) {
-        static obs::Histogram& dispatch_us = obs::histogram(
-            "exec.dispatch_us", {1, 10, 100, 1000, 10000, 100000});
+        static obs::Histogram& dispatch_us = obs::histogram("exec.dispatch_us");
         const std::uint64_t now = steady_now_ns();
         dispatch_us.record(now > batch->publish_ns ? (now - batch->publish_ns) / 1000 : 0);
       }

@@ -5,7 +5,8 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
+
+#include "json_escape.hpp"
 
 namespace nanocost::obs {
 
@@ -36,24 +37,8 @@ T* find_by_name(std::vector<std::unique_ptr<T>>& items, std::string_view name) {
 
 }  // namespace
 
-Histogram::Histogram(std::string name, std::vector<std::uint64_t> bounds)
-    : name_(std::move(name)), bounds_(std::move(bounds)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("histogram '" + name_ + "' needs at least one bucket bound");
-  }
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (bounds_[i] <= bounds_[i - 1]) {
-      throw std::invalid_argument("histogram '" + name_ +
-                                  "' bucket bounds must be strictly ascending");
-    }
-  }
-  buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-}
-
 void Histogram::record(std::uint64_t v) noexcept {
-  std::size_t i = 0;
-  while (i < bounds_.size() && v > bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   std::uint64_t cur = min_.load(std::memory_order_relaxed);
@@ -97,11 +82,11 @@ Gauge& gauge(std::string_view name) {
   return *r.gauges.back();
 }
 
-Histogram& histogram(std::string_view name, std::vector<std::uint64_t> bounds) {
+Histogram& histogram(std::string_view name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lk(r.mu);
   if (Histogram* h = find_by_name(r.histograms, name)) return *h;
-  r.histograms.push_back(std::make_unique<Histogram>(std::string(name), std::move(bounds)));
+  r.histograms.push_back(std::make_unique<Histogram>(std::string(name)));
   return *r.histograms.back();
 }
 
@@ -139,10 +124,8 @@ MetricsSnapshot snapshot_metrics() {
   for (const auto& h : r.histograms) {
     HistogramSnapshot hs;
     hs.name = h->name();
-    hs.bounds = h->bounds();
-    for (std::size_t i = 0; i <= hs.bounds.size(); ++i) {
-      hs.buckets.push_back(h->bucket_count(i));
-    }
+    hs.buckets.resize(kHistogramBuckets);
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) hs.buckets[i] = h->bucket_count(i);
     hs.count = h->count();
     hs.sum = h->sum();
     hs.min = h->min();
@@ -159,24 +142,45 @@ MetricsSnapshot snapshot_metrics() {
   return snap;
 }
 
+namespace {
+
+/// "  name" padded to 36 columns and a space: the text form's left
+/// column.  Appended, not formatted, so no name is cut short.
+void append_text_name(std::string& out, const std::string& name) {
+  out += "  ";
+  out += name;
+  out.append(name.size() < 36 ? 37 - name.size() : 1, ' ');
+}
+
+/// `"name": ` with the name JSON-escaped, after a ", " unless first.
+void append_json_key(std::string& out, const std::string& name, bool first) {
+  if (!first) out += ", ";
+  out += '"';
+  detail::append_json_escaped(out, name);
+  out += "\": ";
+}
+
+}  // namespace
+
 std::string render_metrics_text() { return render_metrics_text(snapshot_metrics()); }
 
 std::string render_metrics_text(const MetricsSnapshot& snap) {
   std::string out = "metrics snapshot:\n";
-  char line[256];
+  char line[160];
   for (const auto& [name, value] : snap.counters) {
-    std::snprintf(line, sizeof(line), "  %-36s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
+    append_text_name(out, name);
+    std::snprintf(line, sizeof(line), "%llu\n", static_cast<unsigned long long>(value));
     out += line;
   }
   for (const auto& [name, value] : snap.gauges) {
-    std::snprintf(line, sizeof(line), "  %-36s %.6g\n", name.c_str(), value);
+    append_text_name(out, name);
+    std::snprintf(line, sizeof(line), "%.6g\n", value);
     out += line;
   }
   for (const HistogramSnapshot& h : snap.histograms) {
-    std::snprintf(line, sizeof(line),
-                  "  %-36s count %llu  sum %llu  mean %.1f  min %llu  max %llu\n",
-                  h.name.c_str(), static_cast<unsigned long long>(h.count),
+    append_text_name(out, h.name);
+    std::snprintf(line, sizeof(line), "count %llu  sum %llu  mean %.1f  min %llu  max %llu\n",
+                  static_cast<unsigned long long>(h.count),
                   static_cast<unsigned long long>(h.sum),
                   h.count > 0 ? static_cast<double>(h.sum) / static_cast<double>(h.count)
                               : 0.0,
@@ -196,32 +200,30 @@ std::string render_metrics_json(const MetricsSnapshot& snap) {
   std::string out = "{\"counters\": {";
   char buf[128];
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %llu", i > 0 ? ", " : "",
-                  snap.counters[i].first.c_str(),
+    append_json_key(out, snap.counters[i].first, i == 0);
+    std::snprintf(buf, sizeof(buf), "%llu",
                   static_cast<unsigned long long>(snap.counters[i].second));
     out += buf;
   }
   out += "}, \"gauges\": {";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %.17g", i > 0 ? ", " : "",
-                  snap.gauges[i].first.c_str(), snap.gauges[i].second);
+    append_json_key(out, snap.gauges[i].first, i == 0);
+    std::snprintf(buf, sizeof(buf), "%.17g", snap.gauges[i].second);
     out += buf;
   }
   out += "}, \"histograms\": {";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const HistogramSnapshot& h = snap.histograms[i];
-    if (i > 0) out += ", ";
-    out += "\"" + h.name + "\": {\"bounds\": [";
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      std::snprintf(buf, sizeof(buf), "%s%llu", b > 0 ? ", " : "",
-                    static_cast<unsigned long long>(h.bounds[b]));
-      out += buf;
-    }
-    out += "], \"buckets\": [";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      std::snprintf(buf, sizeof(buf), "%s%llu", b > 0 ? ", " : "",
+    append_json_key(out, h.name, i == 0);
+    out += "{\"buckets\": [";
+    const char* sep = "";
+    for (std::size_t b = 0; b < std::min(h.buckets.size(), kHistogramBuckets); ++b) {
+      if (h.buckets[b] == 0) continue;
+      std::snprintf(buf, sizeof(buf), "%s[%llu, %llu]", sep,
+                    static_cast<unsigned long long>(bucket_upper(b)),
                     static_cast<unsigned long long>(h.buckets[b]));
       out += buf;
+      sep = ", ";
     }
     std::snprintf(buf, sizeof(buf),
                   "], \"count\": %llu, \"sum\": %llu, \"min\": %llu, \"max\": %llu}",

@@ -55,19 +55,21 @@ std::string render_metrics_prometheus(const MetricsSnapshot& snap) {
     out += buf;
   }
   for (const HistogramSnapshot& h : snap.histograms) {
-    if (h.buckets.size() != h.bounds.size() + 1) continue;  // malformed snapshot
+    if (h.buckets.size() != kHistogramBuckets) continue;  // malformed snapshot
     const std::string n = sanitize_metric_name(h.name);
     out += "# TYPE " + n + " histogram\n";
+    // Only non-empty buckets: each is cumulative up to its inclusive
+    // upper value, which is exact because samples are integers.
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+      if (h.buckets[i] == 0) continue;
       cum += h.buckets[i];
       std::snprintf(buf, sizeof(buf), "{le=\"%llu\"} %llu\n",
-                    static_cast<unsigned long long>(h.bounds[i]),
+                    static_cast<unsigned long long>(bucket_upper(i)),
                     static_cast<unsigned long long>(cum));
       out += n + "_bucket";
       out += buf;
     }
-    cum += h.buckets.back();
     std::snprintf(buf, sizeof(buf), "{le=\"+Inf\"} %llu\n",
                   static_cast<unsigned long long>(cum));
     out += n + "_bucket";

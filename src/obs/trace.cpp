@@ -8,6 +8,8 @@
 #include <mutex>
 #include <vector>
 
+#include "json_escape.hpp"
+
 namespace nanocost::obs {
 
 namespace {
@@ -65,24 +67,6 @@ ThreadBuf& this_thread_buf() {
 
 void flush_at_exit() { (void)stop_trace(); }
 
-/// Escapes a span/arg name for embedding in a JSON string.  Names are
-/// programmer-chosen literals, so this is belt-and-braces.
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 void start_trace(std::string path) {
@@ -137,7 +121,7 @@ bool stop_trace() {
     const Event& e = events[i];
     if (i > 0) out += ",";
     out += "\n  {\"name\": \"";
-    append_json_escaped(out, e.record.name);
+    detail::append_json_escaped(out, e.record.name);
     std::snprintf(buf, sizeof(buf),
                   "\", \"cat\": \"nanocost\", \"ph\": \"X\", \"pid\": 1, \"tid\": %d, "
                   "\"ts\": %.3f, \"dur\": %.3f",
@@ -149,7 +133,7 @@ bool stop_trace() {
       for (int a = 0; a < e.record.n_args; ++a) {
         if (a > 0) out += ", ";
         out += "\"";
-        append_json_escaped(out, e.record.arg_key[a]);
+        detail::append_json_escaped(out, e.record.arg_key[a]);
         std::snprintf(buf, sizeof(buf), "\": %llu",
                       static_cast<unsigned long long>(e.record.arg_val[a]));
         out += buf;

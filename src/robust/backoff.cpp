@@ -44,8 +44,7 @@ double backoff_sleep(const BackoffPolicy& policy, int attempt) {
   if (delay > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
     if (obs::metrics_enabled()) {
-      static obs::Histogram& slept = obs::histogram(
-          "robust.backoff_sleep_ms", {1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000});
+      static obs::Histogram& slept = obs::histogram("robust.backoff_sleep_ms");
       slept.record(static_cast<std::uint64_t>(delay));
     }
   }

@@ -233,8 +233,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
                     .count()
               : 0.0;
     if (obs::metrics_enabled()) {
-      static obs::Histogram& wave_ms =
-          obs::histogram("robust.wave_ms", {1, 10, 100, 1000, 10000, 100000});
+      static obs::Histogram& wave_ms = obs::histogram("robust.wave_ms");
       wave_ms.record(static_cast<std::uint64_t>(wave_elapsed_ms));
       static obs::Counter& waves = obs::counter("robust.waves");
       waves.add();

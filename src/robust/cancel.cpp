@@ -143,8 +143,7 @@ void note_cancel_observed(const CancelToken& token) noexcept {
   if (trip == 0) return;
   static obs::Counter& loops = obs::counter("robust.cancelled_loops");
   loops.add();
-  static obs::Histogram& latency = obs::histogram(
-      "robust.cancel_latency_us", {10, 100, 1000, 10000, 100000, 1000000});
+  static obs::Histogram& latency = obs::histogram("robust.cancel_latency_us");
   const std::uint64_t now = detail::steady_now_ns();
   latency.record(now > trip ? (now - trip) / 1000 : 0);
 }

@@ -74,23 +74,6 @@ std::uint64_t now_us() noexcept {
           .count());
 }
 
-/// Shared bucket ladder for request latencies: 100 us .. 10 s.
-const std::vector<std::uint64_t>& latency_bounds() {
-  static const std::vector<std::uint64_t> bounds{
-      100,   250,    500,    1000,   2500,    5000,    10000,   25000,
-      50000, 100000, 250000, 500000, 1000000, 2500000, 5000000, 10000000};
-  return bounds;
-}
-
-// Every metric handle below is a function-local static so the registry
-// mutex is paid once per site (the idiom obs/metrics.hpp documents),
-// never per request.
-
-obs::Histogram& request_latency_hist() {
-  static obs::Histogram& h = obs::histogram("serve.request_us", latency_bounds());
-  return h;
-}
-
 enum class JobKind : int { kEq4 = 0, kRisk = 1, kCampaign = 2 };
 
 std::optional<JobKind> job_kind_of(FrameType type) noexcept {
@@ -124,134 +107,65 @@ int outcome_index(ResponseStatus s) noexcept {
   return 1;
 }
 
-obs::Histogram& job_latency_hist(JobKind kind, ResponseStatus status) {
-  // All 12 job-type x outcome histograms register in one pass; every
-  // later call is a plain array index.
-  struct Table {
-    obs::Histogram* h[3][4];
-    Table() {
-      constexpr const char* kJobs[3] = {"eq4", "risk", "campaign"};
-      constexpr const char* kOutcomes[4] = {"ok", "error", "shed", "expired"};
-      for (int j = 0; j < 3; ++j) {
-        for (int o = 0; o < 4; ++o) {
-          h[j][o] = &obs::histogram(
-              std::string("serve.latency_us.") + kJobs[j] + "." + kOutcomes[o],
-              latency_bounds());
-        }
+/// Every serve metric, registered together on first use so a scrape of
+/// a healthy server shows each at 0 instead of omitting it.  Only the
+/// per-tenant shed counter (serve.tenant_shed.<tenant>) is looked up by
+/// name, on the shed path.
+struct ServeMetrics {
+  obs::Counter& requests = obs::counter("serve.requests");
+  obs::Counter& wire_errors = obs::counter("serve.wire_errors");
+  obs::Counter& coalesced = obs::counter("serve.coalesced");
+  obs::Counter& shed = obs::counter("serve.shed");
+  obs::Counter& bytes_in = obs::counter("serve.bytes_in");    ///< frame overhead included
+  obs::Counter& bytes_out = obs::counter("serve.bytes_out");  ///< frame overhead included
+  obs::Counter& handshakes = obs::counter("serve.handshakes");
+  obs::Counter& handshake_rejects = obs::counter("serve.handshake_rejects");
+  obs::Counter& reconnects = obs::counter("serve.reconnects_total");
+  obs::Counter& reaped = obs::counter("serve.reaped_connections");
+  obs::Counter& evicted = obs::counter("serve.evicted_connections");
+  obs::Counter& tenant_shed = obs::counter("serve.tenant_shed_total");
+  obs::Gauge& queue_depth = obs::gauge("serve.queue_depth");
+  obs::Gauge& inflight = obs::gauge("serve.inflight");
+  obs::Gauge& coalesced_inflight = obs::gauge("serve.coalesced_inflight");
+  /// Counts exactly the job responses served.
+  obs::Histogram& request_us = obs::histogram("serve.request_us");
+  /// serve.latency_us.<job>.<outcome>, by [JobKind][outcome_index].
+  obs::Histogram* latency_us[3][4];
+
+  ServeMetrics() {
+    constexpr const char* kJobs[3] = {"eq4", "risk", "campaign"};
+    constexpr const char* kOutcomes[4] = {"ok", "error", "shed", "expired"};
+    for (int j = 0; j < 3; ++j) {
+      for (int o = 0; o < 4; ++o) {
+        latency_us[j][o] = &obs::histogram(std::string("serve.latency_us.") + kJobs[j] + "." +
+                                           kOutcomes[o]);
       }
     }
-  };
-  static Table table;
-  return *table.h[static_cast<int>(kind)][outcome_index(status)];
-}
-
-void count_request() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.requests");
-    c.add();
   }
-}
 
-void count_wire_error() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.wire_errors");
-    c.add();
+  /// Latency of one answered job request (response encoded, not yet
+  /// written), into serve.request_us and its job x outcome histogram.
+  /// Ping/stats/trace frames are deliberately not recorded.
+  void record_latency(JobKind kind, ResponseStatus status, std::uint64_t start_us) {
+    const std::uint64_t now = now_us();
+    const std::uint64_t elapsed = now > start_us ? now - start_us : 0;
+    request_us.record(elapsed);
+    latency_us[static_cast<int>(kind)][outcome_index(status)]->record(elapsed);
   }
-}
 
-void count_coalesced() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.coalesced");
-    c.add();
+  /// The waiter gauges: waiters registered, and those riding a twin.
+  void publish_waiters(std::int64_t waiting, std::int64_t coalescing) {
+    inflight.set(static_cast<double>(waiting));
+    coalesced_inflight.set(static_cast<double>(coalescing));
   }
-}
+};
 
-void count_shed() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.shed");
-    c.add();
-  }
-}
-
-void count_bytes_in(std::size_t payload_bytes) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.bytes_in");
-    c.add(payload_bytes + kFrameOverheadBytes);
-  }
-}
-
-void count_bytes_out(std::size_t payload_bytes) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.bytes_out");
-    c.add(payload_bytes + kFrameOverheadBytes);
-  }
-}
-
-void set_queue_depth(std::size_t outstanding) {
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& g = obs::gauge("serve.queue_depth");
-    g.set(static_cast<double>(outstanding));
-  }
-}
-
-void set_inflight(std::int64_t n) {
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& g = obs::gauge("serve.inflight");
-    g.set(static_cast<double>(n));
-  }
-}
-
-void set_coalesced_inflight(std::int64_t n) {
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& g = obs::gauge("serve.coalesced_inflight");
-    g.set(static_cast<double>(n));
-  }
-}
-
-void count_handshake() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.handshakes");
-    c.add();
-  }
-}
-
-void count_handshake_reject() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.handshake_rejects");
-    c.add();
-  }
-}
-
-void count_reconnect() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.reconnects_total");
-    c.add();
-  }
-}
-
-void count_reaped() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.reaped_connections");
-    c.add();
-  }
-}
-
-void count_evicted() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.evicted_connections");
-    c.add();
-  }
-}
-
-void count_tenant_shed(const std::string& tenant) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& total = obs::counter("serve.tenant_shed_total");
-    total.add();
-    // The per-tenant spelling is dynamic; the registry lookup is fine
-    // here because shedding is the rare path by construction.
-    obs::counter("serve.tenant_shed." + (tenant.empty() ? std::string("anonymous") : tenant))
-        .add();
-  }
+/// The table, or nullptr while metrics are off: the off path is the one
+/// relaxed load of metrics_enabled().
+ServeMetrics* serve_metrics() {
+  if (!obs::metrics_enabled()) return nullptr;
+  static ServeMetrics table;
+  return &table;
 }
 
 /// Rejects a campaign expecting more than kMaxMeanDefectsPerWafer
@@ -275,19 +189,6 @@ bool valid_tenant(const std::string& tenant) {
            return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
                   c == '.' || c == '_' || c == '-';
          });
-}
-
-/// Latency bookkeeping for one answered job request (response encoded,
-/// not yet written): the overall serve.request_us histogram -- whose
-/// count is exactly the job responses served -- plus the per-type x
-/// per-outcome ladder.  Ping/stats/trace frames are deliberately not
-/// recorded.
-void record_latency(JobKind kind, ResponseStatus status, std::uint64_t start_us) {
-  if (!obs::metrics_enabled()) return;
-  const std::uint64_t now = now_us();
-  const std::uint64_t elapsed = now > start_us ? now - start_us : 0;
-  request_latency_hist().record(elapsed);
-  job_latency_hist(kind, status).record(elapsed);
 }
 
 }  // namespace
@@ -364,15 +265,7 @@ struct Server::Impl {
     // A peer that vanishes mid-response must cost EPIPE on the write,
     // not a process-wide SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
-    if (obs::metrics_enabled()) {
-      // Register the fleet-health counters up front so a scrape of a
-      // healthy server shows them at 0 instead of omitting them.
-      (void)obs::counter("serve.reconnects_total");
-      (void)obs::counter("serve.tenant_shed_total");
-      (void)obs::counter("serve.handshake_rejects");
-      (void)obs::counter("serve.reaped_connections");
-      (void)obs::counter("serve.evicted_connections");
-    }
+    (void)serve_metrics();  // registers the table when metrics are on
     const int n = options.worker_threads > 0 ? options.worker_threads : 1;
     workers.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -390,13 +283,14 @@ struct Server::Impl {
   void send_response(const std::shared_ptr<Connection>& conn, const Response& response,
                      std::optional<JobKind> job = std::nullopt, std::uint64_t start_us = 0) {
     const std::vector<std::uint8_t> payload = encode_payload(response);
-    if (job) record_latency(*job, response.status, start_us);
+    ServeMetrics* m = serve_metrics();
+    if (job && m != nullptr) m->record_latency(*job, response.status, start_us);
     if (conn->dead.load(std::memory_order_acquire)) return;
     try {
       std::lock_guard<std::mutex> lk(conn->write_mu);
       write_frame(*conn->stream, FrameType::kResponse, payload);
       requests_served.fetch_add(1, std::memory_order_relaxed);
-      count_bytes_out(payload.size());
+      if (m != nullptr) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
     } catch (const WireError&) {
       conn->dead.store(true, std::memory_order_release);
     }
@@ -411,7 +305,7 @@ struct Server::Impl {
     try {
       std::lock_guard<std::mutex> lk(conn->write_mu);
       write_frame(*conn->stream, FrameType::kErrorFrame, payload);
-      count_bytes_out(payload.size());
+      if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
     } catch (const WireError&) {
       conn->dead.store(true, std::memory_order_release);
     }
@@ -436,7 +330,7 @@ struct Server::Impl {
           continue;
         }
         connections_reaped.fetch_add(1, std::memory_order_relaxed);
-        count_reaped();
+        if (auto* m = serve_metrics()) m->reaped.add();
         send_error_frame(conn, 0, e.what());
         kill = true;
         break;
@@ -444,7 +338,7 @@ struct Server::Impl {
         // Structural damage: this connection dies with a diagnostic;
         // the server keeps serving everyone else.
         wire_errors.fetch_add(1, std::memory_order_relaxed);
-        count_wire_error();
+        if (auto* m = serve_metrics()) m->wire_errors.add();
         send_error_frame(conn, 0, e.what());
         kill = true;
         break;
@@ -452,7 +346,7 @@ struct Server::Impl {
       if (!frame) break;  // clean close, drain interrupt, or eviction
       conn->last_activity_ns.store(now_ns(), std::memory_order_relaxed);
       ++conn->frames_seen;
-      count_bytes_in(frame->payload.size());
+      if (auto* m = serve_metrics()) m->bytes_in.add(frame->payload.size() + kFrameOverheadBytes);
       if (!dispatch(conn, *frame)) {
         kill = true;
         break;
@@ -476,7 +370,7 @@ struct Server::Impl {
   /// must close (protocol violation).
   bool dispatch(const std::shared_ptr<Connection>& conn, const Frame& frame) {
     obs::ObsSpan span("serve.request");
-    count_request();
+    if (auto* m = serve_metrics()) m->requests.add();
     const std::uint64_t request_id = peek_request_id(frame.payload);
     const std::uint64_t start_us = now_us();
     try {
@@ -494,7 +388,9 @@ struct Server::Impl {
         try {
           std::lock_guard<std::mutex> lk(conn->write_mu);
           write_frame(*conn->stream, FrameType::kPong, frame.payload);
-          count_bytes_out(frame.payload.size());
+          if (auto* m = serve_metrics()) {
+            m->bytes_out.add(frame.payload.size() + kFrameOverheadBytes);
+          }
         } catch (const WireError&) {
           conn->dead.store(true, std::memory_order_release);
         }
@@ -521,7 +417,7 @@ struct Server::Impl {
         // Server-to-client types arriving at the server: a confused or
         // hostile peer.  Kill the connection, keep the server.
         wire_errors.fetch_add(1, std::memory_order_relaxed);
-        count_wire_error();
+        if (auto* m = serve_metrics()) m->wire_errors.add();
         send_error_frame(conn, request_id,
                          std::string("protocol violation: client sent a ") +
                              frame_type_name(frame.type) + " frame");
@@ -538,7 +434,7 @@ struct Server::Impl {
   bool reject_handshake(const std::shared_ptr<Connection>& conn, std::uint64_t request_id,
                         const std::string& why) {
     handshake_rejects.fetch_add(1, std::memory_order_relaxed);
-    count_handshake_reject();
+    if (auto* m = serve_metrics()) m->handshake_rejects.add();
     send_error_frame(conn, request_id, "NCWIRE01 handshake rejected: " + why);
     return false;
   }
@@ -580,11 +476,11 @@ struct Server::Impl {
     }
     conn->helloed = true;
     conn->tenant = hello.tenant;
-    count_handshake();
+    if (auto* m = serve_metrics()) m->handshakes.add();
     if (hello.attempt > 0) {
       // A retrying client re-introducing itself: the fleet-health signal
       // the chaos soak scrapes for.
-      count_reconnect();
+      if (auto* m = serve_metrics()) m->reconnects.add();
     }
     HelloAck ack;
     ack.request_id = hello.request_id;
@@ -597,7 +493,7 @@ struct Server::Impl {
       // histograms: those track job traffic, and a handshake is
       // connection plumbing.
       write_frame(*conn->stream, FrameType::kHelloAck, payload);
-      count_bytes_out(payload.size());
+      if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
     } catch (const WireError&) {
       conn->dead.store(true, std::memory_order_release);
     }
@@ -632,7 +528,7 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lk(conn->write_mu);
       write_frame(*conn->stream, FrameType::kStatsResponse, payload);
       requests_served.fetch_add(1, std::memory_order_relaxed);
-      count_bytes_out(payload.size());
+      if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
     } catch (const WireError&) {
       conn->dead.store(true, std::memory_order_release);
     }
@@ -749,18 +645,19 @@ struct Server::Impl {
         it->second.push_back(Waiter{conn, request_id, start_us, conn->tenant});
         conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
         coalesced_count.fetch_add(1, std::memory_order_relaxed);
-        count_coalesced();
         ++inflight_waiters;
         ++coalesced_waiters;
-        set_inflight(inflight_waiters);
-        set_coalesced_inflight(coalesced_waiters);
+        if (auto* m = serve_metrics()) {
+          m->coalesced.add();
+          m->publish_waiters(inflight_waiters, coalesced_waiters);
+        }
         return true;
       }
       light_inflight[job.key] = {Waiter{conn, request_id, start_us, conn->tenant}};
       light_queue.push_back(std::move(job));
       conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
       ++inflight_waiters;
-      set_inflight(inflight_waiters);
+      if (auto* m = serve_metrics()) m->publish_waiters(inflight_waiters, coalesced_waiters);
     }
     light_cv.notify_one();
     return true;
@@ -796,7 +693,11 @@ struct Server::Impl {
       if (options.tenant_campaign_quota > 0 &&
           tenant_outstanding[tenant] >= options.tenant_campaign_quota) {
         tenant_shed.fetch_add(1, std::memory_order_relaxed);
-        count_tenant_shed(tenant);
+        if (auto* m = serve_metrics()) {
+          m->tenant_shed.add();
+          obs::counter("serve.tenant_shed." + (tenant.empty() ? std::string("anonymous") : tenant))
+              .add();
+        }
         Response shed;
         shed.request_id = request_id;
         shed.status = ResponseStatus::kShed;
@@ -815,11 +716,12 @@ struct Server::Impl {
         ++tenant_outstanding[tenant];
         conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
         coalesced_count.fetch_add(1, std::memory_order_relaxed);
-        count_coalesced();
         ++inflight_waiters;
         ++coalesced_waiters;
-        set_inflight(inflight_waiters);
-        set_coalesced_inflight(coalesced_waiters);
+        if (auto* m = serve_metrics()) {
+          m->coalesced.add();
+          m->publish_waiters(inflight_waiters, coalesced_waiters);
+        }
         return true;
       }
       auto task = std::make_unique<fabsim::FabLotCampaign>(*sim, job.n_wafers, job.seed);
@@ -837,7 +739,7 @@ struct Server::Impl {
       if (outcome.status == robust::SubmissionStatus::kShed ||
           outcome.status == robust::SubmissionStatus::kStopped) {
         campaigns_shed.fetch_add(1, std::memory_order_relaxed);
-        count_shed();
+        if (auto* m = serve_metrics()) m->shed.add();
         immediate.request_id = request_id;
         immediate.status = outcome.status == robust::SubmissionStatus::kShed
                                ? ResponseStatus::kShed
@@ -855,10 +757,10 @@ struct Server::Impl {
         ++tenant_outstanding[conn->tenant];
         conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
         ++inflight_waiters;
-        set_inflight(inflight_waiters);
+        if (auto* m = serve_metrics()) m->publish_waiters(inflight_waiters, coalesced_waiters);
         admitted = true;
       }
-      set_queue_depth(queue.outstanding());
+      if (auto* m = serve_metrics()) m->queue_depth.set(static_cast<double>(queue.outstanding()));
     }
     if (admitted) {
       runner_cv.notify_one();
@@ -927,8 +829,7 @@ struct Server::Impl {
       if (waiters.size() > 1) {
         coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
       }
-      set_inflight(inflight_waiters);
-      set_coalesced_inflight(coalesced_waiters);
+      if (auto* m = serve_metrics()) m->publish_waiters(inflight_waiters, coalesced_waiters);
       lk.unlock();
       const JobKind kind = job.is_eq4 ? JobKind::kEq4 : JobKind::kRisk;
       for (std::size_t i = 0; i < waiters.size(); ++i) {
@@ -1020,9 +921,10 @@ struct Server::Impl {
           if (--tenant_it->second == 0) tenant_outstanding.erase(tenant_it);
         }
       }
-      set_inflight(inflight_waiters);
-      set_coalesced_inflight(coalesced_waiters);
-      set_queue_depth(queue.outstanding());
+      if (auto* m = serve_metrics()) {
+        m->publish_waiters(inflight_waiters, coalesced_waiters);
+        m->queue_depth.set(static_cast<double>(queue.outstanding()));
+      }
     }
     for (std::size_t i = 0; i < waiters.size(); ++i) {
       r.request_id = waiters[i].request_id;
@@ -1071,7 +973,7 @@ struct Server::Impl {
       }
       if (live < options.max_connections || victim == nullptr) return;
       connections_evicted.fetch_add(1, std::memory_order_relaxed);
-      count_evicted();
+      if (auto* m = serve_metrics()) m->evicted.add();
       send_error_frame(victim, 0,
                        "NCWIRE01 connection evicted: server at its max-connections cap (" +
                            std::to_string(options.max_connections) +
