@@ -76,7 +76,10 @@ void parallel_for(ThreadPool* pool, std::int64_t n, std::int64_t grain, Body&& b
 ///                                ascending chunk order, after all
 ///                                chunks complete
 /// The merge order is a function of (n, grain) only, so reductions are
-/// deterministic for any thread count.
+/// deterministic for any thread count.  Every chunk's scratch lives until
+/// the merge, so memory is O(chunks) in its size: make it the partial
+/// result alone, and keep working buffers per thread (fabsim's wafer
+/// columns).
 template <typename MakeScratch, typename Body, typename Merge>
 void parallel_reduce(ThreadPool* pool, std::int64_t n, std::int64_t grain, MakeScratch&& make,
                      Body&& body, Merge&& merge) {

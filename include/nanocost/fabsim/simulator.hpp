@@ -222,31 +222,45 @@ class FabSimulator final {
   /// wafer_map().sites().
   [[nodiscard]] std::vector<std::int32_t> snapshot_faults(std::uint64_t seed) const;
 
+  /// Capacity, in bytes, that one wafer column may keep on its thread
+  /// between chunks.  A column that grew past it is freed when its chunk
+  /// ends, so one job near serve's 10^6-defects-per-wafer limit (64 MiB
+  /// of columns) does not pin that memory on every pool thread for the
+  /// process's life.  512 KiB holds 65,536 defects per 8-byte column,
+  /// ~30x the 300 mm, 3/cm^2 clustered lot's mean wafer, so ordinary
+  /// lots never give their columns back.
+  static constexpr std::size_t kRetainedColumnBytes = std::size_t{1} << 19;
+
  private:
   FabConfig config_;
   geometry::WaferMap map_;
   DieKillModel kill_;
   KillProbabilityLut lut_;
 
-  /// Per-chunk scratch for the SoA wafer pipeline: one set of columns
-  /// reused across a chunk's wafers, so a lot run allocates O(chunks).
-  struct WaferScratch {
-    defect::DefectSoA defects;
-    std::vector<std::int64_t> sites;     ///< site per defect (-1 off-die)
-    std::vector<double> on_die_size;     ///< compacted sizes of on-die defects
-    std::vector<std::int64_t> on_die_site;
-    std::vector<double> kill_p;          ///< LUT kill probability column
-    std::vector<double> kill_u;          ///< kill-draw uniform column
-    std::vector<std::int32_t> faults;    ///< per-site fault counts
-    std::vector<std::int64_t> histogram = std::vector<std::int64_t>(4, 0);
-  };
+  /// The SoA wafer pipeline's columns.  Each thread owns one set, reused
+  /// by every chunk it runs in every entry point, so a lot run allocates
+  /// O(threads), not O(chunks); every column is rewritten for each wafer.
+  struct WaferScratch;
+  [[nodiscard]] static WaferScratch& thread_scratch() noexcept;
+
+  /// Wafers [begin, end) of the run seeded with `seed`, serially on the
+  /// calling thread's scratch: wafer i is sampled from field_at(i),
+  /// results[i - begin] receives it and its die fault counts add into
+  /// `histogram`.  The one wafer loop behind all four entry points;
+  /// defined and instantiated in simulator.cpp only.
+  template <typename FieldAt>
+  void simulate_range(std::int64_t begin, std::int64_t end, std::uint64_t seed,
+                      FieldAt&& field_at, WaferResult* results,
+                      std::vector<std::int64_t>& histogram) const;
 
   /// One wafer through the SoA pipeline: sample the defect population in
   /// column form, locate every defect's site in one pass, batch-evaluate
   /// the kill LUT over the on-die sizes, draw all kill uniforms through
-  /// the batched RNG, then scatter the kills into per-site fault counts.
+  /// the batched RNG, then scatter the kills into per-site fault counts
+  /// and those counts into `histogram`.
   void simulate_wafer(exec::SplitMix64& rng, const defect::DefectField& field,
-                      WaferResult& result, WaferScratch& scratch) const;
+                      WaferResult& result, WaferScratch& scratch,
+                      std::vector<std::int64_t>& histogram) const;
 };
 
 }  // namespace nanocost::fabsim

@@ -347,8 +347,49 @@ double FabSimulator::analytic_mean_faults() const {
   return kill_.mean_faults_per_die(config_.field.density_per_cm2, config_.sizes);
 }
 
+namespace {
+
+/// Frees `column` if it grew past FabSimulator::kRetainedColumnBytes.
+template <typename T>
+void release_if_oversized(std::vector<T>& column) noexcept {
+  if (column.capacity() * sizeof(T) > FabSimulator::kRetainedColumnBytes) {
+    std::vector<T>().swap(column);
+  }
+}
+
+}  // namespace
+
+struct FabSimulator::WaferScratch final {
+  defect::DefectSoA defects;
+  std::vector<std::int64_t> sites;     ///< site per defect (-1 off-die)
+  std::vector<double> on_die_size;     ///< compacted sizes of on-die defects
+  std::vector<std::int64_t> on_die_site;
+  std::vector<double> kill_p;          ///< LUT kill probability column
+  std::vector<double> kill_u;          ///< kill-draw uniform column
+  std::vector<std::int32_t> faults;    ///< per-site fault counts
+
+  /// Frees every column that grew past kRetainedColumnBytes.
+  void release_oversized() noexcept {
+    release_if_oversized(defects.x_mm);
+    release_if_oversized(defects.y_mm);
+    release_if_oversized(defects.size_um);
+    release_if_oversized(sites);
+    release_if_oversized(on_die_size);
+    release_if_oversized(on_die_site);
+    release_if_oversized(kill_p);
+    release_if_oversized(kill_u);
+    release_if_oversized(faults);
+  }
+};
+
+FabSimulator::WaferScratch& FabSimulator::thread_scratch() noexcept {
+  thread_local WaferScratch scratch;
+  return scratch;
+}
+
 void FabSimulator::simulate_wafer(exec::SplitMix64& rng, const defect::DefectField& field,
-                                  WaferResult& result, WaferScratch& scratch) const {
+                                  WaferResult& result, WaferScratch& scratch,
+                                  std::vector<std::int64_t>& histogram) const {
   obs::ObsSpan span("fabsim.wafer");
   scratch.faults.assign(static_cast<std::size_t>(map_.die_count()), 0);
   field.sample_wafer(rng, scratch.defects);
@@ -381,24 +422,46 @@ void FabSimulator::simulate_wafer(exec::SplitMix64& rng, const defect::DefectFie
   result.defects_on_dies = static_cast<std::int64_t>(on_die);
 
   // Batch the kill stage: LUT over the size column, one batched block
-  // of kill uniforms, then scatter the kills into per-site counts.
+  // of kill uniforms, then scatter the kills into per-site counts.  The
+  // scatter adds the comparison instead of branching on it: whether a
+  // defect kills is a coin flip the branch predictor cannot learn.
   scratch.kill_p.resize(on_die);
   scratch.kill_u.resize(on_die);
   lut_.evaluate_batch(scratch.on_die_size.data(), scratch.kill_p.data(), on_die);
   exec::uniform_unit_batch(rng, scratch.kill_u.data(), on_die);
   for (std::size_t i = 0; i < on_die; ++i) {
-    if (scratch.kill_u[i] < scratch.kill_p[i]) {
-      ++scratch.faults[static_cast<std::size_t>(scratch.on_die_site[i])];
-    }
+    scratch.faults[static_cast<std::size_t>(scratch.on_die_site[i])] +=
+        static_cast<std::int32_t>(scratch.kill_u[i] < scratch.kill_p[i]);
   }
 
   result.good_dies = 0;
   for (const std::int32_t f : scratch.faults) {
     if (f == 0) ++result.good_dies;
-    if (static_cast<std::size_t>(f) >= scratch.histogram.size()) {
-      scratch.histogram.resize(static_cast<std::size_t>(f) + 1, 0);
+    if (static_cast<std::size_t>(f) >= histogram.size()) {
+      histogram.resize(static_cast<std::size_t>(f) + 1, 0);
     }
-    ++scratch.histogram[static_cast<std::size_t>(f)];
+    ++histogram[static_cast<std::size_t>(f)];
+  }
+}
+
+template <typename FieldAt>
+void FabSimulator::simulate_range(std::int64_t begin, std::int64_t end, std::uint64_t seed,
+                                  FieldAt&& field_at, WaferResult* results,
+                                  std::vector<std::int64_t>& histogram) const {
+  // One scratch per thread is enough: nothing a wafer calls runs another
+  // chunk on the same thread.  A throw mid-chunk (an injected fault, a
+  // failed allocation) may leave the columns in any state, which is
+  // harmless: every column is rewritten for each wafer.
+  WaferScratch& scratch = thread_scratch();
+  struct Release final {
+    WaferScratch& scratch;
+    ~Release() { scratch.release_oversized(); }
+  } release{scratch};
+  for (std::int64_t i = begin; i < end; ++i) {
+    robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
+    const defect::DefectField& field = field_at(i);
+    exec::SplitMix64 rng(exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
+    simulate_wafer(rng, field, results[i - begin], scratch, histogram);
   }
 }
 
@@ -407,20 +470,27 @@ std::vector<std::int32_t> FabSimulator::snapshot_faults(std::uint64_t seed) cons
   const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
   WaferResult wafer_result;
   WaferScratch scratch;
-  simulate_wafer(rng, field, wafer_result, scratch);
+  std::vector<std::int64_t> histogram;
+  simulate_wafer(rng, field, wafer_result, scratch, histogram);
   return std::move(scratch.faults);
 }
 
 namespace {
 
-/// Folds per-chunk histograms into the lot and totals up the wafers.
-void finalize_lot(LotResult& lot, std::vector<std::int64_t>&& histogram) {
-  if (histogram.size() > lot.fault_histogram.size()) {
-    lot.fault_histogram.resize(histogram.size(), 0);
-  }
-  for (std::size_t k = 0; k < histogram.size(); ++k) {
-    lot.fault_histogram[k] += histogram[k];
-  }
+/// A chunk's die fault histogram, the only state a chunk carries (its
+/// columns belong to the thread).  Four bins up front, as every chunk
+/// blob has had.
+std::vector<std::int64_t> chunk_histogram() { return std::vector<std::int64_t>(4, 0); }
+
+/// Adds a chunk's histogram into a lot's (or a caller's) histogram.
+void fold_histogram(std::vector<std::int64_t>& into, const std::vector<std::int64_t>& chunk) {
+  if (chunk.size() > into.size()) into.resize(chunk.size(), 0);
+  for (std::size_t k = 0; k < chunk.size(); ++k) into[k] += chunk[k];
+}
+
+/// field_at for a lot at one density.
+auto same_field(const defect::DefectField& field) {
+  return [&field](std::int64_t) -> const defect::DefectField& { return field; };
 }
 
 void total_up(LotResult& lot) {
@@ -445,16 +515,12 @@ LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
   lot.fault_histogram.assign(4, 0);
   lot.wafers.assign(static_cast<std::size_t>(n_wafers), WaferResult{});
   exec::parallel_reduce(
-      pool, n_wafers, kWaferGrain, [] { return WaferScratch{}; },
-      [&](std::int64_t begin, std::int64_t end, WaferScratch& scratch) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
-          exec::SplitMix64 rng(
-              exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
-          simulate_wafer(rng, field, lot.wafers[static_cast<std::size_t>(i)], scratch);
-        }
+      pool, n_wafers, kWaferGrain, chunk_histogram,
+      [&](std::int64_t begin, std::int64_t end, std::vector<std::int64_t>& histogram) {
+        simulate_range(begin, end, seed, same_field(field), lot.wafers.data() + begin,
+                       histogram);
       },
-      [&](WaferScratch&& scratch) { finalize_lot(lot, std::move(scratch.histogram)); });
+      [&](const std::vector<std::int64_t>& h) { fold_histogram(lot.fault_histogram, h); });
   total_up(lot);
   return lot;
 }
@@ -474,16 +540,12 @@ PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
   lot.fault_histogram.assign(4, 0);
   lot.wafers.assign(static_cast<std::size_t>(n_wafers), WaferResult{});
   const exec::LoopStatus status = exec::parallel_reduce_cancellable(
-      pool, n_wafers, kWaferGrain, token, [] { return WaferScratch{}; },
-      [&](std::int64_t begin, std::int64_t end, WaferScratch& scratch) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
-          exec::SplitMix64 rng(
-              exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
-          simulate_wafer(rng, field, lot.wafers[static_cast<std::size_t>(i)], scratch);
-        }
+      pool, n_wafers, kWaferGrain, token, chunk_histogram,
+      [&](std::int64_t begin, std::int64_t end, std::vector<std::int64_t>& histogram) {
+        simulate_range(begin, end, seed, same_field(field), lot.wafers.data() + begin,
+                       histogram);
       },
-      [&](WaferScratch&& scratch) { finalize_lot(lot, std::move(scratch.histogram)); });
+      [&](const std::vector<std::int64_t>& h) { fold_histogram(lot.fault_histogram, h); });
   // Wafers at/after the frontier may have run out of order; discard them
   // so the lot is a pure function of the frontier.
   const std::int64_t completed =
@@ -508,18 +570,11 @@ void FabSimulator::run_units(std::int64_t begin, std::int64_t end, std::uint64_t
   obs::ObsSpan span("fabsim.units");
   span.arg("wafers", static_cast<std::uint64_t>(end - begin));
   const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
-  WaferScratch scratch;
-  for (std::int64_t i = begin; i < end; ++i) {
-    robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(i));
-    exec::SplitMix64 rng(exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(i)));
-    simulate_wafer(rng, field, results[i - begin], scratch);
-  }
-  if (scratch.histogram.size() > histogram.size()) {
-    histogram.resize(scratch.histogram.size(), 0);
-  }
-  for (std::size_t k = 0; k < scratch.histogram.size(); ++k) {
-    histogram[k] += scratch.histogram[k];
-  }
+  // Folded only once every wafer is done, so a fault's throw leaves
+  // `histogram` as it was.
+  std::vector<std::int64_t> chunk = chunk_histogram();
+  simulate_range(begin, end, seed, same_field(field), results, chunk);
+  fold_histogram(histogram, chunk);
 }
 
 std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
@@ -530,15 +585,6 @@ std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
   if (total_wafers < 1 || checkpoint_wafers < 1) {
     throw std::invalid_argument("ramp needs positive wafer counts");
   }
-  // Per-chunk scratch carries the last defect field so consecutive
-  // wafers at an (effectively) unchanged learning-curve density reuse
-  // it instead of rebuilding the field per wafer.
-  struct RampScratch {
-    WaferScratch wafer;
-    std::optional<defect::DefectField> field;
-    double density = -1.0;
-  };
-
   std::vector<LotResult> checkpoints;
   std::int64_t done = 0;
   while (done < total_wafers) {
@@ -549,27 +595,28 @@ std::vector<LotResult> FabSimulator::run_ramp(const yield::LearningCurve& curve,
     lot.fault_histogram.assign(4, 0);
     lot.wafers.assign(static_cast<std::size_t>(batch), WaferResult{});
     exec::parallel_reduce(
-        pool, batch, kWaferGrain, [] { return RampScratch{}; },
-        [&](std::int64_t begin, std::int64_t end, RampScratch& scratch) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            const std::int64_t global = done + i;  // cross-checkpoint wafer index
-            robust::inject(kWaferFaultSite, static_cast<std::uint64_t>(global));
-            const double density = curve.density_at(static_cast<double>(global));
-            if (!scratch.field || density != scratch.density) {
+        pool, batch, kWaferGrain, chunk_histogram,
+        [&](std::int64_t begin, std::int64_t end, std::vector<std::int64_t>& histogram) {
+          // Consecutive wafers at an (effectively) unchanged
+          // learning-curve density share one defect field instead of
+          // rebuilding it per wafer.  Seeds and fault sites take the
+          // cross-checkpoint wafer index.
+          std::optional<defect::DefectField> field;
+          double field_density = -1.0;
+          const auto field_at = [&](std::int64_t wafer) -> const defect::DefectField& {
+            const double density = curve.density_at(static_cast<double>(wafer));
+            if (!field || density != field_density) {
               defect::DefectFieldParams params = config_.field;
               params.density_per_cm2 = density;
-              scratch.field.emplace(config_.wafer, config_.sizes, params);
-              scratch.density = density;
+              field.emplace(config_.wafer, config_.sizes, params);
+              field_density = density;
             }
-            exec::SplitMix64 rng(
-                exec::SeedSequence::for_task(seed, static_cast<std::uint64_t>(global)));
-            simulate_wafer(rng, *scratch.field, lot.wafers[static_cast<std::size_t>(i)],
-                           scratch.wafer);
-          }
+            return *field;
+          };
+          simulate_range(done + begin, done + end, seed, field_at, lot.wafers.data() + begin,
+                         histogram);
         },
-        [&](RampScratch&& scratch) {
-          finalize_lot(lot, std::move(scratch.wafer.histogram));
-        });
+        [&](const std::vector<std::int64_t>& h) { fold_histogram(lot.fault_histogram, h); });
     total_up(lot);
     checkpoints.push_back(std::move(lot));
     done += batch;

@@ -102,8 +102,11 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
     const std::int64_t done = computed.load(std::memory_order_relaxed);
     if (record.empty() || done == published) return;
     obs::ObsSpan span("robust.checkpoint");
+    // Lend the blobs to the record for the write and take them back
+    // after it, failed or not.  Waves run between publishes, so no chunk
+    // task touches result.chunks meanwhile.
     Checkpoint ckpt = expected;
-    ckpt.chunks = result.chunks;  // copy: blobs stay owned by the result
+    ckpt.chunks.swap(result.chunks);
     try {
       const std::size_t bytes = save_checkpoint(record, ckpt);
       span.arg("bytes", static_cast<std::uint64_t>(bytes));
@@ -124,6 +127,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
         errors.add();
       }
     }
+    result.chunks.swap(ckpt.chunks);
   };
 
   const auto run_one_chunk = [&](std::int64_t chunk) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/economics.hpp"
 #include "nanocost/fabsim/simulator.hpp"
 #include "nanocost/yield/models.hpp"
@@ -18,14 +24,14 @@ defect::WireArray reference_pattern() {
   return defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50};
 }
 
-FabSimulator make_simulator(double density, bool clustered = false,
-                            double alpha = 2.0) {
+FabSimulator make_simulator(double density, bool clustered = false, double alpha = 2.0,
+                            geometry::WaferSpec wafer = geometry::WaferSpec::mm200(),
+                            double die_mm = 12.0) {
   defect::DefectFieldParams field;
   field.density_per_cm2 = density;
   field.clustered = clustered;
   field.cluster_alpha = alpha;
-  return FabSimulator{FabConfig{geometry::WaferSpec::mm200(),
-                      geometry::DieSize{Millimeters{12.0}, Millimeters{12.0}},
+  return FabSimulator{FabConfig{wafer, geometry::DieSize{Millimeters{die_mm}, Millimeters{die_mm}},
                       defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}),
                       field, reference_pattern()}};
 }
@@ -183,6 +189,107 @@ TEST(Simulator, SnapshotFaultsMatchesMapSites) {
   // Deterministic per seed.
   EXPECT_EQ(sim.snapshot_faults(5), faults);
   EXPECT_NE(sim.snapshot_faults(6), faults);
+}
+
+/// Every output of a run, flattened for exact comparison: each wafer's
+/// fields, then the die fault histogram, then the totals.
+std::vector<std::int64_t> flatten(const WaferResult* wafers, std::size_t n,
+                                  const std::vector<std::int64_t>& histogram,
+                                  std::int64_t total_dies = 0, std::int64_t good_dies = 0) {
+  std::vector<std::int64_t> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.insert(out.end(), {wafers[i].gross_dies, wafers[i].good_dies, wafers[i].defects,
+                           wafers[i].defects_on_dies});
+  }
+  out.insert(out.end(), histogram.begin(), histogram.end());
+  out.insert(out.end(), {total_dies, good_dies});
+  return out;
+}
+
+TEST(Simulator, ThreadScratchReuseIsInvisible) {
+  // Wafer columns belong to the thread, so each call below inherits what
+  // the one before left in them: other die counts, other densities, and
+  // wafers past the retention cap.  Each must equal the same call on a
+  // fresh thread, whose columns start empty.
+  exec::ThreadPool serial(1);  // run() inline on the calling thread
+  const auto mm300 = geometry::WaferSpec::mm300();
+  const FabSimulator dense = make_simulator(3.0, true, 2.0, mm300, 13.0);
+  const FabSimulator small_dies = make_simulator(1.0, false, 2.0, geometry::WaferSpec::mm200(),
+                                                 4.0);
+  const FabSimulator sparse = make_simulator(0.3, true, 0.5, geometry::WaferSpec::mm150(), 20.0);
+  const FabSimulator huge = make_simulator(200.0, false, 2.0, mm300, 13.0);
+
+  const auto units = [](const FabSimulator& sim, std::int64_t begin, std::int64_t end,
+                        std::uint64_t seed) {
+    return [&sim, begin, end, seed] {
+      std::vector<WaferResult> wafers(static_cast<std::size_t>(end - begin));
+      std::vector<std::int64_t> histogram;
+      sim.run_units(begin, end, seed, wafers.data(), histogram);
+      return flatten(wafers.data(), wafers.size(), histogram);
+    };
+  };
+  const auto run = [&serial](const FabSimulator& sim, std::int64_t n, std::uint64_t seed) {
+    return [&sim, &serial, n, seed] {
+      const LotResult lot = sim.run(n, seed, &serial);
+      return flatten(lot.wafers.data(), lot.wafers.size(), lot.fault_histogram,
+                     lot.total_dies, lot.good_dies);
+    };
+  };
+  const std::vector<std::function<std::vector<std::int64_t>()>> calls = {
+      units(dense, 0, 6, 11),  run(small_dies, 5, 12), units(huge, 2, 4, 13),
+      run(sparse, 7, 14),      units(small_dies, 1, 4, 15), run(dense, 9, 16),
+      run(huge, 2, 17),        units(sparse, 3, 9, 18),     units(dense, 5, 6, 19),
+  };
+  for (std::size_t c = 0; c < calls.size(); ++c) {
+    const std::vector<std::int64_t> reused = calls[c]();
+    std::vector<std::int64_t> fresh;
+    std::thread([&] { fresh = calls[c](); }).join();
+    EXPECT_EQ(reused, fresh) << "call " << c;
+  }
+
+  // The huge configuration really does pass the cap.
+  WaferResult wafer;
+  std::vector<std::int64_t> histogram;
+  huge.run_units(0, 1, 13, &wafer, histogram);
+  EXPECT_GT(static_cast<std::size_t>(wafer.defects) * sizeof(double),
+            2 * FabSimulator::kRetainedColumnBytes);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// This process's peak resident set (VmHWM) in KiB; 0 when unreadable.
+std::int64_t peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(Simulator, LotMemoryIsBoundedByThreadsNotWafers) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators hold on to freed memory";
+  exec::ThreadPool pool(4);
+  const FabSimulator sim = make_simulator(3.0, true, 2.0, geometry::WaferSpec::mm300(), 13.0);
+  const std::int64_t before = peak_rss_kib();
+  if (before == 0) GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  const LotResult lot = sim.run(2000, 7, &pool);
+  const std::int64_t growth_kib = peak_rss_kib() - before;
+  ASSERT_EQ(lot.wafers.size(), 2000u);
+  // Four lanes' columns (under 1 MiB each for this lot) and 500 small
+  // chunk histograms.  A column set per chunk, kept until the merge,
+  // grows this lot's peak by over 100 MiB.
+  EXPECT_LT(growth_kib, 16 * 1024);
 }
 
 TEST(Economics, RejectsEmptyLots) {
