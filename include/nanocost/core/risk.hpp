@@ -51,8 +51,10 @@ struct RiskResult final {
 /// C_tr of scenario `index` at density s_d: one lognormal/clamped-normal
 /// draw of the eq.-4 inputs priced through the cost model.  A pure
 /// function of (inputs, s_d, seed, index) -- the same scenario no matter
-/// which thread, grid point, or campaign chunk evaluates it.  This is
-/// the unit kernel monte_carlo_cost and core::RiskCampaign both run.
+/// which thread, grid point, or campaign chunk evaluates it.  The scalar
+/// reference: no entry point prices scenarios with it directly, but
+/// risk_sample_cost_batch falls back to it for inputs or draws the cost
+/// model rejects, so its exceptions surface unchanged.
 [[nodiscard]] double risk_sample_cost(const UncertainInputs& inputs, double s_d,
                                       std::uint64_t seed, std::uint64_t index);
 
@@ -62,8 +64,10 @@ struct RiskResult final {
 /// scenarios -- the eq.-6 pow() terms, validation, the seed derivation
 /// -- and draws the per-scenario uniforms through the vectorized
 /// rng_batch columns; only the transcendental tail (log/sincos/exp of
-/// the Gaussian draws) stays scalar, in all paths.  This is the kernel
-/// monte_carlo_cost and robust_sd actually run per chunk.
+/// the Gaussian draws) stays scalar, in all paths.  The one kernel that
+/// prices scenarios: monte_carlo_cost, monte_carlo_cost_partial (the
+/// served risk job), robust_sd and robust_sd_partial run it per chunk,
+/// and core::RiskCampaign::run_chunk per campaign chunk.
 void risk_sample_cost_batch(const UncertainInputs& inputs, double s_d, std::uint64_t seed,
                             std::uint64_t index0, std::size_t n, double* out);
 

@@ -3,7 +3,8 @@
 // RiskCampaign adapts the eq.-4 uncertainty propagation to the
 // robust::CampaignRunner contract: one unit = one scenario, and a chunk
 // blob is the raw vector of sampled costs.  Scenario i is a pure
-// function of (inputs, s_d, seed, i) via risk_sample_cost, so a resumed
+// function of (inputs, s_d, seed, i), priced by the same
+// risk_sample_cost_batch kernel as monte_carlo_cost, so a resumed
 // campaign reproduces monte_carlo_cost bitwise when complete; a
 // degraded one summarizes the completed scenarios only and widens the
 // mean confidence interval accordingly.
@@ -53,10 +54,10 @@ struct PartialRisk final {
                                                    double die_budget = 0.0,
                                                    exec::ThreadPool* pool = nullptr);
 
-/// CampaignTask over risk_sample_cost.
+/// CampaignTask over risk_sample_cost_batch.
 class RiskCampaign final : public robust::CampaignTask {
  public:
-  /// Samples per chunk; matches monte_carlo_cost's parallel grain.
+  /// Samples per chunk, here and in monte_carlo_cost's parallel loop.
   static constexpr std::int64_t kGrain = 128;
 
   RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64_t samples,

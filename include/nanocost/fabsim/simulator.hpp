@@ -27,6 +27,10 @@ namespace nanocost::exec {
 class ThreadPool;
 }
 
+namespace nanocost::robust {
+class CancelToken;
+}
+
 namespace nanocost::fabsim {
 
 /// Probability that a defect of a given size landing uniformly on the
@@ -242,6 +246,14 @@ class FabSimulator final {
   /// O(threads), not O(chunks); every column is rewritten for each wafer.
   struct WaferScratch;
   [[nodiscard]] static WaferScratch& thread_scratch() noexcept;
+
+  /// The lot loop behind run (an invalid token) and run_partial (the
+  /// ambient one): every wafer at the configured density, in chunks of
+  /// wafers under `token`, inside one `span_name` span.  Wafers at and
+  /// beyond the chunk frontier are left default.
+  [[nodiscard]] PartialLot run_lot(const char* span_name, std::int64_t n_wafers,
+                                   std::uint64_t seed, exec::ThreadPool* pool,
+                                   const robust::CancelToken& token) const;
 
   /// Wafers [begin, end) of the run seeded with `seed`, serially on the
   /// calling thread's scratch: wafer i is sampled from field_at(i),

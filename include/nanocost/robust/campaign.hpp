@@ -86,12 +86,6 @@ struct CampaignOptions final {
   /// pending, and the result comes back with `expired` set -- resumable
   /// exactly like a killed run.
   CancelToken cancel;
-  /// Soft per-wave wall-clock deadline in ms (0 disables).  A wave that
-  /// overruns it halves the next wave's chunk count (floor 1), tightening
-  /// the persistence/cancellation cadence under overload; a wave back
-  /// under it restores `wave_chunks`.  Purely a scheduling knob -- chunk
-  /// results are unaffected.
-  double wave_soft_deadline_ms = 0.0;
   /// Base backoff before retry attempt a: sleep retry_backoff_ms *
   /// 2^(a-1) ms (0 disables).  A backoff that does not fit in the
   /// remaining cancel-token budget is not taken: the chunk abandons its

@@ -66,9 +66,8 @@ struct Deadline final {
 };
 
 /// Shared cancellation handle.  Copies observe the same flag.  A
-/// default-constructed token is *invalid*: it never trips, and
-/// cancellation-aware loops that receive one run the plain
-/// (zero-overhead) path.
+/// default-constructed token is *invalid*: it never trips, and the
+/// chunk loops (exec/parallel.hpp) never poll it.
 class CancelToken final {
  public:
   CancelToken() = default;

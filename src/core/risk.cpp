@@ -6,12 +6,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/rng_batch.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
+#include "risk_sampler.hpp"
 
 namespace nanocost::core {
 
@@ -55,25 +57,34 @@ double select_percentile(std::vector<double>& v, std::size_t& from, double q) {
   return below * (1.0 - t) + above * t;
 }
 
-/// Samples per parallel chunk; the chunk grid depends only on the
-/// sample count, so results are thread-count invariant.
-constexpr std::int64_t kSampleGrain = 128;
+}  // namespace
 
-std::vector<double> sample_costs(const UncertainInputs& inputs, double s_d, int samples,
-                                 std::uint64_t seed, exec::ThreadPool* pool) {
+namespace detail {
+
+SampledCosts sample_costs(const UncertainInputs& inputs, double s_d, int samples,
+                          std::uint64_t seed, exec::ThreadPool* pool,
+                          const robust::CancelToken& token) {
   if (samples < 10) {
     throw std::invalid_argument("risk analysis needs at least 10 samples");
   }
-  std::vector<double> costs(static_cast<std::size_t>(samples));
-  exec::parallel_for(pool, samples, kSampleGrain, [&](std::int64_t begin, std::int64_t end) {
-    risk_sample_cost_batch(inputs, s_d, seed, static_cast<std::uint64_t>(begin),
-                           static_cast<std::size_t>(end - begin),
-                           costs.data() + begin);
-  });
-  return costs;
+  // The chunk grid depends only on the sample count, so the costs are
+  // thread-count invariant.
+  SampledCosts out;
+  out.costs.resize(static_cast<std::size_t>(samples));
+  out.status = exec::parallel_for(
+      pool, samples, RiskCampaign::kGrain,
+      [&](std::int64_t begin, std::int64_t end) {
+        risk_sample_cost_batch(inputs, s_d, seed, static_cast<std::uint64_t>(begin),
+                               static_cast<std::size_t>(end - begin),
+                               out.costs.data() + begin);
+      },
+      token);
+  out.costs.resize(static_cast<std::size_t>(
+      std::min<std::int64_t>(samples, out.status.frontier * RiskCampaign::kGrain)));
+  return out;
 }
 
-}  // namespace
+}  // namespace detail
 
 void append_uncertain_inputs(cache::KeyBuilder& key, const UncertainInputs& in) {
   append_eq4_inputs(key, in.nominal);
@@ -247,7 +258,7 @@ RiskResult summarize_cost_samples(std::vector<double> costs, const UncertainInpu
 RiskResult monte_carlo_cost(const UncertainInputs& inputs, double s_d, int samples,
                             std::uint64_t seed, double die_budget,
                             exec::ThreadPool* pool) {
-  std::vector<double> costs = sample_costs(inputs, s_d, samples, seed, pool);
+  std::vector<double> costs = detail::sample_costs(inputs, s_d, samples, seed, pool).costs;
   // risk -> consumer boundary: a NaN sample (model escape or injected
   // poison) must surface as a named diagnostic, not as a NaN mean that
   // silently corrupts every quantile and optimizer decision downstream.
@@ -280,16 +291,20 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
   // index) only -- every grid point prices the identical scenario set.
   // The nested sample_costs loop runs inline on the worker lane.
   std::vector<double> quantile_cost(grid.size());
-  const exec::LoopStatus status = exec::parallel_for_cancellable(
-      pool, steps, 1, token, [&](std::int64_t begin, std::int64_t end) {
+  const exec::LoopStatus status = exec::parallel_for(
+      pool, steps, 1,
+      [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           std::vector<double> costs =
-              sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool);
+              detail::sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed,
+                                   pool)
+                  .costs;
           std::size_t placed = 0;
           quantile_cost[static_cast<std::size_t>(i)] =
               select_percentile(costs, placed, quantile);
         }
-      });
+      },
+      token);
 
   // risk -> optimizer boundary: the sweep must not pick an optimum off
   // a poisoned quantile.  Only the completed prefix is trusted.
@@ -315,8 +330,8 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
 RobustOptimum robust_sd(const UncertainInputs& inputs, double quantile, double lo,
                         double hi, int steps, int samples, std::uint64_t seed,
                         exec::ThreadPool* pool) {
-  // An invalid token never cancels: the loop delegates to the plain
-  // parallel_for and the frontier always spans the whole grid.
+  // An invalid token never cancels: the frontier always spans the
+  // whole grid.
   return robust_sd_impl(inputs, quantile, lo, hi, steps, samples, seed, pool,
                         robust::CancelToken{})
       .best;

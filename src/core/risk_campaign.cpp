@@ -1,15 +1,30 @@
 #include "nanocost/core/risk_campaign.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "nanocost/cache/bytes.hpp"
 #include "nanocost/cache/hash.hpp"
-#include "nanocost/exec/parallel.hpp"
+#include "nanocost/robust/cancel.hpp"
 #include "nanocost/robust/finite_guard.hpp"
+#include "risk_sampler.hpp"
 
 namespace nanocost::core {
+
+namespace {
+
+/// Fills out.result and the 95% CI on its mean from `costs` (needs at
+/// least 2): fewer survivors, wider interval.
+void summarize_into(PartialRisk& out, std::vector<double> costs, const UncertainInputs& inputs,
+                    double die_budget) {
+  const double n = static_cast<double>(costs.size());
+  out.result = summarize_cost_samples(std::move(costs), inputs, die_budget);
+  const double half_width = 1.96 * out.result.stddev / std::sqrt(n);
+  out.mean_ci_lo = out.result.mean - half_width;
+  out.mean_ci_hi = out.result.mean + half_width;
+}
+
+}  // namespace
 
 RiskCampaign::RiskCampaign(const UncertainInputs& inputs, double s_d, std::int64_t samples,
                            std::uint64_t seed, double die_budget)
@@ -30,10 +45,8 @@ std::uint64_t RiskCampaign::config_fingerprint() const {
 void RiskCampaign::run_chunk(std::int64_t begin, std::int64_t end,
                              std::vector<std::uint8_t>& blob) const {
   std::vector<double> costs(static_cast<std::size_t>(end - begin));
-  for (std::int64_t i = begin; i < end; ++i) {
-    costs[static_cast<std::size_t>(i - begin)] =
-        risk_sample_cost(inputs_, s_d_, seed_, static_cast<std::uint64_t>(i));
-  }
+  risk_sample_cost_batch(inputs_, s_d_, seed_, static_cast<std::uint64_t>(begin), costs.size(),
+                         costs.data());
   // A NaN here (model escape or injected poison) fails the chunk, which
   // the engine retries or quarantines -- never serialized.
   robust::check_finite_range(costs.data(), costs.size(), "risk.sample_chunk");
@@ -63,49 +76,23 @@ PartialRisk RiskCampaign::assemble(const robust::CampaignResult& result) const {
       break;
     }
   }
-  out.result = summarize_cost_samples(std::move(costs), inputs_, die_budget_);
-  const double n = static_cast<double>(out.completed_samples);
-  const double half_width = 1.96 * out.result.stddev / std::sqrt(n);
-  out.mean_ci_lo = out.result.mean - half_width;
-  out.mean_ci_hi = out.result.mean + half_width;
+  summarize_into(out, std::move(costs), inputs_, die_budget_);
   return out;
 }
 
 PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, int samples,
                                      std::uint64_t seed, double die_budget,
                                      exec::ThreadPool* pool) {
-  if (samples < 10) {
-    throw std::invalid_argument("risk analysis needs at least 10 samples");
-  }
-  const robust::CancelToken token = robust::current_cancel_token();
-  std::vector<double> costs(static_cast<std::size_t>(samples));
-  const exec::LoopStatus status = exec::parallel_for_cancellable(
-      pool, samples, RiskCampaign::kGrain, token,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          costs[static_cast<std::size_t>(i)] =
-              risk_sample_cost(inputs, s_d, seed, static_cast<std::uint64_t>(i));
-        }
-      });
-
+  detail::SampledCosts sampled = detail::sample_costs(inputs, s_d, samples, seed, pool,
+                                                      robust::current_cancel_token());
+  robust::check_finite_range(sampled.costs.data(), sampled.costs.size(), "risk.samples");
   PartialRisk out;
-  // Samples at/after the frontier may have run out of order; only the
-  // contiguous prefix is summarized, so the result is a pure function
-  // of the frontier.
-  const std::int64_t completed = std::min<std::int64_t>(
-      samples, status.frontier * RiskCampaign::kGrain);
-  costs.resize(static_cast<std::size_t>(completed));
-  robust::check_finite_range(costs.data(), costs.size(), "risk.samples");
-  out.completed_samples = completed;
-  out.completeness = status.completeness();
-  out.frontier_chunks = status.frontier;
-  out.cancelled = status.cancelled;
-  if (completed >= 2) {
-    out.result = summarize_cost_samples(std::move(costs), inputs, die_budget);
-    const double n = static_cast<double>(completed);
-    const double half_width = 1.96 * out.result.stddev / std::sqrt(n);
-    out.mean_ci_lo = out.result.mean - half_width;
-    out.mean_ci_hi = out.result.mean + half_width;
+  out.completed_samples = static_cast<std::int64_t>(sampled.costs.size());
+  out.completeness = sampled.status.completeness();
+  out.frontier_chunks = sampled.status.frontier;
+  out.cancelled = sampled.status.cancelled;
+  if (out.completed_samples >= 2) {
+    summarize_into(out, std::move(sampled.costs), inputs, die_budget);
   }
   return out;
 }

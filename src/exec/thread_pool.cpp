@@ -160,12 +160,6 @@ ThreadPool::~ThreadPool() {
 int ThreadPool::thread_count() const noexcept { return impl_->lanes; }
 
 void ThreadPool::run_tasks(std::int64_t n_tasks,
-                           const std::function<void(std::int64_t)>& task) {
-  static const std::function<bool()> never;
-  run_tasks(n_tasks, task, never);
-}
-
-void ThreadPool::run_tasks(std::int64_t n_tasks,
                            const std::function<void(std::int64_t)>& task,
                            const std::function<bool()>& cancelled) {
   if (n_tasks <= 0) return;

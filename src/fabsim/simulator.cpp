@@ -502,54 +502,31 @@ void total_up(LotResult& lot) {
 
 }  // namespace
 
-LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
-                            exec::ThreadPool* pool) const {
+PartialLot FabSimulator::run_lot(const char* span_name, std::int64_t n_wafers,
+                                 std::uint64_t seed, exec::ThreadPool* pool,
+                                 const robust::CancelToken& token) const {
   if (n_wafers < 1) {
     throw std::invalid_argument("lot needs at least one wafer");
   }
-  obs::ObsSpan span("fabsim.lot");
+  obs::ObsSpan span(span_name);
   span.arg("wafers", static_cast<std::uint64_t>(n_wafers));
-  const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
-
-  LotResult lot;
-  lot.fault_histogram.assign(4, 0);
-  lot.wafers.assign(static_cast<std::size_t>(n_wafers), WaferResult{});
-  exec::parallel_reduce(
-      pool, n_wafers, kWaferGrain, chunk_histogram,
-      [&](std::int64_t begin, std::int64_t end, std::vector<std::int64_t>& histogram) {
-        simulate_range(begin, end, seed, same_field(field), lot.wafers.data() + begin,
-                       histogram);
-      },
-      [&](const std::vector<std::int64_t>& h) { fold_histogram(lot.fault_histogram, h); });
-  total_up(lot);
-  return lot;
-}
-
-PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
-                                     exec::ThreadPool* pool) const {
-  if (n_wafers < 1) {
-    throw std::invalid_argument("lot needs at least one wafer");
-  }
-  obs::ObsSpan span("fabsim.lot_partial");
-  span.arg("wafers", static_cast<std::uint64_t>(n_wafers));
-  const robust::CancelToken token = robust::current_cancel_token();
   const defect::DefectField field(config_.wafer, config_.sizes, config_.field);
 
   PartialLot out;
   LotResult& lot = out.lot;
   lot.fault_histogram.assign(4, 0);
   lot.wafers.assign(static_cast<std::size_t>(n_wafers), WaferResult{});
-  const exec::LoopStatus status = exec::parallel_reduce_cancellable(
-      pool, n_wafers, kWaferGrain, token, chunk_histogram,
+  const exec::LoopStatus status = exec::parallel_reduce(
+      pool, n_wafers, kWaferGrain, chunk_histogram,
       [&](std::int64_t begin, std::int64_t end, std::vector<std::int64_t>& histogram) {
         simulate_range(begin, end, seed, same_field(field), lot.wafers.data() + begin,
                        histogram);
       },
-      [&](const std::vector<std::int64_t>& h) { fold_histogram(lot.fault_histogram, h); });
+      [&](const std::vector<std::int64_t>& h) { fold_histogram(lot.fault_histogram, h); },
+      token);
   // Wafers at/after the frontier may have run out of order; discard them
   // so the lot is a pure function of the frontier.
-  const std::int64_t completed =
-      std::min(n_wafers, status.frontier * kWaferGrain);
+  const std::int64_t completed = std::min(n_wafers, status.frontier * kWaferGrain);
   for (std::int64_t i = completed; i < n_wafers; ++i) {
     lot.wafers[static_cast<std::size_t>(i)] = WaferResult{};
   }
@@ -559,6 +536,16 @@ PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
   out.frontier_chunks = status.frontier;
   out.cancelled = status.cancelled;
   return out;
+}
+
+LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
+                            exec::ThreadPool* pool) const {
+  return run_lot("fabsim.lot", n_wafers, seed, pool, robust::CancelToken{}).lot;
+}
+
+PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
+                                     exec::ThreadPool* pool) const {
+  return run_lot("fabsim.lot_partial", n_wafers, seed, pool, robust::current_cancel_token());
 }
 
 void FabSimulator::run_units(std::int64_t begin, std::int64_t end, std::uint64_t seed,

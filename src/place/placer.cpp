@@ -324,8 +324,9 @@ MultistartOutcome multistart_impl(const Netlist& netlist, std::int32_t rows,
   // One task per start; each start's seed and initial placement are
   // pure functions of (params.seed, start index), so the fan-out is
   // bitwise thread-count-invariant.
-  const exec::LoopStatus status = exec::parallel_for_cancellable(
-      pool, starts, 1, token, [&](std::int64_t begin, std::int64_t end) {
+  const exec::LoopStatus status = exec::parallel_for(
+      pool, starts, 1,
+      [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           obs::ObsSpan start_span("place.start");
           start_span.arg("start", static_cast<std::uint64_t>(i));
@@ -342,7 +343,8 @@ MultistartOutcome multistart_impl(const Netlist& netlist, std::int32_t rows,
                 anneal_impl(netlist, rows, cols, task, nullptr, &random_start);
           }
         }
-      });
+      },
+      token);
 
   const std::int32_t usable = static_cast<std::int32_t>(status.frontier);
   if (usable == 0) {

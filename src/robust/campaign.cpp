@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -200,10 +201,8 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
   };
 
   exec::ThreadPool& pool = exec::pool_or_global(options.pool);
-  // The wave size adapts under the soft deadline (overrun: halve, back
-  // under: restore) but never changes which chunks run or what they
-  // produce -- only the checkpoint / cancellation-check cadence.
-  std::int64_t next_wave_chunks = options.wave_chunks;
+  std::function<bool()> cancelled;
+  if (token.valid()) cancelled = [&token] { return token.expired(); };
   std::int64_t wave_start = 0;
   while (wave_start < budget) {
     if (token.valid() && token.expired()) {
@@ -217,35 +216,23 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
         deadline_gauge.set(remaining);
       }
     }
-    const std::int64_t wave = std::min(next_wave_chunks, budget - wave_start);
+    const std::int64_t wave = std::min(options.wave_chunks, budget - wave_start);
     obs::ObsSpan wave_span("robust.wave");
     wave_span.arg("chunks", static_cast<std::uint64_t>(wave));
-    const bool timed = obs::metrics_enabled() || options.wave_soft_deadline_ms > 0.0;
+    const bool timed = obs::metrics_enabled();
     const auto wave_t0 = timed ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
-    const auto wave_task = [&](std::int64_t t) {
-      run_one_chunk(pending[static_cast<std::size_t>(wave_start + t)]);
-    };
-    if (token.valid()) {
-      pool.run_tasks(wave, wave_task, [&token] { return token.expired(); });
-    } else {
-      pool.run_tasks(wave, wave_task);
-    }
-    const double wave_elapsed_ms =
-        timed ? std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wave_t0)
-                    .count()
-              : 0.0;
-    if (obs::metrics_enabled()) {
+    pool.run_tasks(
+        wave,
+        [&](std::int64_t t) { run_one_chunk(pending[static_cast<std::size_t>(wave_start + t)]); },
+        cancelled);
+    if (timed) {
       static obs::Histogram& wave_ms = obs::histogram("robust.wave_ms");
-      wave_ms.record(static_cast<std::uint64_t>(wave_elapsed_ms));
+      wave_ms.record(static_cast<std::uint64_t>(
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wave_t0)
+              .count()));
       static obs::Counter& waves = obs::counter("robust.waves");
       waves.add();
-    }
-    if (options.wave_soft_deadline_ms > 0.0) {
-      next_wave_chunks = wave_elapsed_ms > options.wave_soft_deadline_ms
-                             ? std::max<std::int64_t>(1, wave / 2)
-                             : options.wave_chunks;
     }
     publish();
     wave_start += wave;

@@ -12,6 +12,7 @@
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/exec/thread_pool.hpp"
+#include "nanocost/obs/metrics.hpp"
 
 namespace nanocost::exec {
 namespace {
@@ -299,10 +300,12 @@ TEST(ThreadPoolCancel, ExceptionWinsOverCancellation) {
 TEST(ParallelForCancellable, InvalidTokenRunsEverything) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  const LoopStatus status = parallel_for_cancellable(
-      &pool, 1000, 32, robust::CancelToken{}, [&](std::int64_t begin, std::int64_t end) {
+  const LoopStatus status = parallel_for(
+      &pool, 1000, 32,
+      [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) hits[static_cast<std::size_t>(i)]++;
-      });
+      },
+      robust::CancelToken{});
   EXPECT_TRUE(status.complete());
   EXPECT_FALSE(status.cancelled);
   EXPECT_EQ(status.total_chunks, chunk_count(1000, 32));
@@ -314,15 +317,70 @@ TEST(ParallelForCancellable, FrontierIsTheFirstIncompleteChunk) {
   for (const int threads : {1, 2, hw}) {
     ThreadPool pool(threads);
     robust::CancelToken token = robust::CancelToken::manual();
-    const LoopStatus status = parallel_for_cancellable(
-        &pool, 640, 8, token, [&](std::int64_t begin, std::int64_t) {
+    const LoopStatus status = parallel_for(
+        &pool, 640, 8,
+        [&](std::int64_t begin, std::int64_t) {
           if (begin >= 160) token.cancel();  // chunk 20 onward trips it
-        });
+        },
+        token);
     EXPECT_TRUE(status.cancelled) << "threads " << threads;
     EXPECT_FALSE(status.complete());
     EXPECT_GE(status.frontier, 0);
     EXPECT_LT(status.frontier, status.total_chunks);
   }
+}
+
+TEST(ParallelForCancellable, ALoopThatFinishesEveryChunkIsNotCancelled) {
+  // The last chunk trips the token while it runs: every chunk still
+  // completed, so the loop is complete, not cancelled, and no cancelled
+  // loop is counted.
+  obs::set_metrics_enabled(true);
+  const std::uint64_t loops_before = obs::counter_value("robust.cancelled_loops");
+  ThreadPool pool(1);
+  robust::CancelToken token = robust::CancelToken::manual();
+  const LoopStatus status = parallel_for(
+      &pool, 64, 8,
+      [&](std::int64_t begin, std::int64_t) {
+        if (begin == 56) token.cancel();
+      },
+      token);
+  EXPECT_TRUE(token.expired());
+  EXPECT_EQ(status.total_chunks, 8);
+  EXPECT_EQ(status.frontier, 8);
+  EXPECT_TRUE(status.complete());
+  EXPECT_FALSE(status.cancelled);
+  EXPECT_EQ(obs::counter_value("robust.cancelled_loops"), loops_before);
+  obs::set_metrics_enabled(false);
+}
+
+TEST(ParallelFor, ExecCountersFollowTheLoopShape) {
+  // BENCH_perf.json's obs blocks and the trace smoke read these: a
+  // tokenless single chunk runs on the caller without a pool batch,
+  // anything else is one batch of one task per chunk.
+  obs::set_metrics_enabled(true);
+  ThreadPool pool(4);
+  struct Counts {
+    std::uint64_t batches, tasks, chunks;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto counts = [] {
+    return Counts{obs::counter_value("exec.batches"), obs::counter_value("exec.tasks"),
+                  obs::counter_value("exec.chunks")};
+  };
+  const auto delta = [&](std::int64_t n, const robust::CancelToken& token) {
+    const Counts before = counts();
+    parallel_for(&pool, n, 8, [](std::int64_t, std::int64_t) {}, token);
+    const Counts after = counts();
+    return Counts{after.batches - before.batches, after.tasks - before.tasks,
+                  after.chunks - before.chunks};
+  };
+  const robust::CancelToken none;
+  const robust::CancelToken manual = robust::CancelToken::manual();
+  EXPECT_EQ(delta(8, none), (Counts{0, 0, 1}));
+  EXPECT_EQ(delta(8, manual), (Counts{1, 1, 1}));
+  EXPECT_EQ(delta(64, none), (Counts{1, 8, 8}));
+  EXPECT_EQ(delta(64, manual), (Counts{1, 8, 8}));
+  obs::set_metrics_enabled(false);
 }
 
 TEST(ParallelReduceCancellable, MergesOnlyBelowTheFrontierInOrder) {
@@ -333,13 +391,13 @@ TEST(ParallelReduceCancellable, MergesOnlyBelowTheFrontierInOrder) {
     ThreadPool pool(threads);
     robust::CancelToken token = robust::CancelToken::manual();
     std::vector<std::int64_t> merged;
-    const LoopStatus status = parallel_reduce_cancellable(
-        &pool, 320, 8, token, [] { return std::int64_t{-1}; },
+    const LoopStatus status = parallel_reduce(
+        &pool, 320, 8, [] { return std::int64_t{-1}; },
         [&](std::int64_t begin, std::int64_t, std::int64_t& acc) {
           acc = begin / 8;
           if (begin >= 80) token.cancel();
         },
-        [&](std::int64_t&& acc) { merged.push_back(acc); });
+        [&](std::int64_t&& acc) { merged.push_back(acc); }, token);
     EXPECT_EQ(static_cast<std::int64_t>(merged.size()), status.frontier)
         << "threads " << threads;
     for (std::size_t k = 0; k < merged.size(); ++k) {

@@ -34,6 +34,7 @@
 #include "nanocost/cache/key.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
+#include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/stats.hpp"
 #include "nanocost/robust/backoff.hpp"
@@ -972,6 +973,27 @@ TEST(Deadline, RiskRequestBudgetReturnsATypedResumablePartial) {
   const core::RiskResult partial = cache::decode_risk_result(r.result);
   EXPECT_GT(partial.mean, 0.0);
   EXPECT_GE(partial.p90, partial.p10);
+}
+
+TEST(Deadline, ARiskJobWhoseOnlyChunkFinishesIsComplete) {
+  // 100 samples are one chunk; 1 ms per sample (deterministic latency
+  // fault) makes it ~100 ms, so the 20 ms budget trips while it runs.
+  // The chunk started in time and finished, so the answer is complete:
+  // the direct call's bytes, not a partial.
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("risk.sample",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 1000});
+  robust::install_fault_plan(plan);
+
+  exec::ThreadPool pool(1);
+  const RiskJob job = small_risk(100);
+  const Response r = execute(job, 20.0, &pool);
+  EXPECT_EQ(r.status, ResponseStatus::kOk) << r.message;
+  EXPECT_DOUBLE_EQ(r.completeness, 1.0);
+  EXPECT_EQ(r.frontier_chunks, 1);
+  robust::clear_fault_plan();
+  EXPECT_EQ(r.result, direct_risk_bytes(job));
 }
 
 // ---------------------------------------------------------------------------
