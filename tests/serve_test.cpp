@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -828,7 +829,7 @@ TEST(Overload, RejectNewestShedsPastCapacityDeterministically) {
   EXPECT_EQ(report.campaigns_completed, 1u);
 }
 
-TEST(Overload, DegradeBudgetsAdmitsEverythingPastCapacity) {
+TEST(Overload, DegradeBudgetsShrinksEachLotByCapacityOverOutstanding) {
   PlanGuard guard;
   robust::FaultPlan plan;
   plan.add("fabsim.wafer",
@@ -841,29 +842,37 @@ TEST(Overload, DegradeBudgetsAdmitsEverythingPastCapacity) {
   Server server(options);
   Client client = make_client(server);
 
-  const std::uint64_t blocker_id = client.submit(small_campaign(1, 40));
+  // Four 40-wafer (10-chunk) lots; the three behind the first arrive
+  // while it runs.  Whenever the first was picked up, the others start
+  // with 3, 2 and 1 lots outstanding, so their chunk budgets are
+  // max(1, 10 * capacity / outstanding): 3, 5, and the full 10.
+  const std::uint64_t first_id = client.submit(small_campaign(1, 40));
   std::vector<std::uint64_t> ids;
   for (std::uint64_t seed = 10; seed < 13; ++seed) {
-    ids.push_back(client.submit(small_campaign(seed)));
+    ids.push_back(client.submit(small_campaign(seed, 40)));
   }
-  ids.push_back(blocker_id);
-  int partials = 0;
-  for (const std::uint64_t id : ids) {
-    const Response r = client.wait(id);
-    // Degrade never sheds: every submission gets a result -- complete,
-    // or an honest resumable partial when its budget was shrunk (the
-    // degraded share is never below one chunk).
-    EXPECT_TRUE(r.status == ResponseStatus::kOk || r.status == ResponseStatus::kPartial)
-        << response_status_name(r.status) << ": " << r.message;
+  const std::int64_t expected_frontier[3] = {3, 5, 10};
+  const ResponseStatus expected_status[3] = {ResponseStatus::kPartial, ResponseStatus::kPartial,
+                                             ResponseStatus::kOk};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Response r = client.wait(ids[i]);
+    EXPECT_EQ(r.status, expected_status[i]) << "lot " << i + 1 << ": " << r.message;
+    EXPECT_EQ(r.frontier_chunks, expected_frontier[i]) << "lot " << i + 1;
     EXPECT_FALSE(r.result.empty());
-    EXPECT_GT(r.completeness, 0.0);
-    if (r.status == ResponseStatus::kPartial) ++partials;
   }
-  // The queue was oversubscribed while the blocker ran, so at least one
-  // campaign's budget was actually shrunk.
-  EXPECT_GE(partials, 1);
+  // Degrade never sheds: the first lot gets a result too.
+  const Response first = client.wait(first_id);
+  EXPECT_TRUE(first.status == ResponseStatus::kOk || first.status == ResponseStatus::kPartial)
+      << response_status_name(first.status) << ": " << first.message;
+  EXPECT_FALSE(first.result.empty());
   const DrainReport report = server.shutdown();
   EXPECT_EQ(report.campaigns_shed, 0u);
+}
+
+TEST(Overload, ZeroCapacityIsRejectedAtConstruction) {
+  ServerOptions options;
+  options.campaign_capacity = 0;
+  EXPECT_THROW(Server{options}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -915,6 +924,47 @@ TEST(Drain, ShutdownStopsInFlightCampaignsResumable) {
     EXPECT_EQ(full.status, ResponseStatus::kOk) << full.message;
     EXPECT_GE(full.artifact_hits, static_cast<std::uint64_t>(r.frontier_chunks));
     EXPECT_EQ(full.result, direct_campaign_bytes(big));
+  }
+}
+
+TEST(Drain, ShutdownStopsTheQueuedCampaignsWithoutRunningThem) {
+  // 20 ms wafers on two lanes: the first 40-wafer lot needs ~400 ms, so
+  // it is still running when the 50 ms drain budget runs out, and the
+  // two lots queued behind it never start.
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 20000});
+  robust::install_fault_plan(plan);
+
+  exec::ThreadPool pool(2);
+  ServerOptions options;
+  options.pool = &pool;
+  options.drain_budget_ms = 50.0;
+  Server server(options);
+  Client client = make_client(server);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t seed = 30; seed < 33; ++seed) {
+    ids.push_back(client.submit(small_campaign(seed, 40)));
+  }
+  // The pong follows the three requests on one connection, so all three
+  // are admitted before the drain starts.
+  ASSERT_TRUE(client.ping());
+
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.campaigns_stopped, 3u);
+  EXPECT_EQ(report.campaigns_completed, 0u);
+
+  const Response first = client.wait(ids[0]);
+  EXPECT_EQ(first.status, ResponseStatus::kStopped) << first.message;
+  EXPECT_LT(first.completeness, 1.0);
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    const Response r = client.wait(ids[i]);
+    EXPECT_EQ(r.status, ResponseStatus::kStopped) << r.message;
+    EXPECT_EQ(r.frontier_chunks, 0);
+    EXPECT_DOUBLE_EQ(r.completeness, 0.0);
+    EXPECT_TRUE(r.result.empty());
+    EXPECT_NE(r.message.find("resumable"), std::string::npos) << r.message;
   }
 }
 
