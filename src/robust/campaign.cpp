@@ -90,6 +90,16 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
       options.cancel.valid() ? options.cancel : current_cancel_token();
 
   std::atomic<std::int64_t> retries{0};
+  // Every retry is counted once, in the result and in the counter the
+  // campaign report prints as "chunks retried".
+  const auto count_retries = [&retries](std::int64_t n) {
+    if (n == 0) return;
+    retries.fetch_add(n, std::memory_order_relaxed);
+    if (obs::metrics_enabled()) {
+      static obs::Counter& retried = obs::counter("robust.retries");
+      retried.add(static_cast<std::uint64_t>(n));
+    }
+  };
   // Chunks computed this run; `published` of them are in the record on
   // disk.  The next wave's rewrite carries any a failed publish missed.
   std::atomic<std::int64_t> computed{0};
@@ -144,15 +154,11 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
         if (blob.empty()) {
           throw std::logic_error("campaign chunk produced an empty blob");
         }
-        if (attempt > 0) retries.fetch_add(attempt, std::memory_order_relaxed);
+        count_retries(attempt);
         chunk_span.arg("attempts", static_cast<std::uint64_t>(attempt) + 1);
         if (obs::metrics_enabled()) {
           static obs::Counter& completed = obs::counter("robust.chunks_completed");
           completed.add();
-          if (attempt > 0) {
-            static obs::Counter& retried = obs::counter("robust.retries");
-            retried.add(static_cast<std::uint64_t>(attempt));
-          }
         }
         computed.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -171,7 +177,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
                                   /*multiplier=*/2.0, /*jitter=*/0.0, /*seed=*/0};
       if (backoff.overruns_budget(attempt, token)) {
         blob.clear();
-        retries.fetch_add(attempt, std::memory_order_relaxed);
+        count_retries(attempt);
         chunk_span.arg("abandoned_after", static_cast<std::uint64_t>(attempt) + 1);
         abandoned_retries.store(true, std::memory_order_relaxed);
         if (obs::metrics_enabled()) {
@@ -183,13 +189,11 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
       backoff_sleep(backoff, attempt);
     }
     blob.clear();
-    retries.fetch_add(options.max_attempts - 1, std::memory_order_relaxed);
+    count_retries(options.max_attempts - 1);
     chunk_span.arg("attempts", static_cast<std::uint64_t>(options.max_attempts));
     if (obs::metrics_enabled()) {
       static obs::Counter& quarantined = obs::counter("robust.quarantined");
-      static obs::Counter& retried = obs::counter("robust.retries");
       quarantined.add();
-      retried.add(static_cast<std::uint64_t>(options.max_attempts) - 1);
     }
     ChunkFailure failure;
     failure.chunk = chunk;

@@ -423,6 +423,29 @@ TEST(CampaignDeadline, BackoffThatOverrunsTheBudgetAbandonsRetries) {
   EXPECT_TRUE(result.chunks[2].empty());
 }
 
+TEST(CampaignDeadline, AbandonedRetriesReachTheRetriesCounter) {
+  // Chunk 2 fails every attempt.  The first 500 ms backoff fits the
+  // 1200 ms budget, the second (1000 ms) does not, so the chunk is
+  // abandoned after one retry.  The campaign report prints the counter
+  // as "chunks retried"; it must agree with the result.
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = obs::counter_value("robust.retries");
+  const ToyTask task(40, 4, 2);
+  exec::ThreadPool serial(1);
+  robust::CampaignOptions options;
+  options.pool = &serial;
+  options.max_attempts = 3;
+  options.retry_backoff_ms = 500.0;
+  options.cancel = robust::CancelToken::with_deadline(1200.0);
+  const robust::CampaignResult result = robust::run_campaign(task, options);
+  const std::uint64_t counted = obs::counter_value("robust.retries") - before;
+  obs::set_metrics_enabled(false);
+  EXPECT_TRUE(result.quarantined.empty());
+  EXPECT_TRUE(result.interrupted);
+  EXPECT_EQ(result.retries, 1);
+  EXPECT_EQ(counted, static_cast<std::uint64_t>(result.retries));
+}
+
 TEST(CampaignDeadline, BackoffThatFitsStillQuarantinesAfterMaxAttempts) {
   const ToyTask task(40, 4, 2);
   exec::ThreadPool serial(1);
