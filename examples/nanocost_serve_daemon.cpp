@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy" && has_value) {
       const std::string policy = argv[++i];
       if (policy == "reject") {
-        options.campaign_policy = robust::ShedPolicy::kRejectNewest;
+        options.campaign_policy = serve::ShedPolicy::kRejectNewest;
       } else if (policy == "degrade") {
-        options.campaign_policy = robust::ShedPolicy::kDegradeBudgets;
+        options.campaign_policy = serve::ShedPolicy::kDegradeBudgets;
       } else {
         return usage(argv[0]);
       }
@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
   }
   std::printf("nanocost_serve: ready (workers %d, capacity %zu, %s)\n",
               options.worker_threads, options.campaign_capacity,
-              options.campaign_policy == robust::ShedPolicy::kRejectNewest ? "reject"
-                                                                           : "degrade");
+              options.campaign_policy == serve::ShedPolicy::kRejectNewest ? "reject"
+                                                                          : "degrade");
   std::fflush(stdout);
 
   while (!g_stop.load(std::memory_order_acquire)) {

@@ -8,15 +8,18 @@
 //     worker pool, each under the per-request budget via the
 //     Deadline/CancelToken hierarchy; a slow request returns a typed
 //     resumable partial, never a hung connection;
-//   * campaigns are admitted synchronously -- in arrival order -- into
-//     a robust::CampaignQueue, so overload sheds or degrades
-//     deterministically (acceptance depends only on the submission
-//     sequence), and run one at a time on a dedicated runner thread
-//     with the artifact tier underneath: kill the server mid-campaign,
-//     restart, resubmit, and every chunk of a completed wave replays
-//     from the campaign's record instead of being recomputed;
+//   * campaigns are admitted or shed by the reader as they arrive, into
+//     the server's own FIFO, so overload sheds or degrades
+//     deterministically (acceptance depends only on the arrival
+//     sequence), and run one at a time through robust::run_campaign on
+//     a dedicated runner thread with the artifact tier underneath: kill
+//     the server mid-campaign, restart, resubmit, and every chunk of a
+//     completed wave replays from the campaign's record instead of
+//     being recomputed;
 //   * identical in-flight requests coalesce on their canonical cache
-//     key: one computation, every waiter gets the same bytes.
+//     key: one computation, every waiter gets the same bytes.  Light
+//     jobs and campaigns share one waiter table, and the server keeps
+//     nothing of a job once it has answered it.
 //
 // Failure containment: a malformed frame kills its *connection* with a
 // diagnostic error frame (WireError naming the offense); a semantically
@@ -28,14 +31,17 @@
 // shutdown() is a graceful drain: stop accepting, finish (or, past
 // drain_budget_ms, checkpoint-and-stop) everything in flight, send a
 // final outcome for every admitted request, flush/sweep the artifact
-// tier, and report what happened.
+// tier, and report what happened.  A campaign stopped mid-run answers
+// kStopped with its checkpointed frontier; one still queued answers
+// kStopped without running.  The server never answers a campaign
+// kExpired.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "nanocost/robust/admission.hpp"
 #include "nanocost/robust/artifact_store.hpp"
 
 namespace nanocost::exec {
@@ -44,13 +50,28 @@ class ThreadPool;
 
 namespace nanocost::serve {
 
+/// What the server does with campaigns past campaign_capacity.
+enum class ShedPolicy : std::uint8_t {
+  /// Shed a new campaign at admission, with a message naming the
+  /// capacity, while campaign_capacity are outstanding (queued plus
+  /// running).  A twin of one in flight still coalesces onto it.
+  kRejectNewest,
+  /// Admit every campaign, but one picked up while more than
+  /// campaign_capacity are outstanding runs max(1, chunks * capacity /
+  /// outstanding) chunks, capped by its own max_chunks: an honest,
+  /// resumable partial.  A campaign running alone keeps its full budget.
+  kDegradeBudgets,
+};
+
 struct ServerOptions final {
   /// Worker threads for light jobs (eq4/risk).  Campaigns run on their
   /// own runner thread regardless.
   int worker_threads = 2;
-  /// Campaign admission capacity and policy (robust/admission.hpp).
+  /// Outstanding campaigns (queued plus running) the server is sized
+  /// for, and what it does past them.  Must be >= 1: the constructor
+  /// throws std::invalid_argument otherwise.
   std::size_t campaign_capacity = 4;
-  robust::ShedPolicy campaign_policy = robust::ShedPolicy::kRejectNewest;
+  ShedPolicy campaign_policy = ShedPolicy::kRejectNewest;
   /// Artifact tier root; empty disables persistence.
   std::string artifact_dir;
   /// Byte cap the shutdown sweep enforces on the artifact tier's records

@@ -38,14 +38,12 @@ std::string render_obs_footer() {
     out += line;
   }
   // Overload/deadline lines appear only once those paths have fired --
-  // a process that never shed or expired anything keeps a quiet footer.
-  const std::uint64_t shed = obs::counter_value("robust.shed");
+  // a process that never expired or abandoned anything keeps a quiet
+  // footer.
   const std::uint64_t expired = obs::counter_value("robust.expired");
   const std::uint64_t abandoned = obs::counter_value("robust.retry_abandoned");
-  if (shed > 0 || expired > 0 || abandoned > 0) {
-    std::snprintf(line, sizeof(line),
-                  "    overload: shed %llu, expired %llu, retries abandoned %llu\n",
-                  static_cast<unsigned long long>(shed),
+  if (expired > 0 || abandoned > 0) {
+    std::snprintf(line, sizeof(line), "    overload: expired %llu, retries abandoned %llu\n",
                   static_cast<unsigned long long>(expired),
                   static_cast<unsigned long long>(abandoned));
     out += line;

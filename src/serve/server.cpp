@@ -30,11 +30,14 @@
 
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/hash.hpp"
+#include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/simd.hpp"
 #include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/stats.hpp"
 #include "nanocost/obs/trace.hpp"
+#include "nanocost/robust/campaign.hpp"
+#include "nanocost/robust/cancel.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/serve/jobs.hpp"
 #include "nanocost/serve/wire.hpp"
@@ -243,21 +246,20 @@ struct Server::Impl {
     RiskJob risk;
   };
 
-  /// One admitted campaign awaiting its drain outcome.  The simulator
-  /// and task live here because CampaignQueue holds them by reference;
-  /// the simulator is shared with the simulator cache, which may evict
-  /// it first.
+  /// One admitted campaign, queued or running.  The task runs on the
+  /// simulator, which is shared with the simulator cache because the
+  /// cache may evict it first.
   struct PendingCampaign {
     std::shared_ptr<const fabsim::FabSimulator> sim;
     std::unique_ptr<fabsim::FabLotCampaign> task;
-    std::vector<Waiter> waiters;  ///< [0] owns the computation
+    std::int64_t max_chunks = 0;  ///< the job's own chunk budget; 0 = all
     cache::Digest128 key{};
   };
 
-  explicit Impl(ServerOptions opts)
-      : options(std::move(opts)),
-        queue(robust::AdmissionOptions{options.campaign_capacity, options.campaign_policy,
-                                       0.0, robust::CancelToken{}}) {
+  explicit Impl(ServerOptions opts) : options(std::move(opts)) {
+    if (options.campaign_capacity < 1) {
+      throw std::invalid_argument("serve: campaign_capacity must be >= 1");
+    }
     if (!options.artifact_dir.empty()) {
       store = std::make_unique<robust::ArtifactStore>(options.artifact_dir,
                                                       options.artifact_byte_cap);
@@ -276,6 +278,22 @@ struct Server::Impl {
 
   // ---- wire output -----------------------------------------------------
 
+  /// Writes one frame under the connection's write lock and counts it in
+  /// serve.bytes_out.  A dead connection is skipped, and a failed write
+  /// marks it dead.  Returns whether the frame was written.
+  bool send_frame(Connection& conn, FrameType type, const std::vector<std::uint8_t>& payload) {
+    if (conn.dead.load(std::memory_order_acquire)) return false;
+    try {
+      std::lock_guard<std::mutex> lk(conn.write_mu);
+      write_frame(*conn.stream, type, payload);
+    } catch (const WireError&) {
+      conn.dead.store(true, std::memory_order_release);
+      return false;
+    }
+    if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
+    return true;
+  }
+
   /// Writes one response frame.  For a job response (`job` set) the
   /// request's latency is recorded once the response is encoded and
   /// before the write, so a client that reads its response and then
@@ -285,14 +303,8 @@ struct Server::Impl {
     const std::vector<std::uint8_t> payload = encode_payload(response);
     ServeMetrics* m = serve_metrics();
     if (job && m != nullptr) m->record_latency(*job, response.status, start_us);
-    if (conn->dead.load(std::memory_order_acquire)) return;
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      write_frame(*conn->stream, FrameType::kResponse, payload);
+    if (send_frame(*conn, FrameType::kResponse, payload)) {
       requests_served.fetch_add(1, std::memory_order_relaxed);
-      if (m != nullptr) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
     }
   }
 
@@ -301,14 +313,7 @@ struct Server::Impl {
     cache::ByteWriter w;
     w.u64(request_id);
     w.str(message);
-    const std::vector<std::uint8_t> payload = w.take();
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      write_frame(*conn->stream, FrameType::kErrorFrame, payload);
-      if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
-    }
+    (void)send_frame(*conn, FrameType::kErrorFrame, w.take());
   }
 
   // ---- reader / dispatch -----------------------------------------------
@@ -384,18 +389,9 @@ struct Server::Impl {
       return true;
     }
     switch (frame.type) {
-      case FrameType::kPing: {
-        try {
-          std::lock_guard<std::mutex> lk(conn->write_mu);
-          write_frame(*conn->stream, FrameType::kPong, frame.payload);
-          if (auto* m = serve_metrics()) {
-            m->bytes_out.add(frame.payload.size() + kFrameOverheadBytes);
-          }
-        } catch (const WireError&) {
-          conn->dead.store(true, std::memory_order_release);
-        }
+      case FrameType::kPing:
+        (void)send_frame(*conn, FrameType::kPong, frame.payload);
         return true;
-      }
       case FrameType::kEq4Request:
       case FrameType::kRiskRequest:
         return dispatch_light(conn, frame, request_id, start_us);
@@ -486,17 +482,10 @@ struct Server::Impl {
     ack.request_id = hello.request_id;
     ack.protocol_version = kWireVersion;
     ack.build_version = kServeVersion;
-    const std::vector<std::uint8_t> payload = encode_payload(ack);
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      // Deliberately not counted in requests_served or the latency
-      // histograms: those track job traffic, and a handshake is
-      // connection plumbing.
-      write_frame(*conn->stream, FrameType::kHelloAck, payload);
-      if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
-    }
+    // Deliberately not counted in requests_served or the latency
+    // histograms: those track job traffic, and a handshake is
+    // connection plumbing.
+    (void)send_frame(*conn, FrameType::kHelloAck, encode_payload(ack));
     return true;
   }
 
@@ -523,14 +512,8 @@ struct Server::Impl {
             std::chrono::steady_clock::now() - started)
             .count());
     sr.stats = obs::encode_stats(obs::snapshot_metrics());
-    const std::vector<std::uint8_t> payload = encode_payload(sr);
-    try {
-      std::lock_guard<std::mutex> lk(conn->write_mu);
-      write_frame(*conn->stream, FrameType::kStatsResponse, payload);
+    if (send_frame(*conn, FrameType::kStatsResponse, encode_payload(sr))) {
       requests_served.fetch_add(1, std::memory_order_relaxed);
-      if (auto* m = serve_metrics()) m->bytes_out.add(payload.size() + kFrameOverheadBytes);
-    } catch (const WireError&) {
-      conn->dead.store(true, std::memory_order_release);
     }
     return true;
   }
@@ -638,26 +621,12 @@ struct Server::Impl {
       return true;
     }
     {
-      std::unique_lock<std::mutex> lk(mu);
-      auto it = light_inflight.find(job.key);
-      if (it != light_inflight.end()) {
-        // An identical job is already computing: piggyback.
-        it->second.push_back(Waiter{conn, request_id, start_us, conn->tenant});
-        conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-        coalesced_count.fetch_add(1, std::memory_order_relaxed);
-        ++inflight_waiters;
-        ++coalesced_waiters;
-        if (auto* m = serve_metrics()) {
-          m->coalesced.add();
-          m->publish_waiters(inflight_waiters, coalesced_waiters);
-        }
+      std::lock_guard<std::mutex> lk(mu);
+      // An identical job already computing answers this one too.
+      if (add_waiter_locked(job.key, Waiter{conn, request_id, start_us, conn->tenant})) {
         return true;
       }
-      light_inflight[job.key] = {Waiter{conn, request_id, start_us, conn->tenant}};
       light_queue.push_back(std::move(job));
-      conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-      ++inflight_waiters;
-      if (auto* m = serve_metrics()) m->publish_waiters(inflight_waiters, coalesced_waiters);
     }
     light_cv.notify_one();
     return true;
@@ -665,15 +634,15 @@ struct Server::Impl {
 
   bool dispatch_campaign(const std::shared_ptr<Connection>& conn, const Frame& frame,
                          std::uint64_t request_id, std::uint64_t start_us) {
-    CampaignJob job;
-    std::shared_ptr<const fabsim::FabSimulator> sim;
-    cache::Digest128 key;
+    PendingCampaign pc;
     try {
-      job = decode_campaign_job(frame.payload);
+      const CampaignJob job = decode_campaign_job(frame.payload);
       const fabsim::FabConfig config = simulator_config(job);
       check_defect_bound(config);
-      sim = simulator_for(config);
-      key = job_key(job);
+      pc.sim = simulator_for(config);
+      pc.task = std::make_unique<fabsim::FabLotCampaign>(*pc.sim, job.n_wafers, job.seed);
+      pc.max_chunks = job.max_chunks;
+      pc.key = job_key(job);
     } catch (const std::exception& e) {
       Response r;
       r.request_id = request_id;
@@ -682,92 +651,110 @@ struct Server::Impl {
       send_response(conn, r, JobKind::kCampaign, start_us);
       return true;
     }
-    std::size_t slot = 0;
-    bool admitted = false;
-    Response immediate;
+    // Admission happens here, synchronously in the reader: shed
+    // decisions are a pure function of the request arrival order and of
+    // which earlier campaigns have been answered.
+    std::string shed;  ///< why the campaign is refused; empty when admitted
+    bool queued = false;
     {
-      std::unique_lock<std::mutex> lk(mu);
+      std::lock_guard<std::mutex> lk(mu);
       // The tenant quota gates every submission path -- joining an
       // in-flight twin holds a response slot just like a fresh admit.
       const std::string& tenant = conn->tenant;
-      if (options.tenant_campaign_quota > 0 &&
-          tenant_outstanding[tenant] >= options.tenant_campaign_quota) {
+      const auto held = tenant_outstanding.find(tenant);
+      const std::size_t tenant_held = held == tenant_outstanding.end() ? 0 : held->second;
+      const bool twin = inflight.find(pc.key) != inflight.end();
+      if (options.tenant_campaign_quota > 0 && tenant_held >= options.tenant_campaign_quota) {
         tenant_shed.fetch_add(1, std::memory_order_relaxed);
         if (auto* m = serve_metrics()) {
           m->tenant_shed.add();
           obs::counter("serve.tenant_shed." + (tenant.empty() ? std::string("anonymous") : tenant))
               .add();
         }
-        Response shed;
-        shed.request_id = request_id;
-        shed.status = ResponseStatus::kShed;
-        shed.message = "tenant quota: tenant \"" + tenant + "\" already has " +
-                       std::to_string(tenant_outstanding[tenant]) +
-                       " campaigns in flight (quota " +
-                       std::to_string(options.tenant_campaign_quota) + ")";
-        shed.completeness = 0.0;
-        lk.unlock();
-        send_response(conn, shed, JobKind::kCampaign, start_us);
-        return true;
-      }
-      auto it = campaign_inflight.find(key);
-      if (it != campaign_inflight.end()) {
-        pending.at(it->second).waiters.push_back(Waiter{conn, request_id, start_us, tenant});
-        ++tenant_outstanding[tenant];
-        conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-        coalesced_count.fetch_add(1, std::memory_order_relaxed);
-        ++inflight_waiters;
-        ++coalesced_waiters;
-        if (auto* m = serve_metrics()) {
-          m->coalesced.add();
-          m->publish_waiters(inflight_waiters, coalesced_waiters);
-        }
-        return true;
-      }
-      auto task = std::make_unique<fabsim::FabLotCampaign>(*sim, job.n_wafers, job.seed);
-      robust::CampaignOptions run;
-      // The campaign's record is named by its identity (not max_chunks),
-      // so a budget-limited run and its full resubmission share it.
-      if (store != nullptr) run.artifact_dir = store->dir();
-      run.wave_chunks = options.campaign_wave_chunks;
-      run.max_chunks_this_run = job.max_chunks;
-      run.pool = options.pool;
-      // Admission happens here, synchronously in the reader: shed
-      // decisions are a pure function of the request arrival order.
-      slot = queue.submit(*task, run);
-      const robust::SubmissionOutcome outcome = queue.outcome_copy(slot);
-      if (outcome.status == robust::SubmissionStatus::kShed ||
-          outcome.status == robust::SubmissionStatus::kStopped) {
+        shed = "tenant quota: tenant \"" + tenant + "\" already has " +
+               std::to_string(tenant_held) + " campaigns in flight (quota " +
+               std::to_string(options.tenant_campaign_quota) + ")";
+      } else if (!twin && options.campaign_policy == ShedPolicy::kRejectNewest &&
+                 campaigns.size() >= options.campaign_capacity) {
         campaigns_shed.fetch_add(1, std::memory_order_relaxed);
         if (auto* m = serve_metrics()) m->shed.add();
-        immediate.request_id = request_id;
-        immediate.status = outcome.status == robust::SubmissionStatus::kShed
-                               ? ResponseStatus::kShed
-                               : ResponseStatus::kStopped;
-        immediate.message = outcome.message;
-        immediate.completeness = 0.0;
+        shed = "shed: queue at capacity (" + std::to_string(options.campaign_capacity) +
+               "); resubmit when the queue drains";
       } else {
-        PendingCampaign pc;
-        pc.sim = std::move(sim);
-        pc.task = std::move(task);
-        pc.waiters.push_back(Waiter{conn, request_id, start_us, conn->tenant});
-        pc.key = key;
-        pending.emplace(slot, std::move(pc));
-        campaign_inflight.emplace(key, slot);
-        ++tenant_outstanding[conn->tenant];
-        conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
-        ++inflight_waiters;
-        if (auto* m = serve_metrics()) m->publish_waiters(inflight_waiters, coalesced_waiters);
-        admitted = true;
+        ++tenant_outstanding[tenant];
+        if (!add_waiter_locked(pc.key, Waiter{conn, request_id, start_us, tenant})) {
+          campaigns.push_back(std::move(pc));
+          if (auto* m = serve_metrics()) m->queue_depth.set(static_cast<double>(campaigns.size()));
+          queued = true;
+        }
       }
-      if (auto* m = serve_metrics()) m->queue_depth.set(static_cast<double>(queue.outstanding()));
     }
-    if (admitted) {
-      runner_cv.notify_one();
-    } else {
-      send_response(conn, immediate, JobKind::kCampaign, start_us);
+    if (queued) runner_cv.notify_one();
+    if (!shed.empty()) {
+      Response r;
+      r.request_id = request_id;
+      r.status = ResponseStatus::kShed;
+      r.message = std::move(shed);
+      r.completeness = 0.0;
+      send_response(conn, r, JobKind::kCampaign, start_us);
     }
     return true;
+  }
+
+  // ---- the waiter table ------------------------------------------------
+
+  /// Under mu: registers `w` on `key`, joining the in-flight twin when
+  /// there is one (counted in serve.coalesced).  Returns whether it
+  /// joined; if not, `w` owns the computation and the caller queues it.
+  bool add_waiter_locked(const cache::Digest128& key, Waiter w) {
+    w.conn->outstanding.fetch_add(1, std::memory_order_acq_rel);
+    std::vector<Waiter>& waiters = inflight[key];
+    const bool joined = !waiters.empty();
+    waiters.push_back(std::move(w));
+    ++inflight_waiters;
+    if (joined) {
+      coalesced_count.fetch_add(1, std::memory_order_relaxed);
+      ++coalesced_waiters;
+    }
+    if (auto* m = serve_metrics()) {
+      if (joined) m->coalesced.add();
+      m->publish_waiters(inflight_waiters, coalesced_waiters);
+    }
+    return joined;
+  }
+
+  /// Answers every waiter on `key` with `r`: the owner first, then the
+  /// twins that joined it, marked coalesced.  A campaign's waiters also
+  /// release their tenants' counts.  Called with `lk` held on mu; the
+  /// frames are written with it released, and it is held again on
+  /// return.
+  void answer(std::unique_lock<std::mutex>& lk, const cache::Digest128& key, Response r,
+              JobKind kind) {
+    const auto it = inflight.find(key);
+    std::vector<Waiter> waiters = std::move(it->second);
+    inflight.erase(it);
+    inflight_waiters -= static_cast<std::int64_t>(waiters.size());
+    coalesced_waiters -= static_cast<std::int64_t>(waiters.size()) - 1;
+    if (kind == JobKind::kCampaign) {
+      for (const Waiter& w : waiters) {
+        const auto held = tenant_outstanding.find(w.tenant);
+        if (held != tenant_outstanding.end() && --held->second == 0) {
+          tenant_outstanding.erase(held);
+        }
+      }
+    }
+    if (auto* m = serve_metrics()) {
+      m->publish_waiters(inflight_waiters, coalesced_waiters);
+      if (kind == JobKind::kCampaign) m->queue_depth.set(static_cast<double>(campaigns.size()));
+    }
+    lk.unlock();
+    for (std::size_t i = 0; i < waiters.size(); ++i) {
+      r.request_id = waiters[i].request_id;
+      r.coalesced = i > 0;
+      send_response(waiters[i].conn, r, kind, waiters[i].start_us);
+      waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    lk.lock();
   }
 
   /// The simulator `config` describes.  Building one (almost all of it
@@ -807,10 +794,7 @@ struct Server::Impl {
     std::unique_lock<std::mutex> lk(mu);
     while (true) {
       light_cv.wait(lk, [&] { return workers_stop || !light_queue.empty(); });
-      if (light_queue.empty()) {
-        if (workers_stop) return;
-        continue;
-      }
+      if (light_queue.empty()) return;  // stopping, and nothing left to run
       LightJob job = std::move(light_queue.front());
       light_queue.pop_front();
       lk.unlock();
@@ -823,22 +807,7 @@ struct Server::Impl {
         r.message = std::string("job failed: ") + e.what();
       }
       lk.lock();
-      std::vector<Waiter> waiters = std::move(light_inflight[job.key]);
-      light_inflight.erase(job.key);
-      inflight_waiters -= static_cast<std::int64_t>(waiters.size());
-      if (waiters.size() > 1) {
-        coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
-      }
-      if (auto* m = serve_metrics()) m->publish_waiters(inflight_waiters, coalesced_waiters);
-      lk.unlock();
-      const JobKind kind = job.is_eq4 ? JobKind::kEq4 : JobKind::kRisk;
-      for (std::size_t i = 0; i < waiters.size(); ++i) {
-        r.request_id = waiters[i].request_id;
-        r.coalesced = i > 0;
-        send_response(waiters[i].conn, r, kind, waiters[i].start_us);
-        waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      lk.lock();
+      answer(lk, job.key, std::move(r), job.is_eq4 ? JobKind::kEq4 : JobKind::kRisk);
     }
   }
 
@@ -847,91 +816,84 @@ struct Server::Impl {
   void runner_loop() {
     std::unique_lock<std::mutex> lk(mu);
     while (true) {
-      runner_cv.wait(lk, [&] { return campaigns_closed || queue.outstanding() > 0; });
-      if (queue.outstanding() > 0) {
-        lk.unlock();
-        queue.drain([this](std::size_t slot, const robust::SubmissionOutcome& outcome) {
-          on_campaign_done(slot, outcome);
-        });
-        lk.lock();
-        continue;
-      }
-      if (campaigns_closed) return;
+      runner_cv.wait(lk, [&] { return campaigns_closed || !campaigns.empty(); });
+      if (campaigns.empty()) return;  // closed, and every campaign answered
+      // The front campaign stays queued while it runs, so campaigns.size()
+      // counts it as outstanding.  Its task lives on the heap, out of
+      // the deque's way.
+      const fabsim::FabLotCampaign& task = *campaigns.front().task;
+      const std::int64_t max_chunks = campaigns.front().max_chunks;
+      const std::size_t outstanding = campaigns.size();
+      lk.unlock();
+      Response r = run_pending(task, max_chunks, outstanding);
+      lk.lock();
+      const cache::Digest128 key = campaigns.front().key;
+      campaigns.pop_front();
+      answer(lk, key, std::move(r), JobKind::kCampaign);
     }
   }
 
-  void on_campaign_done(std::size_t slot, const robust::SubmissionOutcome& outcome) {
-    std::vector<Waiter> waiters;
+  /// Runs one campaign under the drain stop and turns its result into
+  /// the response its waiters get.  `outstanding` counts the campaigns
+  /// queued or running at its pickup, itself included.
+  Response run_pending(const fabsim::FabLotCampaign& task, std::int64_t max_chunks,
+                       std::size_t outstanding) {
     Response r;
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      auto it = pending.find(slot);
-      if (it == pending.end()) return;
-      PendingCampaign pc = std::move(it->second);
-      pending.erase(it);
-      campaign_inflight.erase(pc.key);
-      waiters = std::move(pc.waiters);
-      r.message = outcome.message;
-      switch (outcome.status) {
-        case robust::SubmissionStatus::kCompleted:
-          r.status = ResponseStatus::kOk;
-          campaigns_completed.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case robust::SubmissionStatus::kPartial:
-          r.status = ResponseStatus::kPartial;
-          break;
-        case robust::SubmissionStatus::kExpired:
-          r.status = ResponseStatus::kExpired;
-          break;
-        case robust::SubmissionStatus::kStopped:
-          r.status = ResponseStatus::kStopped;
-          campaigns_stopped.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case robust::SubmissionStatus::kFailed:  // e.g. a corrupt record; the message names it
-          r.status = ResponseStatus::kError;
-          r.message = "campaign " + outcome.message;
-          break;
-        case robust::SubmissionStatus::kShed:
-        case robust::SubmissionStatus::kQueued:
-          r.status = ResponseStatus::kError;
-          r.message = "internal: unexpected drain outcome";
-          break;
-      }
-      if (outcome.result.total_chunks > 0) {
-        try {
-          const fabsim::PartialLot lot = pc.task->assemble(outcome.result);
-          r.result = cache::encode(lot.lot);
-          r.completeness = lot.completeness;
-          r.frontier_chunks = lot.frontier_chunks;
-        } catch (const std::exception& e) {
-          r.status = ResponseStatus::kError;
-          r.message = std::string("campaign assembly failed: ") + e.what();
-        }
-        r.artifact_hits = static_cast<std::uint64_t>(outcome.result.artifact_hits);
-      } else {
-        r.completeness = 0.0;
-      }
-      inflight_waiters -= static_cast<std::int64_t>(waiters.size());
-      if (waiters.size() > 1) {
-        coalesced_waiters -= static_cast<std::int64_t>(waiters.size() - 1);
-      }
-      for (const Waiter& w : waiters) {
-        auto tenant_it = tenant_outstanding.find(w.tenant);
-        if (tenant_it != tenant_outstanding.end() && tenant_it->second > 0) {
-          if (--tenant_it->second == 0) tenant_outstanding.erase(tenant_it);
-        }
-      }
-      if (auto* m = serve_metrics()) {
-        m->publish_waiters(inflight_waiters, coalesced_waiters);
-        m->queue_depth.set(static_cast<double>(queue.outstanding()));
-      }
+    r.completeness = 0.0;
+    if (drain_stop.expired()) {
+      r.status = ResponseStatus::kStopped;
+      r.message = "stopped: the queue was stopped before this campaign started; resumable";
+      campaigns_stopped.fetch_add(1, std::memory_order_relaxed);
+      return r;
     }
-    for (std::size_t i = 0; i < waiters.size(); ++i) {
-      r.request_id = waiters[i].request_id;
-      r.coalesced = i > 0;
-      send_response(waiters[i].conn, r, JobKind::kCampaign, waiters[i].start_us);
-      waiters[i].conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
+    robust::CampaignOptions run;
+    // The campaign's record is named by its identity (not max_chunks),
+    // so a budget-limited run and its full resubmission share it.
+    if (store != nullptr) run.artifact_dir = store->dir();
+    run.wave_chunks = options.campaign_wave_chunks;
+    run.max_chunks_this_run = max_chunks;
+    run.pool = options.pool;
+    run.cancel = drain_stop;
+    if (options.campaign_policy == ShedPolicy::kDegradeBudgets &&
+        outstanding > options.campaign_capacity) {
+      // Oversubscription at pickup shrinks the chunk budget by capacity /
+      // outstanding -- a pure function of the arrival/answer sequence, so
+      // degradation is reproducible, and a campaign that ends up running
+      // alone keeps its full budget.
+      const std::int64_t share = std::max<std::int64_t>(
+          1, exec::chunk_count(task.unit_count(), task.grain()) *
+                 static_cast<std::int64_t>(options.campaign_capacity) /
+                 static_cast<std::int64_t>(outstanding));
+      run.max_chunks_this_run = max_chunks > 0 ? std::min(max_chunks, share) : share;
     }
+    robust::CampaignResult result;
+    try {
+      result = robust::run_campaign(task, run);
+    } catch (const std::exception& e) {  // e.g. a corrupt record; the message names it
+      r.status = ResponseStatus::kError;
+      r.message = std::string("campaign failed: ") + e.what();
+      return r;
+    }
+    if (result.expired) {  // only the drain stop expires a served campaign
+      r.status = ResponseStatus::kStopped;
+      r.message = "stopped: the queue was stopped mid-run; checkpointed, resumable";
+      campaigns_stopped.fetch_add(1, std::memory_order_relaxed);
+    } else if (result.completeness() < 1.0 || result.interrupted) {
+      r.status = ResponseStatus::kPartial;
+    } else {
+      campaigns_completed.fetch_add(1, std::memory_order_relaxed);
+    }
+    try {
+      const fabsim::PartialLot lot = task.assemble(result);
+      r.result = cache::encode(lot.lot);
+      r.completeness = lot.completeness;
+      r.frontier_chunks = lot.frontier_chunks;
+    } catch (const std::exception& e) {
+      r.status = ResponseStatus::kError;
+      r.message = std::string("campaign assembly failed: ") + e.what();
+    }
+    r.artifact_hits = static_cast<std::uint64_t>(result.artifact_hits);
+    return r;
   }
 
   // ---- lifecycle -------------------------------------------------------
@@ -1149,30 +1111,26 @@ struct Server::Impl {
       if (w.joinable()) w.join();
     }
 
-    // 4. Campaigns: give in-flight work the drain budget, then stop the
-    // queue -- the running campaign checkpoints at its next chunk
-    // boundary and every admitted-but-unstarted one drains as kStopped,
-    // each with a final response.
-    std::thread watchdog;
+    // 4. Campaigns: give the queued and running ones the drain budget,
+    // then trip the drain stop -- the running campaign checkpoints at its
+    // next chunk boundary and every queued one answers kStopped without
+    // running.
+    bool campaigns_left = false;
     {
-      std::lock_guard<std::mutex> wd_lk(wd_mu);
-      wd_done = false;
+      std::lock_guard<std::mutex> lk(mu);
+      campaigns_closed = true;
+      campaigns_left = !campaigns.empty();
     }
-    if (options.drain_budget_ms > 0.0 && queue.outstanding() > 0) {
+    runner_cv.notify_all();
+    std::thread watchdog;
+    if (options.drain_budget_ms > 0.0 && campaigns_left) {
       watchdog = std::thread([this] {
         std::unique_lock<std::mutex> wd_lk(wd_mu);
         const auto budget =
             std::chrono::duration<double, std::milli>(options.drain_budget_ms);
-        if (!wd_cv.wait_for(wd_lk, budget, [&] { return wd_done; })) {
-          queue.stop();
-        }
+        if (!wd_cv.wait_for(wd_lk, budget, [&] { return wd_done; })) drain_stop.cancel();
       });
     }
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      campaigns_closed = true;
-    }
-    runner_cv.notify_all();
     if (runner.joinable()) runner.join();
     {
       std::lock_guard<std::mutex> wd_lk(wd_mu);
@@ -1205,14 +1163,20 @@ struct Server::Impl {
 
   ServerOptions options;
   std::unique_ptr<robust::ArtifactStore> store;
-  robust::CampaignQueue queue;
+  /// Tripped when the drain budget runs out; every campaign runs under it.
+  const robust::CancelToken drain_stop = robust::CancelToken::manual();
 
-  std::mutex mu;  ///< guards everything below (impl::mu before queue's)
+  std::mutex mu;  ///< guards everything below
   std::vector<std::shared_ptr<Connection>> connections;
   std::deque<LightJob> light_queue;
-  std::map<cache::Digest128, std::vector<Waiter>> light_inflight;
-  std::map<std::size_t, PendingCampaign> pending;
-  std::map<cache::Digest128, std::size_t> campaign_inflight;
+  /// Admitted campaigns in arrival order; the front one stays until it
+  /// is answered, so the size counts the outstanding ones (queued plus
+  /// running).
+  std::deque<PendingCampaign> campaigns;
+  /// Waiters by job_key, light jobs and campaigns alike; [0] owns the
+  /// computation.  Keys of different job kinds never collide: each
+  /// names its entry point.
+  std::map<cache::Digest128, std::vector<Waiter>> inflight;
   std::map<std::string, std::size_t> tenant_outstanding;  ///< live campaign waiters per tenant
   /// Built simulators by FabConfig::digest, at most
   /// kSimulatorCacheCapacity of them.

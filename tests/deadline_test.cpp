@@ -1,13 +1,12 @@
-// Deadline-aware execution: cancel tokens, graceful degradation, and
-// overload protection.
+// Deadline-aware execution: cancel tokens and graceful degradation.
+// (Campaign overload -- shedding and budget degradation -- is the serve
+// daemon's, and tests/serve_test.cpp covers it.)
 //
 // The money properties under test:
 //  * cancel-at-frontier-K is bitwise a fresh run truncated at K, for
 //    fabsim lots and risk Monte-Carlo, at 1/2/hw threads;
 //  * a deadline-expired campaign resumes from its checkpoint to a lot
-//    bitwise-identical to an undisturbed run;
-//  * overload shedding and budget degradation are pure functions of the
-//    submission sequence.
+//    bitwise-identical to an undisturbed run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/place/placer.hpp"
 #include "nanocost/report/campaign_report.hpp"
-#include "nanocost/robust/admission.hpp"
 #include "nanocost/robust/backoff.hpp"
 #include "nanocost/robust/campaign.hpp"
 #include "nanocost/robust/cancel.hpp"
@@ -659,214 +657,6 @@ TEST(RouteDeadline, ExpiredTokenStopsRefinementOnAPassBoundary) {
   const route::RouteResult base = route::route(nl, p, single);
   EXPECT_EQ(cut.total_wirelength_edges, base.total_wirelength_edges);
   EXPECT_EQ(cut.overflowed_edges, base.overflowed_edges);
-}
-
-// ---------------------------------------------------------------------------
-// Admission queue: deterministic overload protection.
-
-TEST(AdmissionQueue, RejectNewestShedsPastCapacityDeterministically) {
-  const ToyTask task(40, 4);
-  robust::AdmissionOptions admission;
-  admission.capacity = 2;
-  admission.policy = robust::ShedPolicy::kRejectNewest;
-  robust::CampaignQueue queue(admission);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(queue.submit(task), static_cast<std::size_t>(i));
-  }
-  const auto& outcomes = queue.run();
-  ASSERT_EQ(outcomes.size(), 5u);
-  EXPECT_EQ(outcomes[0].status, robust::SubmissionStatus::kCompleted);
-  EXPECT_EQ(outcomes[1].status, robust::SubmissionStatus::kCompleted);
-  for (int i = 2; i < 5; ++i) {
-    EXPECT_EQ(outcomes[static_cast<std::size_t>(i)].status, robust::SubmissionStatus::kShed);
-    EXPECT_NE(outcomes[static_cast<std::size_t>(i)].message.find("capacity (2)"),
-              std::string::npos);
-  }
-  EXPECT_EQ(queue.shed_count(), 3u);
-  EXPECT_EQ(queue.completed_count(), 2u);
-  EXPECT_EQ(queue.expired_count(), 0u);
-}
-
-TEST(AdmissionQueue, DegradeBudgetsShrinksEveryCampaignProportionally) {
-  const ToyTask task(40, 4);  // 10 chunks
-  robust::AdmissionOptions admission;
-  admission.capacity = 1;
-  admission.policy = robust::ShedPolicy::kDegradeBudgets;
-  robust::CampaignQueue queue(admission);
-  for (int i = 0; i < 5; ++i) (void)queue.submit(task);
-  const auto& outcomes = queue.run();
-  ASSERT_EQ(outcomes.size(), 5u);
-  // Each campaign's share is max(1, 10 * capacity / outstanding) at the
-  // moment it starts: outstanding runs 5, 4, 3, 2, 1 as the backlog
-  // drains, so the shares are 2, 2, 3, 5, and -- no longer
-  // oversubscribed -- the full 10.  A pure function of the
-  // submission/completion sequence.
-  const std::int64_t expected_chunks[5] = {2, 2, 3, 5, 10};
-  for (int i = 0; i < 5; ++i) {
-    const auto& o = outcomes[static_cast<std::size_t>(i)];
-    EXPECT_EQ(o.result.completed_chunks, expected_chunks[i]) << "campaign " << i;
-    if (expected_chunks[i] < 10) {
-      EXPECT_EQ(o.status, robust::SubmissionStatus::kPartial);
-      EXPECT_TRUE(o.result.interrupted);
-    } else {
-      EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
-    }
-  }
-  EXPECT_EQ(queue.partial_count(), 4u);
-  EXPECT_EQ(queue.shed_count(), 0u);
-}
-
-TEST(AdmissionQueue, ExhaustedGlobalBudgetExpiresTheTail) {
-  const ToyTask task(40, 4);
-  robust::AdmissionOptions admission;
-  admission.capacity = 8;
-  admission.total_budget_ms = 1e-6;  // expires before anything starts
-  robust::CampaignQueue queue(admission);
-  for (int i = 0; i < 3; ++i) (void)queue.submit(task);
-  const auto& outcomes = queue.run();
-  ASSERT_EQ(outcomes.size(), 3u);
-  for (const auto& o : outcomes) {
-    EXPECT_EQ(o.status, robust::SubmissionStatus::kExpired);
-    EXPECT_FALSE(o.message.empty());
-  }
-  EXPECT_EQ(queue.expired_count(), 3u);
-}
-
-TEST(AdmissionQueue, ExternalCancelChildTokensReachEachCampaign) {
-  const ToyTask task(40, 4);
-  robust::AdmissionOptions admission;
-  admission.capacity = 8;
-  admission.cancel = robust::CancelToken::manual();
-  admission.cancel.cancel();  // shut down before the drain
-  robust::CampaignQueue queue(admission);
-  (void)queue.submit(task);
-  const auto& outcomes = queue.run();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].status, robust::SubmissionStatus::kExpired);
-}
-
-TEST(AdmissionQueue, UsageErrors) {
-  robust::AdmissionOptions bad;
-  bad.capacity = 0;
-  EXPECT_THROW(robust::CampaignQueue{bad}, std::invalid_argument);
-
-  const ToyTask task(40, 4);
-  robust::CampaignQueue queue(robust::AdmissionOptions{});
-  (void)queue.submit(task);
-  (void)queue.run();
-  (void)queue.run();  // idempotent
-  EXPECT_THROW((void)queue.submit(task), std::logic_error);
-}
-
-TEST(AdmissionQueue, DrainPicksUpSubmissionsArrivingMidCycle) {
-  // The long-lived server pattern: readers submit while the runner
-  // drains.  The completion callback runs with no internal lock held,
-  // so submitting from it lands the new campaign in the *running*
-  // cycle -- the drain returns only when the queue is truly empty.
-  const ToyTask task(40, 4);
-  robust::CampaignQueue queue(robust::AdmissionOptions{});
-  (void)queue.submit(task);
-  std::vector<std::size_t> completed_slots;
-  bool resubmitted = false;
-  const auto& outcomes = queue.drain([&](std::size_t slot, const robust::SubmissionOutcome& o) {
-    EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
-    completed_slots.push_back(slot);
-    if (!resubmitted) {
-      resubmitted = true;
-      EXPECT_EQ(queue.submit(task), 1u);
-    }
-  });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(completed_slots, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(queue.outstanding(), 0u);
-  EXPECT_EQ(queue.completed_count(), 2u);
-
-  // drain() (unlike run()) leaves the queue open: a later submission
-  // plus another drain works, and an empty drain is a no-op.
-  (void)queue.submit(task);
-  EXPECT_EQ(queue.drain().size(), 3u);
-  EXPECT_EQ(queue.drain().size(), 3u);
-  EXPECT_EQ(queue.completed_count(), 3u);
-}
-
-TEST(AdmissionQueue, DrainCallbackTakesTheChunkBlobsTheSlotKeepsTheCounters) {
-  // A long-lived server drains every campaign it serves through the
-  // callback; the queue must not keep each result's blobs forever.
-  const ToyTask task(40, 4);  // 10 chunks
-  const robust::CampaignResult reference = robust::run_campaign(task);
-  robust::CampaignQueue queue(robust::AdmissionOptions{});
-  const std::size_t slot = queue.submit(task);
-  bool called = false;
-  const auto& outcomes = queue.drain([&](std::size_t s, const robust::SubmissionOutcome& o) {
-    called = true;
-    EXPECT_EQ(s, slot);
-    EXPECT_EQ(o.status, robust::SubmissionStatus::kCompleted);
-    EXPECT_EQ(o.result.chunks, reference.chunks);
-  });
-  EXPECT_TRUE(called);
-  const robust::SubmissionOutcome kept = queue.outcome_copy(slot);
-  EXPECT_EQ(kept.status, robust::SubmissionStatus::kCompleted);
-  EXPECT_EQ(kept.result.completed_chunks, 10);
-  EXPECT_EQ(kept.result.total_chunks, 10);
-  EXPECT_TRUE(kept.result.chunks.empty());
-  EXPECT_TRUE(outcomes[slot].result.chunks.empty());
-
-  // A drain without a callback has no one to hand the blobs to: the
-  // slot keeps the full result, as run() does.
-  const std::size_t second = queue.submit(task);
-  EXPECT_EQ(queue.drain()[second].result.chunks, reference.chunks);
-  EXPECT_EQ(queue.outstanding(), 0u);
-}
-
-TEST(AdmissionQueue, StopFinalizesEveryOutcomeWithoutRunningTheBacklog) {
-  const ToyTask task(40, 4);
-  robust::CampaignQueue queue(robust::AdmissionOptions{});
-  for (int i = 0; i < 3; ++i) (void)queue.submit(task);
-
-  // stop() from the first campaign's completion callback: the rest of
-  // the backlog drains as kStopped without ever running -- but every
-  // slot still gets a final outcome (graceful drain's contract).
-  const auto& outcomes = queue.drain([&](std::size_t slot, const robust::SubmissionOutcome&) {
-    if (slot == 0) queue.stop();
-  });
-  EXPECT_TRUE(queue.stop_requested());
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].status, robust::SubmissionStatus::kCompleted);
-  for (std::size_t slot = 1; slot < 3; ++slot) {
-    EXPECT_EQ(outcomes[slot].status, robust::SubmissionStatus::kStopped);
-    EXPECT_NE(outcomes[slot].message.find("resumable"), std::string::npos)
-        << outcomes[slot].message;
-    EXPECT_EQ(outcomes[slot].result.completed_chunks, 0);
-  }
-  EXPECT_EQ(queue.stopped_count(), 2u);
-
-  // After stop() a submission is rejected at submit() time; that slot
-  // never reaches a drain callback, so outcome_copy is how a concurrent
-  // submitter learns its fate.
-  const std::size_t late = queue.submit(task);
-  const robust::SubmissionOutcome fate = queue.outcome_copy(late);
-  EXPECT_EQ(fate.status, robust::SubmissionStatus::kStopped);
-  EXPECT_NE(fate.message.find("shutting down"), std::string::npos) << fate.message;
-  queue.stop();  // idempotent
-}
-
-TEST(AdmissionQueue, OutcomeCopySnapshotsShedSlotsBeforeAnyDrain) {
-  const ToyTask task(40, 4);
-  robust::AdmissionOptions admission;
-  admission.capacity = 1;
-  robust::CampaignQueue queue(admission);
-  const std::size_t admitted = queue.submit(task);
-  const std::size_t shed = queue.submit(task);
-
-  // The shed verdict is visible immediately -- no drain required.
-  EXPECT_EQ(queue.outcome_copy(admitted).status, robust::SubmissionStatus::kQueued);
-  const robust::SubmissionOutcome verdict = queue.outcome_copy(shed);
-  EXPECT_EQ(verdict.status, robust::SubmissionStatus::kShed);
-  EXPECT_NE(verdict.message.find("capacity (1)"), std::string::npos) << verdict.message;
-
-  (void)queue.drain();
-  EXPECT_EQ(queue.outcome_copy(admitted).status, robust::SubmissionStatus::kCompleted);
-  EXPECT_EQ(queue.outcome_copy(shed).status, robust::SubmissionStatus::kShed);
 }
 
 // ---------------------------------------------------------------------------

@@ -529,6 +529,21 @@ TEST(ServedConnection, SemanticallyInvalidJobGetsErrorResponseOnALiveConnection)
   EXPECT_TRUE(saw_pong);
 }
 
+TEST(ServedConnection, ZeroWaferCampaignGetsErrorResponseOnALiveConnection) {
+  // A lot of no wafers decodes fine but cannot become a campaign task:
+  // it must be answered like any other invalid job, not end the reader.
+  Server server(ServerOptions{});
+  Client client = make_client(server);
+  CampaignJob empty = small_campaign(7);
+  empty.n_wafers = 0;
+  const Response r = client.wait(client.submit(empty));
+  EXPECT_EQ(r.status, ResponseStatus::kError);
+  EXPECT_NE(r.message.find("invalid campaign job"), std::string::npos) << r.message;
+  EXPECT_TRUE(r.result.empty());
+  const CampaignJob good = small_campaign(7);
+  EXPECT_EQ(client.wait(client.submit(good)).result, direct_campaign_bytes(good));
+}
+
 // ---------------------------------------------------------------------------
 // Coalescing: one computation, every waiter the same bytes.
 
@@ -803,7 +818,7 @@ TEST(Overload, RejectNewestShedsPastCapacityDeterministically) {
 
   ServerOptions options;
   options.campaign_capacity = 1;
-  options.campaign_policy = robust::ShedPolicy::kRejectNewest;
+  options.campaign_policy = ShedPolicy::kRejectNewest;
   Server server(options);
   Client client = make_client(server);
 
@@ -838,7 +853,7 @@ TEST(Overload, DegradeBudgetsShrinksEachLotByCapacityOverOutstanding) {
 
   ServerOptions options;
   options.campaign_capacity = 1;
-  options.campaign_policy = robust::ShedPolicy::kDegradeBudgets;
+  options.campaign_policy = ShedPolicy::kDegradeBudgets;
   Server server(options);
   Client client = make_client(server);
 
