@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (listen_specs.empty()) return usage(argv[0]);
+  if (listen_specs.empty() || options.campaign_capacity < 1) return usage(argv[0]);
 
   // The daemon is the telemetry plane's reason to exist: metrics are on
   // by default so a kStatsRequest always has something to report.

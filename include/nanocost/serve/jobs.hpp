@@ -154,7 +154,7 @@ enum class ResponseStatus : std::uint8_t {
   kOk = 0,       ///< complete result; bytes == direct library call
   kPartial = 1,  ///< deadline/budget truncated; result covers the frontier
   kShed = 2,     ///< rejected at admission (queue at capacity)
-  kExpired = 3,  ///< the request or drain budget tripped
+  kExpired = 3,  ///< a budget tripped; this server answers kStopped or kPartial instead
   kStopped = 4,  ///< the server stopped (drain) before/while running it
   kError = 5,    ///< the job itself failed; message says why
 };
