@@ -844,7 +844,7 @@ TEST(Overload, RejectNewestShedsPastCapacityDeterministically) {
   EXPECT_EQ(report.campaigns_completed, 1u);
 }
 
-TEST(Overload, DegradeBudgetsShrinksEachLotByCapacityOverOutstanding) {
+TEST(Overload, DegradeBudgetsAdmitsEverythingPastCapacity) {
   PlanGuard guard;
   robust::FaultPlan plan;
   plan.add("fabsim.wafer",
@@ -888,6 +888,127 @@ TEST(Overload, ZeroCapacityIsRejectedAtConstruction) {
   ServerOptions options;
   options.campaign_capacity = 0;
   EXPECT_THROW(Server{options}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Admission queue: the server's FIFO of outstanding campaigns (queued
+// plus running), past a capacity above one.
+
+TEST(AdmissionQueue, RejectNewestShedsPastCapacityDeterministically) {
+  // The running lot counts against the capacity: at capacity 2 the
+  // blocker and one queued lot are admitted, and every later lot is
+  // shed while the blocker is still in flight.
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 5000});
+  robust::install_fault_plan(plan);
+
+  ServerOptions options;
+  options.campaign_capacity = 2;
+  options.campaign_policy = ShedPolicy::kRejectNewest;
+  Server server(options);
+  Client client = make_client(server);
+
+  const std::uint64_t blocker_id = client.submit(small_campaign(1, 40));
+  const CampaignJob queued = small_campaign(2);
+  const std::uint64_t queued_id = client.submit(queued);
+  std::vector<std::uint64_t> shed_ids;
+  for (std::uint64_t seed = 10; seed < 13; ++seed) {
+    shed_ids.push_back(client.submit(small_campaign(seed)));
+  }
+  for (const std::uint64_t id : shed_ids) {
+    const Response r = client.wait(id);
+    EXPECT_EQ(r.status, ResponseStatus::kShed);
+    EXPECT_NE(r.message.find("capacity (2)"), std::string::npos) << r.message;
+    EXPECT_TRUE(r.result.empty());
+  }
+  EXPECT_EQ(client.wait(blocker_id).status, ResponseStatus::kOk);
+  const Response second = client.wait(queued_id);
+  EXPECT_EQ(second.status, ResponseStatus::kOk) << second.message;
+  EXPECT_EQ(second.result, direct_campaign_bytes(queued));
+
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.campaigns_shed, 3u);
+  EXPECT_EQ(report.campaigns_completed, 2u);
+}
+
+TEST(AdmissionQueue, DegradeBudgetsShrinksEveryCampaignProportionally) {
+  // Five 40-wafer (10-chunk) lots at capacity 2 on two lanes; the four
+  // behind the first arrive while it runs.  They start with 4, 3, 2 and
+  // 1 lots outstanding, so their budgets are max(1, 10 * 2 /
+  // outstanding) while oversubscribed -- 5 and 6 -- and the full 10 once
+  // the outstanding count is back at the capacity.
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 5000});
+  robust::install_fault_plan(plan);
+
+  exec::ThreadPool pool(2);
+  ServerOptions options;
+  options.pool = &pool;
+  options.campaign_capacity = 2;
+  options.campaign_policy = ShedPolicy::kDegradeBudgets;
+  Server server(options);
+  Client client = make_client(server);
+
+  const std::uint64_t first_id = client.submit(small_campaign(1, 40));
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t seed = 10; seed < 14; ++seed) {
+    ids.push_back(client.submit(small_campaign(seed, 40)));
+  }
+  const std::int64_t expected_frontier[4] = {5, 6, 10, 10};
+  const ResponseStatus expected_status[4] = {ResponseStatus::kPartial, ResponseStatus::kPartial,
+                                             ResponseStatus::kOk, ResponseStatus::kOk};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Response r = client.wait(ids[i]);
+    EXPECT_EQ(r.status, expected_status[i]) << "lot " << i + 1 << ": " << r.message;
+    EXPECT_EQ(r.frontier_chunks, expected_frontier[i]) << "lot " << i + 1;
+    EXPECT_DOUBLE_EQ(r.completeness, static_cast<double>(expected_frontier[i]) / 10.0)
+        << "lot " << i + 1;
+  }
+  const Response first = client.wait(first_id);
+  EXPECT_TRUE(first.status == ResponseStatus::kOk || first.status == ResponseStatus::kPartial)
+      << response_status_name(first.status) << ": " << first.message;
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.campaigns_shed, 0u);
+}
+
+TEST(AdmissionQueue, DrainPicksUpSubmissionsArrivingMidCycle) {
+  // The runner answers lots that arrive on another connection while it
+  // runs one, and one that arrives after it has answered everything
+  // and gone idle.
+  const CampaignJob during = small_campaign(2);
+  const CampaignJob after = small_campaign(3);
+  const std::vector<std::uint8_t> during_ref = direct_campaign_bytes(during);
+  const std::vector<std::uint8_t> after_ref = direct_campaign_bytes(after);
+
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 5000});
+  robust::install_fault_plan(plan);
+
+  Server server(ServerOptions{});
+  Client first_client = make_client(server);
+  Client second_client = make_client(server);
+  const std::uint64_t running_id = first_client.submit(small_campaign(1, 40));
+  ASSERT_TRUE(first_client.ping());  // the 40-wafer lot is admitted first
+  const std::uint64_t during_id = second_client.submit(during);
+
+  EXPECT_EQ(first_client.wait(running_id).status, ResponseStatus::kOk);
+  const Response mid = second_client.wait(during_id);
+  EXPECT_EQ(mid.status, ResponseStatus::kOk) << mid.message;
+  EXPECT_EQ(mid.result, during_ref);
+
+  const Response late = first_client.wait(first_client.submit(after));
+  EXPECT_EQ(late.status, ResponseStatus::kOk) << late.message;
+  EXPECT_EQ(late.result, after_ref);
+
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.campaigns_completed, 3u);
+  EXPECT_EQ(report.campaigns_stopped, 0u);
 }
 
 // ---------------------------------------------------------------------------
