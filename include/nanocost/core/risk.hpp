@@ -14,6 +14,7 @@
 
 #include "nanocost/core/transistor_cost.hpp"
 #include "nanocost/exec/simd.hpp"
+#include "nanocost/robust/cancel.hpp"
 
 namespace nanocost::exec {
 class ThreadPool;
@@ -126,15 +127,13 @@ struct PartialSweep final {
   bool cancelled = false;
 };
 
-/// Deadline-aware robust_sd(): honors the caller's ambient cancel token
-/// (robust::CancelScope) at grid-point granularity.  On expiry the
-/// optimum is taken over exactly the completed leading grid points --
-/// bitwise what robust_sd over that prefix would pick, at any thread
-/// count.  With no ambient token this is robust_sd plus one relaxed
-/// atomic load.
+/// Deadline-aware robust_sd(): polls `token` at grid-point granularity.
+/// On expiry the optimum is taken over exactly the completed leading
+/// grid points -- bitwise what robust_sd over that prefix would pick, at
+/// any thread count.  With an invalid token this is robust_sd.
 [[nodiscard]] PartialSweep robust_sd_partial(const UncertainInputs& inputs, double quantile,
-                                             double lo, double hi, int steps,
-                                             int samples = 2000, std::uint64_t seed = 1,
-                                             exec::ThreadPool* pool = nullptr);
+                                             double lo, double hi, int steps, int samples,
+                                             std::uint64_t seed, exec::ThreadPool* pool,
+                                             const robust::CancelToken& token);
 
 }  // namespace nanocost::core

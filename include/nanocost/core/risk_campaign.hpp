@@ -41,18 +41,17 @@ struct PartialRisk final {
   bool cancelled = false;
 };
 
-/// Deadline-aware monte_carlo_cost(): honors the caller's ambient
-/// cancel token (robust::CancelScope) at chunk (RiskCampaign::kGrain
-/// samples) granularity.  On expiry the summary covers exactly the
-/// completed leading chunks -- bitwise what monte_carlo_cost over that
-/// sample prefix computes, at any thread count -- with the 95% CI on
-/// the mean widened by the smaller survivor count.  Fewer than 2
-/// completed samples leaves `result` zeroed.  With no ambient token
-/// this costs one relaxed atomic load over monte_carlo_cost.
+/// Deadline-aware monte_carlo_cost(): polls `token` at chunk
+/// (RiskCampaign::kGrain samples) granularity.  On expiry the summary
+/// covers exactly the completed leading chunks -- bitwise what
+/// monte_carlo_cost over that sample prefix computes, at any thread
+/// count -- with the 95% CI on the mean widened by the smaller survivor
+/// count.  Fewer than 2 completed samples leaves `result` zeroed.  With
+/// an invalid token this is monte_carlo_cost.
 [[nodiscard]] PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d,
-                                                   int samples = 4000, std::uint64_t seed = 1,
-                                                   double die_budget = 0.0,
-                                                   exec::ThreadPool* pool = nullptr);
+                                                   int samples, std::uint64_t seed,
+                                                   double die_budget, exec::ThreadPool* pool,
+                                                   const robust::CancelToken& token);
 
 /// CampaignTask over risk_sample_cost_batch.
 class RiskCampaign final : public robust::CampaignTask {

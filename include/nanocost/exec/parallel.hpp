@@ -71,11 +71,11 @@ struct LoopStatus final {
 /// `token` is polled once per chunk, before the chunk runs; an invalid
 /// token (the default) never trips.  Once it trips, chunks not yet
 /// started are skipped (running ones finish), and only the scratches of
-/// chunks below the frontier are merged.  Each chunk runs under a
-/// CancelScope of the token, so nested kernels inherit it ambiently.
-/// Exceptions win over cancellation: the lowest-index chunk's throw is
-/// rethrown (ThreadPool::run_tasks).  One chunk with no token runs on
-/// the caller without a pool batch.
+/// chunks below the frontier are merged.  Nothing is installed around a
+/// chunk: a nested kernel that should honor the token takes it as its
+/// own argument.  Exceptions win over cancellation: the lowest-index
+/// chunk's throw is rethrown (ThreadPool::run_tasks).  One chunk with
+/// no token runs on the caller without a pool batch.
 template <typename MakeScratch, typename Body, typename Merge>
 LoopStatus parallel_reduce(ThreadPool* pool, std::int64_t n, std::int64_t grain,
                            MakeScratch&& make, Body&& body, Merge&& merge,
@@ -91,7 +91,6 @@ LoopStatus parallel_reduce(ThreadPool* pool, std::int64_t n, std::int64_t grain,
   std::vector<std::uint8_t> done(static_cast<std::size_t>(chunks), 0);
   const auto run_chunk = [&](std::int64_t c) {
     if (token.valid() && token.expired()) return;
-    robust::CancelScope scope(token);
     obs::ObsSpan span("exec.chunk");
     span.arg("chunk", static_cast<std::uint64_t>(c));
     if (obs::metrics_enabled()) {

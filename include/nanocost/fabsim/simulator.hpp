@@ -186,14 +186,14 @@ class FabSimulator final {
   [[nodiscard]] LotResult run(std::int64_t n_wafers, std::uint64_t seed = 42,
                               exec::ThreadPool* pool = nullptr) const;
 
-  /// Deadline-aware run(): honors the caller's ambient cancel token
-  /// (robust::CancelScope) at wafer-chunk granularity.  On expiry the
-  /// returned lot covers exactly the completed chunk frontier --
-  /// bitwise what run() on frontier_chunks * grain wafers produces, at
-  /// any thread count -- with completeness and the frontier reported.
-  /// With no ambient token this is run() plus one relaxed atomic load.
-  [[nodiscard]] PartialLot run_partial(std::int64_t n_wafers, std::uint64_t seed = 42,
-                                       exec::ThreadPool* pool = nullptr) const;
+  /// Deadline-aware run(): polls `token` at wafer-chunk granularity.
+  /// On expiry the returned lot covers exactly the completed chunk
+  /// frontier -- bitwise what run() on frontier_chunks * grain wafers
+  /// produces, at any thread count -- with completeness and the frontier
+  /// reported.  With an invalid token this is run().
+  [[nodiscard]] PartialLot run_partial(std::int64_t n_wafers, std::uint64_t seed,
+                                       exec::ThreadPool* pool,
+                                       const robust::CancelToken& token) const;
 
   /// Simulates wafers [begin, end) of the lot seeded with `seed`
   /// serially on the calling thread: results[i - begin] receives wafer
@@ -248,7 +248,7 @@ class FabSimulator final {
   [[nodiscard]] static WaferScratch& thread_scratch() noexcept;
 
   /// The lot loop behind run (an invalid token) and run_partial (the
-  /// ambient one): every wafer at the configured density, in chunks of
+  /// caller's): every wafer at the configured density, in chunks of
   /// wafers under `token`, inside one `span_name` span.  Wafers at and
   /// beyond the chunk frontier are left default.
   [[nodiscard]] PartialLot run_lot(const char* span_name, std::int64_t n_wafers,

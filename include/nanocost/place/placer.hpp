@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "nanocost/netlist/netlist.hpp"
+#include "nanocost/robust/cancel.hpp"
 
 namespace nanocost::exec {
 class ThreadPool;
@@ -121,15 +122,15 @@ struct PartialMultistart final {
   bool cancelled = false;
 };
 
-/// Deadline-aware anneal_place_multistart(): honors the caller's
-/// ambient cancel token (robust::CancelScope) at start granularity.
-/// On expiry the winner is chosen over exactly the completed leading
-/// starts -- bitwise what a fresh run with that many starts picks, at
-/// any thread count.  With no ambient token this costs one relaxed
-/// atomic load over anneal_place_multistart.
+/// Deadline-aware anneal_place_multistart(): polls `token` at start
+/// granularity.  On expiry the winner is chosen over exactly the
+/// completed leading starts -- bitwise what a fresh run with that many
+/// starts picks, at any thread count.  With an invalid token this is
+/// anneal_place_multistart.
 [[nodiscard]] PartialMultistart anneal_place_multistart_partial(
     const netlist::Netlist& netlist, std::int32_t rows, std::int32_t cols,
-    std::int32_t starts, const AnnealParams& params = {}, exec::ThreadPool* pool = nullptr);
+    std::int32_t starts, const AnnealParams& params, exec::ThreadPool* pool,
+    const robust::CancelToken& token);
 
 /// Net-weighted HPWL: sum of per-net HPWL times weight (weights indexed
 /// by net id; missing entries default to 1).  Weighting critical nets

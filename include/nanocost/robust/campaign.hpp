@@ -79,12 +79,11 @@ struct CampaignOptions final {
   std::int64_t max_chunks_this_run = 0;
   /// null: the global pool.
   exec::ThreadPool* pool = nullptr;
-  /// Deadline / cancellation for this run.  An invalid token (the
-  /// default) falls back to the caller's ambient token
-  /// (current_cancel_token()).  Expiry stops the run on a chunk
-  /// boundary: completed chunks are persisted, pending ones stay
-  /// pending, and the result comes back with `expired` set -- resumable
-  /// exactly like a killed run.
+  /// Deadline / cancellation for this run; an invalid token (the
+  /// default) never expires.  Expiry stops the run on a chunk boundary:
+  /// completed chunks are persisted, pending ones stay pending, and the
+  /// result comes back with `expired` set -- resumable exactly like a
+  /// killed run.
   CancelToken cancel;
   /// Base backoff before retry attempt a: sleep retry_backoff_ms *
   /// 2^(a-1) ms (0 disables).  A backoff that does not fit in the

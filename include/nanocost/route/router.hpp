@@ -14,6 +14,7 @@
 
 #include "nanocost/netlist/netlist.hpp"
 #include "nanocost/place/placer.hpp"
+#include "nanocost/robust/cancel.hpp"
 
 namespace nanocost::route {
 
@@ -61,21 +62,24 @@ struct RouteResult final {
   std::int64_t overflowed_edges = 0;   ///< edges with demand > capacity
   double max_utilization = 0.0;        ///< max demand / capacity over edges
   double average_utilization = 0.0;    ///< mean demand / capacity over used edges
-  /// Rip-up passes fully executed.  Under an ambient cancel token
-  /// (robust::CancelScope) the router checks the token between passes:
-  /// an expired deadline stops refinement after the current pass, so the
-  /// result equals a fresh run with rip_up_passes =
-  /// completed_rip_up_passes -- a coarser routing, never a torn one.
+  /// Rip-up passes fully executed.  The router checks route()'s cancel
+  /// token between passes: an expired deadline stops refinement after
+  /// the current pass, so the result equals a fresh run with
+  /// rip_up_passes = completed_rip_up_passes -- a coarser routing, never
+  /// a torn one.
   int completed_rip_up_passes = 0;
   bool cancelled = false;  ///< a deadline cut the rip-up refinement short
 
   [[nodiscard]] bool routable() const noexcept { return overflowed_edges == 0; }
 };
 
-/// Routes every multi-pin net of `netlist` under `placement`.
+/// Routes every multi-pin net of `netlist` under `placement`.  Rip-up
+/// passes stop at a pass boundary once `cancel` trips; an invalid token
+/// (the default) never does.
 [[nodiscard]] RouteResult route(const netlist::Netlist& netlist,
                                 const place::Placement& placement,
-                                const RouterParams& params = {});
+                                const RouterParams& params = {},
+                                const robust::CancelToken& cancel = {});
 
 /// Routed-to-HPWL inflation factor (>= 1 for row_weight = 1).
 [[nodiscard]] double wirelength_inflation(const netlist::Netlist& netlist,

@@ -67,7 +67,7 @@ struct ResilientOptions final {
   /// attempt instead of the whole session.
   double attempt_timeout_ms = 0.0;
   /// Overall wall-clock budget across all attempts and backoff sleeps,
-  /// ms (0 = unbounded), enforced through robust::Deadline.
+  /// ms (0 = unbounded), enforced through a robust::CancelToken deadline.
   double overall_budget_ms = 0.0;
   /// Between-attempt schedule.  The default doubles 50 ms up to a 2 s
   /// cap with 25% deterministic jitter (seed 1).

@@ -339,9 +339,9 @@ RobustOptimum robust_sd(const UncertainInputs& inputs, double quantile, double l
 
 PartialSweep robust_sd_partial(const UncertainInputs& inputs, double quantile, double lo,
                                double hi, int steps, int samples, std::uint64_t seed,
-                               exec::ThreadPool* pool) {
-  const SweepOutcome o = robust_sd_impl(inputs, quantile, lo, hi, steps, samples, seed,
-                                        pool, robust::current_cancel_token());
+                               exec::ThreadPool* pool, const robust::CancelToken& token) {
+  const SweepOutcome o =
+      robust_sd_impl(inputs, quantile, lo, hi, steps, samples, seed, pool, token);
   PartialSweep out;
   out.optimum = o.best;
   out.completed_steps = static_cast<int>(o.status.frontier);

@@ -82,9 +82,8 @@ PartialRisk RiskCampaign::assemble(const robust::CampaignResult& result) const {
 
 PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, int samples,
                                      std::uint64_t seed, double die_budget,
-                                     exec::ThreadPool* pool) {
-  detail::SampledCosts sampled = detail::sample_costs(inputs, s_d, samples, seed, pool,
-                                                      robust::current_cancel_token());
+                                     exec::ThreadPool* pool, const robust::CancelToken& token) {
+  detail::SampledCosts sampled = detail::sample_costs(inputs, s_d, samples, seed, pool, token);
   robust::check_finite_range(sampled.costs.data(), sampled.costs.size(), "risk.samples");
   PartialRisk out;
   out.completed_samples = static_cast<std::int64_t>(sampled.costs.size());

@@ -544,8 +544,9 @@ LotResult FabSimulator::run(std::int64_t n_wafers, std::uint64_t seed,
 }
 
 PartialLot FabSimulator::run_partial(std::int64_t n_wafers, std::uint64_t seed,
-                                     exec::ThreadPool* pool) const {
-  return run_lot("fabsim.lot_partial", n_wafers, seed, pool, robust::current_cancel_token());
+                                     exec::ThreadPool* pool,
+                                     const robust::CancelToken& token) const {
+  return run_lot("fabsim.lot_partial", n_wafers, seed, pool, token);
 }
 
 void FabSimulator::run_units(std::int64_t begin, std::int64_t end, std::uint64_t seed,

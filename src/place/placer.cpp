@@ -386,9 +386,9 @@ MultistartResult anneal_place_multistart(const Netlist& netlist, std::int32_t ro
 PartialMultistart anneal_place_multistart_partial(const Netlist& netlist, std::int32_t rows,
                                                   std::int32_t cols, std::int32_t starts,
                                                   const AnnealParams& params,
-                                                  exec::ThreadPool* pool) {
-  MultistartOutcome o = multistart_impl(netlist, rows, cols, starts, params, pool,
-                                        robust::current_cancel_token());
+                                                  exec::ThreadPool* pool,
+                                                  const robust::CancelToken& token) {
+  MultistartOutcome o = multistart_impl(netlist, rows, cols, starts, params, pool, token);
   return PartialMultistart{std::move(o.result), o.status.completeness(),
                            static_cast<std::int32_t>(o.status.frontier),
                            o.status.cancelled};

@@ -83,11 +83,7 @@ CampaignResult run_campaign(const CampaignTask& task, const CampaignOptions& opt
                                                      static_cast<std::int64_t>(pending.size()))
                             : static_cast<std::int64_t>(pending.size());
   result.interrupted = budget < static_cast<std::int64_t>(pending.size());
-
-  // Deadline/cancellation: an explicit token wins; otherwise the
-  // caller's ambient token (one relaxed load when none is installed).
-  const CancelToken token =
-      options.cancel.valid() ? options.cancel : current_cancel_token();
+  const CancelToken& token = options.cancel;
 
   std::atomic<std::int64_t> retries{0};
   // Every retry is counted once, in the result and in the counter the

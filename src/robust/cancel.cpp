@@ -1,5 +1,6 @@
 #include "nanocost/robust/cancel.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <limits>
 
@@ -9,7 +10,17 @@ namespace nanocost::robust {
 
 namespace detail {
 
-std::atomic<int> g_active_scopes{0};
+/// Shared state of one token.
+struct CancelState final {
+  std::atomic<bool> tripped{false};
+  /// steady-clock ns of the first trip (the deadline instant for
+  /// deadline trips, the cancel() call for manual ones); 0 = not
+  /// tripped.  Written once, under the tripped latch.
+  std::atomic<std::uint64_t> trip_ns{0};
+  std::uint64_t deadline_ns = 0;  ///< steady-clock ns; 0 = no deadline
+};
+
+namespace {
 
 std::uint64_t steady_now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -17,10 +28,6 @@ std::uint64_t steady_now_ns() noexcept {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-namespace {
-
-thread_local CancelToken t_ambient;
 
 /// Latches the trip flag and records the trip instant exactly once.
 /// For deadline trips the recorded instant is the deadline itself, not
@@ -37,49 +44,18 @@ void trip(CancelState& state, std::uint64_t when_ns) noexcept {
 
 }  // namespace detail
 
-Deadline Deadline::in_ms(double budget_ms) noexcept {
-  const double ns = budget_ms * 1e6;
-  const std::uint64_t now = detail::steady_now_ns();
-  // A non-positive budget means "already due"; at_ns must stay nonzero
-  // to remain distinguishable from "no deadline".
-  if (!(ns > 0.0)) return Deadline{now > 1 ? now - 1 : 1};
-  return Deadline{now + static_cast<std::uint64_t>(ns)};
-}
-
-bool Deadline::passed() const noexcept {
-  return at_ns != 0 && detail::steady_now_ns() >= at_ns;
-}
-
-double Deadline::remaining_ms() const noexcept {
-  if (at_ns == 0) return std::numeric_limits<double>::infinity();
-  const std::uint64_t now = detail::steady_now_ns();
-  return now >= at_ns ? 0.0 : static_cast<double>(at_ns - now) * 1e-6;
-}
-
 CancelToken CancelToken::manual() {
   return CancelToken(std::make_shared<detail::CancelState>());
 }
 
 CancelToken CancelToken::with_deadline(double budget_ms) {
-  return with_deadline(Deadline::in_ms(budget_ms));
-}
-
-CancelToken CancelToken::with_deadline(Deadline deadline) {
   auto state = std::make_shared<detail::CancelState>();
-  state->deadline_ns = deadline.at_ns;
-  return CancelToken(std::move(state));
-}
-
-CancelToken CancelToken::child() const {
-  auto state = std::make_shared<detail::CancelState>();
-  state->parent = state_;
-  return CancelToken(std::move(state));
-}
-
-CancelToken CancelToken::child_with_deadline(double budget_ms) const {
-  auto state = std::make_shared<detail::CancelState>();
-  state->parent = state_;
-  state->deadline_ns = Deadline::in_ms(budget_ms).at_ns;
+  const double ns = budget_ms * 1e6;
+  const std::uint64_t now = detail::steady_now_ns();
+  // A non-positive budget means "already due"; deadline_ns must stay
+  // nonzero to remain distinguishable from "no deadline".
+  state->deadline_ns =
+      ns > 0.0 ? now + static_cast<std::uint64_t>(ns) : (now > 1 ? now - 1 : 1);
   return CancelToken(std::move(state));
 }
 
@@ -88,53 +64,27 @@ void CancelToken::cancel() const noexcept {
 }
 
 bool CancelToken::expired() const noexcept {
-  for (detail::CancelState* s = state_.get(); s != nullptr; s = s->parent.get()) {
-    if (s->tripped.load(std::memory_order_relaxed)) return true;
-    if (s->deadline_ns != 0 && detail::steady_now_ns() >= s->deadline_ns) {
-      detail::trip(*s, s->deadline_ns);
-      return true;
-    }
+  if (state_ == nullptr) return false;
+  if (state_->tripped.load(std::memory_order_relaxed)) return true;
+  if (state_->deadline_ns != 0 && detail::steady_now_ns() >= state_->deadline_ns) {
+    detail::trip(*state_, state_->deadline_ns);
+    return true;
   }
   return false;
 }
 
 double CancelToken::remaining_ms() const noexcept {
   if (expired()) return 0.0;
-  double remaining = std::numeric_limits<double>::infinity();
-  for (const detail::CancelState* s = state_.get(); s != nullptr; s = s->parent.get()) {
-    const double r = Deadline{s->deadline_ns}.remaining_ms();
-    if (r < remaining) remaining = r;
+  if (state_ == nullptr || state_->deadline_ns == 0) {
+    return std::numeric_limits<double>::infinity();
   }
-  return remaining;
+  const std::uint64_t now = detail::steady_now_ns();
+  return now >= state_->deadline_ns ? 0.0
+                                    : static_cast<double>(state_->deadline_ns - now) * 1e-6;
 }
 
 std::uint64_t CancelToken::trip_time_ns() const noexcept {
-  std::uint64_t earliest = 0;
-  for (const detail::CancelState* s = state_.get(); s != nullptr; s = s->parent.get()) {
-    const std::uint64_t t = s->trip_ns.load(std::memory_order_relaxed);
-    if (t != 0 && (earliest == 0 || t < earliest)) earliest = t;
-  }
-  return earliest;
-}
-
-CancelScope::CancelScope(CancelToken token) {
-  if (!token.valid()) return;
-  saved_ = detail::t_ambient;
-  detail::t_ambient = std::move(token);
-  detail::g_active_scopes.fetch_add(1, std::memory_order_relaxed);
-  installed_ = true;
-}
-
-CancelScope::~CancelScope() {
-  if (!installed_) return;
-  detail::t_ambient = std::move(saved_);
-  detail::g_active_scopes.fetch_sub(1, std::memory_order_relaxed);
-}
-
-CancelToken current_cancel_token() noexcept {
-  // Fast path: no scope anywhere in the process -- one relaxed load.
-  if (detail::g_active_scopes.load(std::memory_order_relaxed) == 0) return {};
-  return detail::t_ambient;
+  return state_ != nullptr ? state_->trip_ns.load(std::memory_order_relaxed) : 0;
 }
 
 void note_cancel_observed(const CancelToken& token) noexcept {

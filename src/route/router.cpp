@@ -233,7 +233,7 @@ void for_each_edge(const RoutingGrid& g, const Routed& r, Fn&& fn) {
 }  // namespace
 
 RouteResult route(const Netlist& netlist, const place::Placement& placement,
-                  const RouterParams& params) {
+                  const RouterParams& params, const robust::CancelToken& cancel) {
   if (params.h_capacity < 1 || params.v_capacity < 1) {
     throw std::invalid_argument("router capacities must be >= 1");
   }
@@ -241,10 +241,6 @@ RouteResult route(const Netlist& netlist, const place::Placement& placement,
     throw std::invalid_argument("rip-up pass count must be >= 0");
   }
   obs::ObsSpan route_span("route.route");
-  // Snapshot the ambient deadline once: rip-up passes below stop at
-  // pass boundaries when it trips.  Without one this is a single
-  // relaxed atomic load.
-  const robust::CancelToken cancel = robust::current_cancel_token();
   RouteResult result;
   result.grid = RoutingGrid(placement.rows(), placement.cols());
 

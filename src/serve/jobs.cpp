@@ -357,11 +357,10 @@ Response execute(const Eq4Job& job, exec::ThreadPool* pool) {
 Response execute(const RiskJob& job, double budget_ms, exec::ThreadPool* pool) {
   Response r;
   r.request_id = job.request_id;
-  // A scope over the invalid token (no budget) installs nothing.
-  const robust::CancelScope scope(budget_ms > 0.0 ? robust::CancelToken::with_deadline(budget_ms)
-                                                  : robust::CancelToken{});
+  // No budget: the invalid token, which never trips.
   const core::PartialRisk p = core::monte_carlo_cost_partial(
-      job.inputs, job.s_d, job.samples, job.seed, job.die_budget, pool);
+      job.inputs, job.s_d, job.samples, job.seed, job.die_budget, pool,
+      budget_ms > 0.0 ? robust::CancelToken::with_deadline(budget_ms) : robust::CancelToken{});
   r.result = cache::encode(p.result);
   r.completeness = p.completeness;
   r.frontier_chunks = p.frontier_chunks;

@@ -69,7 +69,7 @@ void expect_histograms_equal(const std::vector<std::int64_t>& a,
 using nanocost::testing::TempDir;
 
 // ---------------------------------------------------------------------------
-// Token and scope semantics.
+// Token semantics.
 
 TEST(CancelToken, InvalidTokenNeverTrips) {
   const robust::CancelToken none;
@@ -106,73 +106,13 @@ TEST(CancelToken, DeadlineExpiresAndFarDeadlineDoesNot) {
   EXPECT_LE(left, 3600.0 * 1000.0);
 }
 
-TEST(CancelToken, ChildTripsWithParentButNotViceVersa) {
-  const robust::CancelToken parent = robust::CancelToken::manual();
-  const robust::CancelToken child = parent.child();
-  const robust::CancelToken grandchild = child.child();
-  child.cancel();
-  EXPECT_FALSE(parent.expired());
-  EXPECT_TRUE(child.expired());
-  EXPECT_TRUE(grandchild.expired());
-
-  const robust::CancelToken sibling = parent.child();
-  EXPECT_FALSE(sibling.expired());
-  parent.cancel();
-  EXPECT_TRUE(sibling.expired());
-}
-
-TEST(CancelToken, ChildDeadlineOnlyTightens) {
-  const robust::CancelToken parent = robust::CancelToken::with_deadline(3600.0 * 1000.0);
-  const robust::CancelToken tight = parent.child_with_deadline(-1.0);
-  EXPECT_TRUE(tight.expired());
-  EXPECT_FALSE(parent.expired());
-  // remaining_ms is the min over the chain.
-  const robust::CancelToken child = parent.child_with_deadline(3600.0 * 2000.0);
-  EXPECT_LE(child.remaining_ms(), parent.remaining_ms() + 1.0);
-}
-
-TEST(Deadline, ValueSemantics) {
-  EXPECT_TRUE(robust::Deadline::none().unset());
-  EXPECT_FALSE(robust::Deadline::none().passed());
-  const robust::Deadline past = robust::Deadline::in_ms(-5.0);
-  EXPECT_FALSE(past.unset());
-  EXPECT_TRUE(past.passed());
-  EXPECT_EQ(past.remaining_ms(), 0.0);
-  const robust::Deadline future = robust::Deadline::in_ms(3600.0 * 1000.0);
-  EXPECT_FALSE(future.passed());
-  EXPECT_GT(future.remaining_ms(), 0.0);
-}
-
-TEST(CancelScope, InstallsAndRestoresTheAmbientToken) {
-  EXPECT_FALSE(robust::current_cancel_token().valid());
-  const robust::CancelToken outer = robust::CancelToken::manual();
-  {
-    robust::CancelScope outer_scope(outer);
-    EXPECT_TRUE(robust::current_cancel_token().valid());
-    {
-      const robust::CancelToken inner = robust::CancelToken::manual();
-      robust::CancelScope inner_scope(inner);
-      inner.cancel();
-      EXPECT_TRUE(robust::current_cancel_token().expired());
-    }
-    // Restored to the (untripped) outer token.
-    EXPECT_TRUE(robust::current_cancel_token().valid());
-    EXPECT_FALSE(robust::current_cancel_token().expired());
-  }
-  EXPECT_FALSE(robust::current_cancel_token().valid());
-  {
-    robust::CancelScope noop{robust::CancelToken{}};  // invalid: no-op scope
-    EXPECT_FALSE(robust::current_cancel_token().valid());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Fabsim: cancel-at-K == truncate-at-K, bitwise, at any thread count.
 
 TEST(FabsimDeadline, NoAmbientTokenMatchesRunBitwise) {
   const auto sim = make_simulator();
   const fabsim::LotResult reference = sim.run(37, 5);
-  const fabsim::PartialLot partial = sim.run_partial(37, 5);
+  const fabsim::PartialLot partial = sim.run_partial(37, 5, nullptr, robust::CancelToken{});
   EXPECT_FALSE(partial.cancelled);
   EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
   EXPECT_EQ(partial.completed_wafers, 37);
@@ -194,11 +134,8 @@ TEST(FabsimDeadline, CancelledLotEqualsSerialPrefixAtAnyThreadCount) {
   const int hw = exec::ThreadPool::default_thread_count();
   for (const int threads : {1, 2, hw}) {
     exec::ThreadPool pool(threads);
-    fabsim::PartialLot partial = [&] {
-      const robust::CancelToken token = robust::CancelToken::with_deadline(5.0);
-      robust::CancelScope scope(token);
-      return sim.run_partial(n_wafers, seed, &pool);
-    }();
+    const fabsim::PartialLot partial =
+        sim.run_partial(n_wafers, seed, &pool, robust::CancelToken::with_deadline(5.0));
     // Where the frontier lands depends on machine speed; what the
     // result *contains* for that frontier must not.
     EXPECT_EQ(partial.completed_wafers,
@@ -244,7 +181,8 @@ TEST(FabsimDeadline, CancelledLotEqualsSerialPrefixAtAnyThreadCount) {
 TEST(RiskDeadline, NoAmbientTokenMatchesMonteCarloBitwise) {
   const core::UncertainInputs u = risk_inputs();
   const core::RiskResult reference = core::monte_carlo_cost(u, 300.0, 2000, 7);
-  const core::PartialRisk partial = core::monte_carlo_cost_partial(u, 300.0, 2000, 7);
+  const core::PartialRisk partial =
+      core::monte_carlo_cost_partial(u, 300.0, 2000, 7, 0.0, nullptr, robust::CancelToken{});
   EXPECT_FALSE(partial.cancelled);
   EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
   EXPECT_EQ(partial.completed_samples, 2000);
@@ -262,11 +200,8 @@ TEST(RiskDeadline, CancelledRunEqualsSerialPrefixAtAnyThreadCount) {
   const int hw = exec::ThreadPool::default_thread_count();
   for (const int threads : {1, 2, hw}) {
     exec::ThreadPool pool(threads);
-    const core::PartialRisk partial = [&] {
-      const robust::CancelToken token = robust::CancelToken::with_deadline(5.0);
-      robust::CancelScope scope(token);
-      return core::monte_carlo_cost_partial(u, 300.0, samples, seed, 0.0, &pool);
-    }();
+    const core::PartialRisk partial = core::monte_carlo_cost_partial(
+        u, 300.0, samples, seed, 0.0, &pool, robust::CancelToken::with_deadline(5.0));
     EXPECT_EQ(partial.completed_samples,
               std::min<std::int64_t>(samples,
                                      partial.frontier_chunks * core::RiskCampaign::kGrain))
@@ -348,17 +283,6 @@ TEST(CampaignDeadline, ExpiredCampaignResumesToBitwiseIdenticalLot) {
   EXPECT_EQ(assembled.lot.total_dies, direct.total_dies);
   EXPECT_EQ(assembled.lot.good_dies, direct.good_dies);
   expect_histograms_equal(assembled.lot.fault_histogram, direct.fault_histogram);
-}
-
-TEST(CampaignDeadline, AmbientTokenIsHonoredWhenOptionsCancelIsInvalid) {
-  const auto sim = make_simulator();
-  const fabsim::FabLotCampaign task(sim, 40, 9);
-  const robust::CancelToken token = robust::CancelToken::with_deadline(-1.0);
-  robust::CancelScope scope(token);
-  robust::CampaignOptions options;  // options.cancel left invalid
-  const robust::CampaignResult result = robust::run_campaign(task, options);
-  EXPECT_TRUE(result.expired);
-  EXPECT_EQ(result.completed_chunks, 0);
 }
 
 TEST(CampaignDeadline, RenderCampaignNamesTheExpiry) {
@@ -535,8 +459,8 @@ TEST(PlaceDeadline, NoAmbientTokenMatchesMultistartBitwise) {
   params.seed = 5;
   const place::MultistartResult reference =
       place::anneal_place_multistart(logic, 8, 20, 3, params);
-  const place::PartialMultistart partial =
-      place::anneal_place_multistart_partial(logic, 8, 20, 3, params);
+  const place::PartialMultistart partial = place::anneal_place_multistart_partial(
+      logic, 8, 20, 3, params, nullptr, robust::CancelToken{});
   EXPECT_FALSE(partial.cancelled);
   EXPECT_EQ(partial.completed_starts, 3);
   EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
@@ -550,10 +474,8 @@ TEST(PlaceDeadline, PreExpiredTokenFallsBackToOrderedPlacement) {
   gen.gate_count = 120;
   gen.seed = 5;
   const netlist::Netlist logic = netlist::generate_random_logic(gen);
-  const robust::CancelToken token = robust::CancelToken::with_deadline(-1.0);
-  robust::CancelScope scope(token);
-  const place::PartialMultistart partial =
-      place::anneal_place_multistart_partial(logic, 8, 20, 3, {});
+  const place::PartialMultistart partial = place::anneal_place_multistart_partial(
+      logic, 8, 20, 3, {}, nullptr, robust::CancelToken::with_deadline(-1.0));
   EXPECT_TRUE(partial.cancelled);
   EXPECT_EQ(partial.completed_starts, 0);
   EXPECT_EQ(partial.result.best_start, -1);
@@ -572,11 +494,8 @@ TEST(PlaceDeadline, TruncatedRunEqualsFreshRunWithFewerStarts) {
   place::AnnealParams params;
   params.seed = 9;
   exec::ThreadPool pool(2);
-  const place::PartialMultistart partial = [&] {
-    const robust::CancelToken token = robust::CancelToken::with_deadline(20.0);
-    robust::CancelScope scope(token);
-    return place::anneal_place_multistart_partial(logic, 10, 20, 16, params, &pool);
-  }();
+  const place::PartialMultistart partial = place::anneal_place_multistart_partial(
+      logic, 10, 20, 16, params, &pool, robust::CancelToken::with_deadline(20.0));
   if (partial.completed_starts == 0 || partial.completed_starts == 16) {
     GTEST_SKIP() << "deadline landed outside the interesting window ("
                  << partial.completed_starts << " starts)";
@@ -593,8 +512,8 @@ TEST(PlaceDeadline, TruncatedRunEqualsFreshRunWithFewerStarts) {
 TEST(SweepDeadline, NoAmbientTokenMatchesRobustSdBitwise) {
   const core::UncertainInputs u = risk_inputs();
   const core::RobustOptimum reference = core::robust_sd(u, 0.9, 150.0, 1000.0, 6, 200, 3);
-  const core::PartialSweep partial =
-      core::robust_sd_partial(u, 0.9, 150.0, 1000.0, 6, 200, 3);
+  const core::PartialSweep partial = core::robust_sd_partial(
+      u, 0.9, 150.0, 1000.0, 6, 200, 3, nullptr, robust::CancelToken{});
   EXPECT_FALSE(partial.cancelled);
   EXPECT_EQ(partial.completed_steps, 6);
   EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
@@ -604,10 +523,8 @@ TEST(SweepDeadline, NoAmbientTokenMatchesRobustSdBitwise) {
 
 TEST(SweepDeadline, PreExpiredTokenReturnsAnEmptySweep) {
   const core::UncertainInputs u = risk_inputs();
-  const robust::CancelToken token = robust::CancelToken::with_deadline(-1.0);
-  robust::CancelScope scope(token);
-  const core::PartialSweep partial =
-      core::robust_sd_partial(u, 0.9, 150.0, 1000.0, 6, 200, 3);
+  const core::PartialSweep partial = core::robust_sd_partial(
+      u, 0.9, 150.0, 1000.0, 6, 200, 3, nullptr, robust::CancelToken::with_deadline(-1.0));
   EXPECT_TRUE(partial.cancelled);
   EXPECT_EQ(partial.completed_steps, 0);
   EXPECT_DOUBLE_EQ(partial.completeness, 0.0);
@@ -620,7 +537,7 @@ TEST(SweepDeadline, PreExpiredTokenReturnsAnEmptySweep) {
 TEST(RouteDeadline, ExpiredTokenStopsRefinementOnAPassBoundary) {
   // Three straight nets over capacity 2: rip-up normally resolves the
   // overflow with U-detours (see route_test).  An already-expired
-  // ambient deadline must stop before the first pass -- the result is
+  // deadline must stop before the first pass -- the result is
   // exactly single-pass routing, coarser but well-formed.
   netlist::Netlist nl;
   const std::int32_t a = nl.add_primary_input();
@@ -644,11 +561,8 @@ TEST(RouteDeadline, ExpiredTokenStopsRefinementOnAPassBoundary) {
   EXPECT_GT(refined.completed_rip_up_passes, 0);
   EXPECT_EQ(refined.overflowed_edges, 0);
 
-  const route::RouteResult cut = [&] {
-    const robust::CancelToken token = robust::CancelToken::with_deadline(-1.0);
-    robust::CancelScope scope(token);
-    return route::route(nl, p, params);
-  }();
+  const route::RouteResult cut =
+      route::route(nl, p, params, robust::CancelToken::with_deadline(-1.0));
   EXPECT_TRUE(cut.cancelled);
   EXPECT_EQ(cut.completed_rip_up_passes, 0);
 
@@ -666,12 +580,9 @@ TEST(CancelObservability, CancelledLoopRecordsLatency) {
   obs::set_metrics_enabled(true);
   const std::uint64_t loops_before = obs::counter_value("robust.cancelled_loops");
   const auto sim = make_simulator();
-  {
-    const robust::CancelToken token = robust::CancelToken::with_deadline(-1.0);
-    robust::CancelScope scope(token);
-    const fabsim::PartialLot partial = sim.run_partial(40, 9);
-    EXPECT_TRUE(partial.cancelled);
-  }
+  const fabsim::PartialLot partial =
+      sim.run_partial(40, 9, nullptr, robust::CancelToken::with_deadline(-1.0));
+  EXPECT_TRUE(partial.cancelled);
   EXPECT_GT(obs::counter_value("robust.cancelled_loops"), loops_before);
   const obs::Histogram* latency = obs::find_histogram("robust.cancel_latency_us");
   ASSERT_NE(latency, nullptr);
