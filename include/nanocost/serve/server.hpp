@@ -5,8 +5,8 @@
 // families end to end:
 //
 //   * light jobs (eq4 sweeps, risk Monte-Carlo) dispatch to a small
-//     worker pool, each under the per-request budget via the
-//     Deadline/CancelToken hierarchy; a slow request returns a typed
+//     worker pool, each under the per-request budget, a CancelToken
+//     deadline passed to the kernel; a slow request returns a typed
 //     resumable partial, never a hung connection;
 //   * campaigns are admitted or shed by the reader as they arrive, into
 //     the server's own FIFO, so overload sheds or degrades
@@ -83,8 +83,6 @@ struct ServerOptions final {
   /// them at a chunk boundary (checkpointed, resumable); 0 = wait for
   /// them to finish.
   double drain_budget_ms = 0.0;
-  /// CampaignOptions::wave_chunks for served campaigns (a kill -9 loses at most one wave).
-  std::int64_t campaign_wave_chunks = 64;
   /// Compute pool for kernels (null: the global pool).
   exec::ThreadPool* pool = nullptr;
   /// Reap a connection that starts no frame for this long, ms (0 =

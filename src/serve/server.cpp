@@ -850,7 +850,6 @@ struct Server::Impl {
     // The campaign's record is named by its identity (not max_chunks),
     // so a budget-limited run and its full resubmission share it.
     if (store != nullptr) run.artifact_dir = store->dir();
-    run.wave_chunks = options.campaign_wave_chunks;
     run.max_chunks_this_run = max_chunks;
     run.pool = options.pool;
     run.cancel = drain_stop;
