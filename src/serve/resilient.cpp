@@ -152,8 +152,12 @@ Response ResilientClient::run(const char* what,
         // The server is healthy but shedding; keep the connection, pay
         // the backoff, resubmit.  Content addressing makes the
         // resubmission coalesce or replay, never recompute.
-        last_error = std::string(response_status_name(r.status)) +
-                     (r.message.empty() ? "" : ": " + r.message);
+        const std::string status = response_status_name(r.status);
+        if (r.message.starts_with(status + ":")) {
+          last_error = r.message;  // shed and stopped messages name their status
+        } else {
+          last_error = status + (r.message.empty() ? "" : ": " + r.message);
+        }
         continue;
       }
       return r;
