@@ -17,6 +17,7 @@
 // resubmit recomputes nothing (scripts/ci uses exactly that to prove
 // crash tolerance).
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "nanocost/obs/metrics.hpp"
@@ -49,6 +51,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses `text` as a decimal count of at least `min` that fits `out`'s
+/// type; false on a sign, garbage, trailing characters or overflow.
+template <typename T>
+bool parse_count(const char* text, T& out, std::type_identity_t<T> min) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < min) return false;
+  out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,9 +79,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--socket" && has_value) {
       listen_specs.emplace_back(std::string("unix:") + argv[++i]);
     } else if (arg == "--workers" && has_value) {
-      options.worker_threads = std::atoi(argv[++i]);
+      if (!parse_count(argv[++i], options.worker_threads, 1)) return usage(argv[0]);
     } else if (arg == "--capacity" && has_value) {
-      options.campaign_capacity = static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!parse_count(argv[++i], options.campaign_capacity, 1)) return usage(argv[0]);
     } else if (arg == "--policy" && has_value) {
       const std::string policy = argv[++i];
       if (policy == "reject") {
@@ -80,7 +94,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--artifact-dir" && has_value) {
       options.artifact_dir = argv[++i];
     } else if (arg == "--artifact-cap" && has_value) {
-      options.artifact_byte_cap = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_count(argv[++i], options.artifact_byte_cap, 0)) return usage(argv[0]);
     } else if (arg == "--request-budget-ms" && has_value) {
       options.request_budget_ms = std::atof(argv[++i]);
     } else if (arg == "--drain-budget-ms" && has_value) {
@@ -90,16 +104,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--read-deadline-ms" && has_value) {
       options.read_deadline_ms = std::atof(argv[++i]);
     } else if (arg == "--max-conns" && has_value) {
-      options.max_connections = static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!parse_count(argv[++i], options.max_connections, 0)) return usage(argv[0]);
     } else if (arg == "--tenant-quota" && has_value) {
-      options.tenant_campaign_quota = static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!parse_count(argv[++i], options.tenant_campaign_quota, 0)) return usage(argv[0]);
     } else if (arg == "--no-metrics") {
       metrics = false;
     } else {
       return usage(argv[0]);
     }
   }
-  if (listen_specs.empty() || options.campaign_capacity < 1) return usage(argv[0]);
+  if (listen_specs.empty()) return usage(argv[0]);
 
   // The daemon is the telemetry plane's reason to exist: metrics are on
   // by default so a kStatsRequest always has something to report.
