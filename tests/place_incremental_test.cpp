@@ -2,10 +2,11 @@
 // (hpwl_cache.hpp) against full recomputation: randomized move/swap
 // sequences, pending-proposal discard, exact revert negation, and the
 // resum() == total_weighted_hpwl bitwise invariant, unweighted and
-// weighted.
+// weighted; and the placer's NANOCOST_PLACE_CHECK mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include "nanocost/exec/rng.hpp"
@@ -169,6 +170,28 @@ TEST(PlaceIncremental, MovesToEmptySitesAreTracked) {
     ++empty_moves;
   }
   EXPECT_GT(empty_moves, 50);
+}
+
+TEST(PlaceIncremental, CheckModeCrossValidatesWithoutChangingTheResult) {
+  // NANOCOST_PLACE_CHECK=64 recomputes the HPWL every 64 moves and
+  // throws if the incremental cache drifted from it; the anneal itself
+  // must come out the same.
+  const netlist::Netlist nl = make_netlist();
+  place::AnnealParams params;
+  params.seed = 3;
+  ASSERT_EQ(::unsetenv("NANOCOST_PLACE_CHECK"), 0);
+  const place::PlaceResult plain = place::anneal_place(nl, kRows, kCols, params);
+  ASSERT_EQ(::setenv("NANOCOST_PLACE_CHECK", "64", 1), 0);
+  const place::PlaceResult checked = place::anneal_place(nl, kRows, kCols, params);
+  ASSERT_EQ(::unsetenv("NANOCOST_PLACE_CHECK"), 0);
+
+  EXPECT_EQ(checked.final_hpwl, plain.final_hpwl);
+  EXPECT_EQ(checked.moves_tried, plain.moves_tried);
+  EXPECT_EQ(checked.moves_accepted, plain.moves_accepted);
+  ASSERT_EQ(checked.placement.gate_count(), plain.placement.gate_count());
+  for (std::int32_t g = 0; g < plain.placement.gate_count(); ++g) {
+    EXPECT_EQ(checked.placement.site_of(g), plain.placement.site_of(g)) << "gate " << g;
+  }
 }
 
 }  // namespace
