@@ -112,7 +112,6 @@ int run_campaign_demo(bool with_faults, bool with_resume, const std::string& cac
   robust::CampaignResult result;
   if (with_resume) {
     if (cache_dir.empty()) options.artifact_dir = make_scratch_tier();
-    options.wave_chunks = 8;
     options.max_chunks_this_run = 20;  // simulate a kill mid-campaign
     const robust::CampaignResult killed = robust::run_campaign(task, options);
     std::printf("killed after %lld/%lld chunks (record in %s)\n",
@@ -178,7 +177,6 @@ int run_deadline_demo(double deadline_ms, const nanocost::robust::CancelToken& b
 
   robust::CampaignOptions options;
   options.artifact_dir = make_scratch_tier();
-  options.wave_chunks = 8;
   options.cancel = robust::CancelToken::with_deadline(deadline_ms);
   const robust::CampaignResult bounded = robust::run_campaign(task, options);
   const fabsim::PartialLot cut = task.assemble(bounded);

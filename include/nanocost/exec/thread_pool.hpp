@@ -38,18 +38,11 @@ class ThreadPool final {
   /// *lowest-index* throwing task is rethrown on the caller after the
   /// batch drains -- a deterministic choice for any thread count -- and
   /// the pool stays reusable for subsequent batches.  Reentrant calls
-  /// from inside a task run inline serially.
-  ///
-  /// A non-empty `cancelled` is polled before each task executes; once
-  /// it returns true the result latches and every not-yet-started task
-  /// is skipped (in-flight tasks finish).  The caller still blocks until
-  /// the batch drains.  Exceptions win over cancellation: a task that
-  /// threw -- even one that started before the trip and threw after --
-  /// is rethrown as above, lowest index first, so the surfaced error
-  /// never depends on where the cancellation raced in.  `cancelled` must
-  /// be thread-safe.
-  void run_tasks(std::int64_t n_tasks, const std::function<void(std::int64_t)>& task,
-                 const std::function<bool()>& cancelled = {});
+  /// from inside a task run inline serially.  The pool has no cancel
+  /// poll: a task that should stop on a robust::CancelToken polls it
+  /// itself, as parallel_reduce's chunk body and the campaign engine's
+  /// chunk task do.
+  void run_tasks(std::int64_t n_tasks, const std::function<void(std::int64_t)>& task);
 
   /// Number of execution lanes (workers + the calling thread).
   [[nodiscard]] int thread_count() const noexcept;

@@ -1,7 +1,6 @@
-// Shared exponential-backoff-with-budget policy.
+// Exponential-backoff-with-budget policy.
 //
-// Both the campaign retry path (robust::run_campaign) and the serve
-// retry client (serve::ResilientClient) need the same three decisions
+// The serve retry client (serve::ResilientClient) makes three decisions
 // between attempts:
 //
 //   1. how long to sleep before attempt N (exponential, optionally
@@ -14,7 +13,7 @@
 // The jitter is seeded: delay_ms(attempt) is a pure function of
 // (policy, attempt), derived from splitmix64, so two processes with the
 // same policy produce the same schedule.  jitter == 0 keeps the exact
-// base * multiplier^attempt ladder the campaign engine has always used.
+// base * multiplier^attempt ladder.
 #pragma once
 
 #include <cstdint>

@@ -14,11 +14,10 @@
 //    schedule) and then quarantined, so one poisoned unit costs one
 //    chunk of coverage instead of the whole run.
 //
-// The engine runs chunks in waves on the thread pool, rewriting the
-// record between waves, and reports completeness plus the quarantined-chunk
-// list instead of rethrowing first-failure (the `allow_partial = false`
-// mode restores strict semantics: the lowest-index failure is
-// rethrown after the run drains).
+// The engine runs chunks in waves of kWaveChunks on the thread pool,
+// rewriting the record between waves, tries each chunk up to
+// kChunkAttempts times, and reports completeness plus the
+// quarantined-chunk list instead of rethrowing first-failure.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +31,15 @@ class ThreadPool;
 }
 
 namespace nanocost::robust {
+
+/// Chunks per scheduling wave.  The record is rewritten after each wave,
+/// so this is also the persistence cadence: a kill -9 loses at most one
+/// wave of completed chunks.
+inline constexpr std::int64_t kWaveChunks = 64;
+/// Tries per chunk before quarantine.  A retry is not taken once the
+/// cancel token has expired: the chunk abandons its remaining tries and
+/// stays pending, so a resume with a fresh budget retries it.
+inline constexpr int kChunkAttempts = 3;
 
 /// A campaign workload.  Implementations must make run_chunk a pure
 /// function of [begin, end): same range, same bytes -- on any thread,
@@ -63,16 +71,6 @@ struct CampaignOptions final {
   /// is counted in robust.artifact_store_errors, never fatal.  Any run of
   /// the same campaign, in any process, resumes from the record.
   std::string artifact_dir;
-  /// Chunks per scheduling wave; the record is rewritten after each
-  /// wave, so this is also the persistence cadence: a kill -9 loses at
-  /// most one wave of completed chunks.
-  std::int64_t wave_chunks = 64;
-  /// Total tries per chunk (1 = no retry) before quarantine.
-  int max_attempts = 3;
-  /// true: quarantine persistent failures and report partial results.
-  /// false: strict mode -- rethrow the lowest-index chunk failure after
-  /// the run drains.
-  bool allow_partial = true;
   /// Stop (persist and return, `interrupted` set) after processing
   /// this many pending chunks; 0 means run to completion.  This is the
   /// hook kill/resume tests and demos use to interrupt mid-campaign.
@@ -80,17 +78,12 @@ struct CampaignOptions final {
   /// null: the global pool.
   exec::ThreadPool* pool = nullptr;
   /// Deadline / cancellation for this run; an invalid token (the
-  /// default) never expires.  Expiry stops the run on a chunk boundary:
-  /// completed chunks are persisted, pending ones stay pending, and the
-  /// result comes back with `expired` set -- resumable exactly like a
-  /// killed run.
+  /// default) never expires.  Each chunk task polls it before it starts,
+  /// as parallel_reduce's chunk body does, so expiry stops the run on a
+  /// chunk boundary: completed chunks are persisted, pending ones stay
+  /// pending, and the result comes back with `expired` set -- resumable
+  /// exactly like a killed run.
   CancelToken cancel;
-  /// Base backoff before retry attempt a: sleep retry_backoff_ms *
-  /// 2^(a-1) ms (0 disables).  A backoff that does not fit in the
-  /// remaining cancel-token budget is not taken: the chunk abandons its
-  /// retries and stays *pending* (not quarantined), so a resume with a
-  /// fresh budget retries it.
-  double retry_backoff_ms = 0.0;
 };
 
 /// One chunk that exhausted its attempts.
@@ -137,10 +130,10 @@ struct CampaignResult final {
 };
 
 /// Runs (or resumes) `task` under `options`.  Always returns a result;
-/// throws only on a foreign or corrupt record, an artifact directory it
-/// cannot create, or -- in strict mode -- the lowest-index chunk failure.
-/// Deadline expiry never throws: it persists the completed chunks and
-/// returns a partial result with `expired` set.
+/// throws only on a foreign or corrupt record or an artifact directory
+/// it cannot create.  Chunk failures are quarantined, and deadline
+/// expiry persists the completed chunks and returns a partial result
+/// with `expired` set.
 [[nodiscard]] CampaignResult run_campaign(const CampaignTask& task,
                                           const CampaignOptions& options = {});
 

@@ -2,13 +2,12 @@
 //
 // The plain Client is fire-once: any transport failure -- a reset, a
 // stalled server, a daemon restart -- surfaces as an exception and the
-// job is lost to the caller.  ResilientClient turns those into a retry
-// loop with the campaign engine's discipline:
+// job is lost to the caller.  ResilientClient turns those into a
+// bounded retry loop:
 //
 //   * exponential backoff with deterministic seeded jitter
-//     (robust::BackoffPolicy -- the same policy object run_campaign
-//     uses), abandoning early when the next sleep cannot fit the
-//     remaining overall budget;
+//     (robust::BackoffPolicy), abandoning early when the next sleep
+//     cannot fit the remaining overall budget;
 //   * per-attempt read deadlines (Client::arm_timeouts) so one hung
 //     server costs one attempt, not the whole session;
 //   * a fresh connection + NCWIRE01 handshake per reconnect, carrying

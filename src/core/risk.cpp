@@ -6,14 +6,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/rng_batch.hpp"
 #include "nanocost/exec/seed.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
-#include "risk_sampler.hpp"
 
 namespace nanocost::core {
 
@@ -57,13 +55,23 @@ double select_percentile(std::vector<double>& v, std::size_t& from, double q) {
   return below * (1.0 - t) + above * t;
 }
 
-}  // namespace
+/// Scenario costs of one sampled run and the loop's status.
+struct SampledCosts final {
+  /// Costs of scenarios [0, frontier * kRiskGrain), in index order:
+  /// every scenario unless the token stopped the run.
+  std::vector<double> costs;
+  exec::LoopStatus status;
+};
 
-namespace detail {
-
+/// Prices scenarios 0 .. samples-1 at density s_d through
+/// risk_sample_cost_batch, in parallel chunks of kRiskGrain scenarios on
+/// `pool`, polling `token` once per chunk.  Scenarios past the frontier
+/// may have run, but are dropped, so the costs are a pure function of
+/// the frontier.  The one sampler behind monte_carlo_cost,
+/// monte_carlo_cost_partial and robust_sd.
 SampledCosts sample_costs(const UncertainInputs& inputs, double s_d, int samples,
                           std::uint64_t seed, exec::ThreadPool* pool,
-                          const robust::CancelToken& token) {
+                          const robust::CancelToken& token = {}) {
   if (samples < 10) {
     throw std::invalid_argument("risk analysis needs at least 10 samples");
   }
@@ -72,7 +80,7 @@ SampledCosts sample_costs(const UncertainInputs& inputs, double s_d, int samples
   SampledCosts out;
   out.costs.resize(static_cast<std::size_t>(samples));
   out.status = exec::parallel_for(
-      pool, samples, RiskCampaign::kGrain,
+      pool, samples, kRiskGrain,
       [&](std::int64_t begin, std::int64_t end) {
         risk_sample_cost_batch(inputs, s_d, seed, static_cast<std::uint64_t>(begin),
                                static_cast<std::size_t>(end - begin),
@@ -80,11 +88,11 @@ SampledCosts sample_costs(const UncertainInputs& inputs, double s_d, int samples
       },
       token);
   out.costs.resize(static_cast<std::size_t>(
-      std::min<std::int64_t>(samples, out.status.frontier * RiskCampaign::kGrain)));
+      std::min<std::int64_t>(samples, out.status.frontier * kRiskGrain)));
   return out;
 }
 
-}  // namespace detail
+}  // namespace
 
 void append_uncertain_inputs(cache::KeyBuilder& key, const UncertainInputs& in) {
   append_eq4_inputs(key, in.nominal);
@@ -258,12 +266,33 @@ RiskResult summarize_cost_samples(std::vector<double> costs, const UncertainInpu
 RiskResult monte_carlo_cost(const UncertainInputs& inputs, double s_d, int samples,
                             std::uint64_t seed, double die_budget,
                             exec::ThreadPool* pool) {
-  std::vector<double> costs = detail::sample_costs(inputs, s_d, samples, seed, pool).costs;
+  std::vector<double> costs = sample_costs(inputs, s_d, samples, seed, pool).costs;
   // risk -> consumer boundary: a NaN sample (model escape or injected
   // poison) must surface as a named diagnostic, not as a NaN mean that
   // silently corrupts every quantile and optimizer decision downstream.
   robust::check_finite_range(costs.data(), costs.size(), "risk.samples");
   return summarize_cost_samples(std::move(costs), inputs, die_budget);
+}
+
+PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, int samples,
+                                     std::uint64_t seed, double die_budget,
+                                     exec::ThreadPool* pool, const robust::CancelToken& token) {
+  SampledCosts sampled = sample_costs(inputs, s_d, samples, seed, pool, token);
+  robust::check_finite_range(sampled.costs.data(), sampled.costs.size(), "risk.samples");
+  PartialRisk out;
+  out.completed_samples = static_cast<std::int64_t>(sampled.costs.size());
+  out.completeness = sampled.status.completeness();
+  out.frontier_chunks = sampled.status.frontier;
+  out.cancelled = sampled.status.cancelled;
+  if (out.completed_samples >= 2) {
+    out.result = summarize_cost_samples(std::move(sampled.costs), inputs, die_budget);
+    // Fewer survivors, wider interval.
+    const double half_width =
+        1.96 * out.result.stddev / std::sqrt(static_cast<double>(out.completed_samples));
+    out.mean_ci_lo = out.result.mean - half_width;
+    out.mean_ci_hi = out.result.mean + half_width;
+  }
+  return out;
 }
 
 namespace {
@@ -296,8 +325,7 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           std::vector<double> costs =
-              detail::sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed,
-                                   pool)
+              sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool)
                   .costs;
           std::size_t placed = 0;
           quantile_cost[static_cast<std::size_t>(i)] =

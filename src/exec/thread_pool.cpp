@@ -46,13 +46,6 @@ struct ThreadPool::Impl {
     // function of the task set, independent of thread count.
     std::exception_ptr error;
     std::int64_t error_index = 0;
-    // Optional cancellation poll (null: never cancelled).  Once any
-    // lane sees it return true the latch sticks, so later tasks skip
-    // without re-polling.  Skipping happens at *execution*, never at
-    // claim: lanes keep draining the claim counter so the finished
-    // accounting (and the caller's wake-up) is unchanged.
-    const std::function<bool()>* cancelled = nullptr;
-    std::atomic<bool> cancel_latched{false};
     // steady_clock ns when the batch was published to the workers; 0
     // unless metrics are on.  Purely observational (dispatch-latency
     // histogram) -- no scheduling decision reads it.
@@ -86,14 +79,6 @@ struct ThreadPool::Impl {
         // below it could still throw and must win, or the reported
         // exception would depend on scheduling.
         skip = static_cast<bool>(batch.error) && batch.error_index < i;
-      }
-      if (!skip && batch.cancelled != nullptr) {
-        if (batch.cancel_latched.load(std::memory_order_relaxed)) {
-          skip = true;
-        } else if ((*batch.cancelled)()) {
-          batch.cancel_latched.store(true, std::memory_order_relaxed);
-          skip = true;
-        }
       }
       if (!skip) {
         try {
@@ -160,8 +145,7 @@ ThreadPool::~ThreadPool() {
 int ThreadPool::thread_count() const noexcept { return impl_->lanes; }
 
 void ThreadPool::run_tasks(std::int64_t n_tasks,
-                           const std::function<void(std::int64_t)>& task,
-                           const std::function<bool()>& cancelled) {
+                           const std::function<void(std::int64_t)>& task) {
   if (n_tasks <= 0) return;
   if (!task) throw std::invalid_argument("run_tasks needs a callable task");
 
@@ -178,14 +162,9 @@ void ThreadPool::run_tasks(std::int64_t n_tasks,
     const bool was_in_region = t_in_parallel_region;
     t_in_parallel_region = true;
     try {
-      // The serial path mirrors the pool's skip-at-execution semantics:
-      // ascending order, cancellation checked before each task, and the
-      // first exception surfaces directly (which on this path *is* the
-      // lowest-index one).
-      for (std::int64_t i = 0; i < n_tasks; ++i) {
-        if (cancelled && cancelled()) break;
-        task(i);
-      }
+      // Ascending order, so the first exception surfaces directly (on
+      // this path it *is* the lowest-index one).
+      for (std::int64_t i = 0; i < n_tasks; ++i) task(i);
     } catch (...) {
       t_in_parallel_region = was_in_region;
       throw;
@@ -201,7 +180,6 @@ void ThreadPool::run_tasks(std::int64_t n_tasks,
   auto batch = std::make_shared<Impl::Batch>();
   batch->task = &task;
   batch->n = n_tasks;
-  if (cancelled) batch->cancelled = &cancelled;
   if (obs::metrics_enabled()) batch->publish_ns = steady_now_ns();
   bool claimed = false;
   {

@@ -6,7 +6,6 @@
 #include "nanocost/cache/cached.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/key.hpp"
-#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/robust/cancel.hpp"
 
 namespace nanocost::serve {

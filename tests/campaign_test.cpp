@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "golden_hex.hpp"
+#include "nanocost/cache/key.hpp"
 #include "nanocost/core/risk.hpp"
-#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/fabsim/simulator.hpp"
@@ -94,7 +94,6 @@ TEST(FabCampaign, KilledAndResumedCampaignIsBitwiseIdentical) {
   robust::CampaignOptions first;
   first.artifact_dir = tier.path();
   first.pool = &two;
-  first.wave_chunks = 3;
   first.max_chunks_this_run = 6;
   const robust::CampaignResult killed = robust::run_campaign(task, first);
   EXPECT_TRUE(killed.interrupted);
@@ -221,21 +220,6 @@ TEST(FabCampaign, TransientFaultsHealThroughRetryBitwise) {
   expect_same_lot(task.assemble(faulty).lot, reference.lot);
 }
 
-TEST(FabCampaign, StrictModeRethrowsTheLowestFailedChunk) {
-  PlanGuard guard;
-  const auto sim = make_simulator();
-  const fabsim::FabLotCampaign task(sim, 200, 21);
-  robust::FaultPlan plan;
-  plan.seed(17).add("fabsim.wafer",
-                    robust::FaultSpec{5e-2, robust::FaultKind::kThrow, false, 0});
-  install_fault_plan(plan);
-  exec::ThreadPool serial(1);
-  robust::CampaignOptions options;
-  options.pool = &serial;
-  options.allow_partial = false;
-  EXPECT_THROW((void)robust::run_campaign(task, options), std::runtime_error);
-}
-
 /// A campaign result holding the given chunk blobs, all completed.
 robust::CampaignResult completed_result(std::vector<std::vector<std::uint8_t>> chunks,
                                         std::int64_t units) {
@@ -339,62 +323,6 @@ core::UncertainInputs risk_reference() {
   return u;
 }
 
-TEST(RiskCampaign, CompleteCampaignMatchesMonteCarloBitwise) {
-  const core::UncertainInputs u = risk_reference();
-  const double s_d = 300.0;
-  const int samples = 1000;  // not a multiple of the grain
-  const std::uint64_t seed = 13;
-  const double budget = 5e7;
-  exec::ThreadPool serial(1);
-  const core::RiskResult reference =
-      core::monte_carlo_cost(u, s_d, samples, seed, budget, &serial);
-
-  const core::RiskCampaign task(u, s_d, samples, seed, budget);
-  for (const int threads : {1, 2, exec::ThreadPool::default_thread_count()}) {
-    exec::ThreadPool pool(threads);
-    robust::CampaignOptions options;
-    options.pool = &pool;
-    const core::PartialRisk partial =
-        task.assemble(robust::run_campaign(task, options));
-    EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
-    EXPECT_EQ(partial.completed_samples, samples);
-    EXPECT_DOUBLE_EQ(partial.result.mean, reference.mean);
-    EXPECT_DOUBLE_EQ(partial.result.stddev, reference.stddev);
-    EXPECT_DOUBLE_EQ(partial.result.p10, reference.p10);
-    EXPECT_DOUBLE_EQ(partial.result.p50, reference.p50);
-    EXPECT_DOUBLE_EQ(partial.result.p90, reference.p90);
-    EXPECT_DOUBLE_EQ(partial.result.prob_over_budget, reference.prob_over_budget);
-    EXPECT_LT(partial.mean_ci_lo, partial.result.mean);
-    EXPECT_GT(partial.mean_ci_hi, partial.result.mean);
-  }
-}
-
-TEST(RiskCampaign, KilledAndResumedMatchesMonteCarloBitwise) {
-  const core::UncertainInputs u = risk_reference();
-  const int samples = 1024;  // 8 chunks of 128
-  exec::ThreadPool serial(1);
-  const core::RiskResult reference = core::monte_carlo_cost(u, 250.0, samples, 3, 0.0, &serial);
-
-  const core::RiskCampaign task(u, 250.0, samples, 3);
-  const TempDir tier("risk_resume");
-  exec::ThreadPool two(2);
-  robust::CampaignOptions first;
-  first.artifact_dir = tier.path();
-  first.pool = &two;
-  first.wave_chunks = 2;
-  first.max_chunks_this_run = 3;
-  EXPECT_TRUE(robust::run_campaign(task, first).interrupted);
-
-  robust::CampaignOptions second;
-  second.artifact_dir = tier.path();
-  second.pool = &serial;
-  const robust::CampaignResult resumed = robust::run_campaign(task, second);
-  EXPECT_EQ(resumed.artifact_hits, 3);
-  const core::PartialRisk partial = task.assemble(resumed);
-  EXPECT_DOUBLE_EQ(partial.result.mean, reference.mean);
-  EXPECT_DOUBLE_EQ(partial.result.p90, reference.p90);
-}
-
 /// Rebuilds the design model with one eq.-6 parameter changed.
 void set_design_param(core::UncertainInputs& u, double cost::DesignCostParams::*param,
                       double value) {
@@ -404,98 +332,54 @@ void set_design_param(core::UncertainInputs& u, double cost::DesignCostParams::*
 }
 
 TEST(RiskCampaign, EveryInputFieldSplitsTheRecord) {
-  // Every field run_chunk reads -- the uncertain inputs, s_d, the seed
-  // -- must name a record of its own on a shared tier, or a campaign
-  // resumes another configuration's samples.  die_budget enters only
-  // assemble, so a budget-only edit reuses the record.
+  // Every input of monte_carlo_cost -- the uncertain inputs
+  // (append_uncertain_inputs), s_d, the seed and the die budget -- must
+  // split its content address, or a served risk job replays another
+  // configuration's summary.
   struct Config {
     core::UncertainInputs u = risk_reference();
     double s_d = 300.0;
     std::uint64_t seed = 13;
-    double budget = 40.0;  // the reference die costs ~$40: ~39% over budget
+    double budget = 40.0;
   };
   struct Row {
     const char* field;
     void (*edit)(Config&);
-    std::int64_t hits;
   };
-  constexpr std::int64_t kSplit = 0;
-  constexpr std::int64_t kReuse = 8;  // every chunk of 1000 samples
   const std::vector<Row> rows{
-      {"lambda", [](Config& c) { c.u.nominal.lambda = Micrometers{0.18}; }, kSplit},
-      {"yield", [](Config& c) { c.u.nominal.yield = units::Probability{0.8}; }, kSplit},
-      {"cm_sq", [](Config& c) { c.u.nominal.manufacturing_cost = units::CostPerArea{9.0}; },
-       kSplit},
-      {"n_tr", [](Config& c) { c.u.nominal.transistors_per_chip = 2e7; }, kSplit},
-      {"n_w", [](Config& c) { c.u.nominal.n_wafers = 20000.0; }, kSplit},
-      {"a_w", [](Config& c) { c.u.nominal.wafer_area = units::SquareCentimeters{706.86}; },
-       kSplit},
-      {"c_ma", [](Config& c) { c.u.nominal.mask_cost = units::Money{1e6}; }, kSplit},
-      {"design.a0", [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::a0, 1500.0); },
-       kSplit},
-      {"design.p1", [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::p1, 1.1); },
-       kSplit},
-      {"design.p2", [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::p2, 1.3); },
-       kSplit},
+      {"lambda", [](Config& c) { c.u.nominal.lambda = Micrometers{0.18}; }},
+      {"yield", [](Config& c) { c.u.nominal.yield = units::Probability{0.8}; }},
+      {"cm_sq", [](Config& c) { c.u.nominal.manufacturing_cost = units::CostPerArea{9.0}; }},
+      {"n_tr", [](Config& c) { c.u.nominal.transistors_per_chip = 2e7; }},
+      {"n_w", [](Config& c) { c.u.nominal.n_wafers = 20000.0; }},
+      {"a_w", [](Config& c) { c.u.nominal.wafer_area = units::SquareCentimeters{706.86}; }},
+      {"c_ma", [](Config& c) { c.u.nominal.mask_cost = units::Money{1e6}; }},
+      {"design.a0", [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::a0, 1500.0); }},
+      {"design.p1", [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::p1, 1.1); }},
+      {"design.p2", [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::p2, 1.3); }},
       {"design.s_d0",
-       [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::s_d0, 120.0); }, kSplit},
-      {"utilization", [](Config& c) { c.u.nominal.utilization = units::Probability{0.9}; },
-       kSplit},
-      {"yield_sigma", [](Config& c) { c.u.yield_sigma = 0.05; }, kSplit},
-      {"cm_sq_sigma_rel", [](Config& c) { c.u.cm_sq_sigma_rel = 0.2; }, kSplit},
-      {"design_cost_sigma_rel", [](Config& c) { c.u.design_cost_sigma_rel = 0.3; }, kSplit},
-      {"volume_sigma_rel", [](Config& c) { c.u.volume_sigma_rel = 0.6; }, kSplit},
-      {"s_d", [](Config& c) { c.s_d = 400.0; }, kSplit},
-      {"seed", [](Config& c) { c.seed = 14; }, kSplit},
-      {"die_budget", [](Config& c) { c.budget = 30.0; }, kReuse},
+       [](Config& c) { set_design_param(c.u, &cost::DesignCostParams::s_d0, 120.0); }},
+      {"utilization", [](Config& c) { c.u.nominal.utilization = units::Probability{0.9}; }},
+      {"yield_sigma", [](Config& c) { c.u.yield_sigma = 0.05; }},
+      {"cm_sq_sigma_rel", [](Config& c) { c.u.cm_sq_sigma_rel = 0.2; }},
+      {"design_cost_sigma_rel", [](Config& c) { c.u.design_cost_sigma_rel = 0.3; }},
+      {"volume_sigma_rel", [](Config& c) { c.u.volume_sigma_rel = 0.6; }},
+      {"s_d", [](Config& c) { c.s_d = 400.0; }},
+      {"seed", [](Config& c) { c.seed = 14; }},
+      {"die_budget", [](Config& c) { c.budget = 30.0; }},
   };
-  ASSERT_EQ(rows.size(), 19u) << "one row per RiskCampaign input field";
+  ASSERT_EQ(rows.size(), 19u) << "one row per monte_carlo_cost_key input field";
 
   constexpr int kSamples = 1000;
-  const TempDir tier("risk_every_field");
-  robust::CampaignOptions options;
-  options.artifact_dir = tier.path();
-  const Config base;
-  const core::RiskCampaign base_task(base.u, base.s_d, kSamples, base.seed, base.budget);
-  ASSERT_EQ(robust::run_campaign(base_task, options).completed_chunks, kReuse);
+  const auto key_of = [](const Config& c) {
+    return cache::monte_carlo_cost_key(c.u, c.s_d, kSamples, c.seed, c.budget);
+  };
+  const cache::Digest128 base = key_of(Config{});
   for (const Row& row : rows) {
-    SCOPED_TRACE(row.field);
     Config edited;
     row.edit(edited);
-    const core::RiskCampaign task(edited.u, edited.s_d, kSamples, edited.seed, edited.budget);
-    const robust::CampaignResult run = robust::run_campaign(task, options);
-    EXPECT_EQ(run.artifact_hits, row.hits);
-    const core::RiskResult got = task.assemble(run).result;
-    const core::RiskResult want =
-        core::monte_carlo_cost(edited.u, edited.s_d, kSamples, edited.seed, edited.budget);
-    EXPECT_EQ(got.mean, want.mean);
-    EXPECT_EQ(got.stddev, want.stddev);
-    EXPECT_EQ(got.p10, want.p10);
-    EXPECT_EQ(got.p50, want.p50);
-    EXPECT_EQ(got.p90, want.p90);
-    EXPECT_EQ(got.prob_over_budget, want.prob_over_budget);
+    EXPECT_NE(key_of(edited), base) << row.field;
   }
-}
-
-TEST(RiskCampaign, AssembleDecodesGoldenChunkBytes) {
-  // A hand-built chunk blob in the pinned layout: one f64 per sample,
-  // IEEE bits little-endian (here 1.0 .. 10.0).
-  const core::UncertainInputs u = risk_reference();
-  const core::RiskCampaign task(u, 250.0, 10, 3);
-  const std::vector<std::uint8_t> chunk = nanocost::testing::from_hex(
-      "000000000000f03f000000000000004000000000000008400000000000001040"
-      "000000000000144000000000000018400000000000001c400000000000002040"
-      "00000000000022400000000000002440");
-  const core::PartialRisk partial = task.assemble(completed_result({chunk}, 10));
-  EXPECT_EQ(partial.completed_samples, 10);
-  EXPECT_EQ(partial.result.mean, 5.5);
-  const core::RiskResult expected = core::summarize_cost_samples(
-      {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0}, u);
-  EXPECT_EQ(partial.result.mean, expected.mean);
-  EXPECT_EQ(partial.result.stddev, expected.stddev);
-  EXPECT_EQ(partial.result.p10, expected.p10);
-  EXPECT_EQ(partial.result.p50, expected.p50);
-  EXPECT_EQ(partial.result.p90, expected.p90);
 }
 
 TEST(RiskCampaign, NaNPoisonIsCaughtNotAveraged) {
@@ -506,22 +390,13 @@ TEST(RiskCampaign, NaNPoisonIsCaughtNotAveraged) {
                    robust::FaultSpec{1.0, robust::FaultKind::kNaN, false, 0});
   install_fault_plan(plan);
   exec::ThreadPool serial(1);
-  // The monolithic path trips its boundary guard instead of folding
-  // NaNs into the mean...
+  // Both risk paths trip their boundary guard instead of folding NaNs
+  // into the mean.
   EXPECT_THROW((void)core::monte_carlo_cost(u, 300.0, 256, 7, 0.0, &serial),
                robust::NonFiniteError);
-  // ...and the campaign path quarantines every poisoned chunk, so
-  // nothing survives to summarize.
-  const core::RiskCampaign task(u, 300.0, 256, 7);
-  robust::CampaignOptions options;
-  options.pool = &serial;
-  const robust::CampaignResult result = robust::run_campaign(task, options);
-  EXPECT_EQ(result.completed_chunks, 0);
-  EXPECT_DOUBLE_EQ(result.completeness(), 0.0);
-  for (const robust::ChunkFailure& f : result.quarantined) {
-    EXPECT_NE(f.error.find("risk.sample_chunk"), std::string::npos);
-  }
-  EXPECT_THROW((void)task.assemble(result), std::invalid_argument);
+  EXPECT_THROW((void)core::monte_carlo_cost_partial(u, 300.0, 256, 7, 0.0, &serial,
+                                                    robust::CancelToken{}),
+               robust::NonFiniteError);
 }
 
 TEST(CampaignReport, RendersCompletenessAndQuarantine) {
@@ -547,15 +422,7 @@ TEST(CampaignReport, RendersCompletenessAndQuarantine) {
 
 TEST(Campaign, ValidatesOptions) {
   const auto sim = make_simulator();
-  const fabsim::FabLotCampaign task(sim, 8, 1);
-  robust::CampaignOptions bad;
-  bad.wave_chunks = 0;
-  EXPECT_THROW((void)robust::run_campaign(task, bad), std::invalid_argument);
-  bad = {};
-  bad.max_attempts = 0;
-  EXPECT_THROW((void)robust::run_campaign(task, bad), std::invalid_argument);
   EXPECT_THROW(fabsim::FabLotCampaign(sim, 0, 1), std::invalid_argument);
-  EXPECT_THROW(core::RiskCampaign(risk_reference(), 300.0, 5, 1), std::invalid_argument);
 }
 
 TEST(Campaign, GoldenRecordNames) {
@@ -566,8 +433,6 @@ TEST(Campaign, GoldenRecordNames) {
   };
   const auto sim = make_simulator();
   EXPECT_EQ(record_name(fabsim::FabLotCampaign(sim, 24, 3)), "aaf537130e4b9c69f860ee650ac706b8");
-  EXPECT_EQ(record_name(core::RiskCampaign(risk_reference(), 300.0, 1000, 13, 40.0)),
-            "0d70ab5706849fefbd4a74de0e692d8c");
 }
 
 }  // namespace

@@ -14,10 +14,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nanocost/core/risk.hpp"
-#include "nanocost/core/risk_campaign.hpp"
 #include "nanocost/exec/parallel.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/campaign.hpp"
@@ -29,6 +29,7 @@
 #include "nanocost/robust/backoff.hpp"
 #include "nanocost/robust/campaign.hpp"
 #include "nanocost/robust/cancel.hpp"
+#include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/route/router.hpp"
 #include "temp_dir.hpp"
 
@@ -204,7 +205,7 @@ TEST(RiskDeadline, CancelledRunEqualsSerialPrefixAtAnyThreadCount) {
         u, 300.0, samples, seed, 0.0, &pool, robust::CancelToken::with_deadline(5.0));
     EXPECT_EQ(partial.completed_samples,
               std::min<std::int64_t>(samples,
-                                     partial.frontier_chunks * core::RiskCampaign::kGrain))
+                                     partial.frontier_chunks * core::kRiskGrain))
         << "threads " << threads;
     if (partial.completed_samples < samples) {
       EXPECT_TRUE(partial.cancelled);
@@ -257,7 +258,6 @@ TEST(CampaignDeadline, ExpiredCampaignResumesToBitwiseIdenticalLot) {
 
   robust::CampaignOptions bounded;
   bounded.artifact_dir = tier.path();
-  bounded.wave_chunks = 8;
   bounded.cancel = robust::CancelToken::with_deadline(5.0);
   const robust::CampaignResult first = robust::run_campaign(task, bounded);
   if (first.completed_chunks < first.total_chunks) {
@@ -297,14 +297,19 @@ TEST(CampaignDeadline, RenderCampaignNamesTheExpiry) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry backoff respects the remaining budget.
+// Retries under a cancel token: none after it expires.
 
 /// A campaign whose chunk `failing_chunk` always throws -- for
-/// exercising retry/backoff paths without fault plans.
+/// exercising the retry paths without fault plans.  `cancel_on_retry`
+/// is cancelled by that chunk's second attempt, before it throws.
 class ToyTask final : public robust::CampaignTask {
  public:
-  ToyTask(std::int64_t units, std::int64_t grain, std::int64_t failing_chunk = -1)
-      : units_(units), grain_(grain), failing_chunk_(failing_chunk) {}
+  ToyTask(std::int64_t units, std::int64_t grain, std::int64_t failing_chunk = -1,
+          robust::CancelToken cancel_on_retry = {})
+      : units_(units),
+        grain_(grain),
+        failing_chunk_(failing_chunk),
+        cancel_on_retry_(std::move(cancel_on_retry)) {}
 
   [[nodiscard]] std::uint64_t config_fingerprint() const override {
     return 0xABCDu ^ static_cast<std::uint64_t>(units_ * 31 + grain_);
@@ -314,6 +319,7 @@ class ToyTask final : public robust::CampaignTask {
   void run_chunk(std::int64_t begin, std::int64_t end,
                  std::vector<std::uint8_t>& blob) const override {
     if (begin / grain_ == failing_chunk_) {
+      if (robust::AttemptScope::current() == 1) cancel_on_retry_.cancel();
       throw std::runtime_error("toy chunk failure");
     }
     for (std::int64_t i = begin; i < end; ++i) {
@@ -325,67 +331,53 @@ class ToyTask final : public robust::CampaignTask {
   std::int64_t units_;
   std::int64_t grain_;
   std::int64_t failing_chunk_;
+  robust::CancelToken cancel_on_retry_;
 };
 
-TEST(CampaignDeadline, BackoffThatOverrunsTheBudgetAbandonsRetries) {
-  const ToyTask task(40, 4, 2);  // chunk 2 of 10 always fails
-  exec::ThreadPool serial(1);
-  robust::CampaignOptions options;
-  options.pool = &serial;
-  options.max_attempts = 3;
-  // A backoff that can never fit in the remaining budget: the chunk
-  // must stay *pending* (not quarantined) so a fresh budget retries it.
-  options.retry_backoff_ms = 10.0 * 60.0 * 1000.0;
-  options.cancel = robust::CancelToken::with_deadline(60.0 * 1000.0);
-  const robust::CampaignResult result = robust::run_campaign(task, options);
-  EXPECT_TRUE(result.quarantined.empty());
-  EXPECT_TRUE(result.interrupted);
-  EXPECT_EQ(result.completed_chunks, result.total_chunks - 1);
-  EXPECT_EQ(result.retries, 0);
-  EXPECT_TRUE(result.chunks[2].empty());
-}
-
 TEST(CampaignDeadline, AbandonedRetriesReachTheRetriesCounter) {
-  // Chunk 2 fails every attempt.  The first 500 ms backoff fits the
-  // 1200 ms budget, the second (1000 ms) does not, so the chunk is
-  // abandoned after one retry.  The campaign report prints the counter
-  // as "chunks retried"; it must agree with the result.
+  // Chunk 2 fails every attempt, and its second attempt trips the
+  // token, so the chunk abandons its third attempt after one retry and
+  // stays pending; the chunks behind it never start.  The campaign
+  // report prints the counter as "chunks retried"; it must agree with
+  // the result.
   obs::set_metrics_enabled(true);
   const std::uint64_t before = obs::counter_value("robust.retries");
-  const ToyTask task(40, 4, 2);
+  const robust::CancelToken token = robust::CancelToken::manual();
+  const ToyTask task(40, 4, 2, token);
   exec::ThreadPool serial(1);
   robust::CampaignOptions options;
   options.pool = &serial;
-  options.max_attempts = 3;
-  options.retry_backoff_ms = 500.0;
-  options.cancel = robust::CancelToken::with_deadline(1200.0);
+  options.cancel = token;
   const robust::CampaignResult result = robust::run_campaign(task, options);
   const std::uint64_t counted = obs::counter_value("robust.retries") - before;
   obs::set_metrics_enabled(false);
   EXPECT_TRUE(result.quarantined.empty());
   EXPECT_TRUE(result.interrupted);
+  EXPECT_TRUE(result.expired);
+  EXPECT_EQ(result.completed_chunks, 2);
+  EXPECT_EQ(result.frontier_chunks, 2);
+  EXPECT_TRUE(result.chunks[2].empty());
   EXPECT_EQ(result.retries, 1);
   EXPECT_EQ(counted, static_cast<std::uint64_t>(result.retries));
 }
 
-TEST(CampaignDeadline, BackoffThatFitsStillQuarantinesAfterMaxAttempts) {
+TEST(CampaignDeadline, AFailureUnderALiveBudgetQuarantinesAfterEveryAttempt) {
   const ToyTask task(40, 4, 2);
   exec::ThreadPool serial(1);
   robust::CampaignOptions options;
   options.pool = &serial;
-  options.max_attempts = 2;
-  options.retry_backoff_ms = 0.01;  // fits any budget
   options.cancel = robust::CancelToken::with_deadline(60.0 * 1000.0);
   const robust::CampaignResult result = robust::run_campaign(task, options);
   ASSERT_EQ(result.quarantined.size(), 1u);
   EXPECT_EQ(result.quarantined[0].chunk, 2);
-  EXPECT_EQ(result.retries, 1);
+  EXPECT_EQ(result.retries, robust::kChunkAttempts - 1);
+  EXPECT_EQ(result.completed_chunks, result.total_chunks - 1);
   EXPECT_FALSE(result.expired);
 }
 
 // ---------------------------------------------------------------------------
-// The shared BackoffPolicy (robust/backoff.hpp): the one schedule both
-// run_campaign and serve::ResilientClient sleep on.
+// BackoffPolicy (robust/backoff.hpp): the schedule serve::ResilientClient
+// sleeps on between attempts.
 
 TEST(BackoffPolicy, ZeroJitterReproducesTheDoublingLadderExactly) {
   const robust::BackoffPolicy p{50.0, 0.0, 2.0, 0.0, 0};

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nanocost/exec/parallel.hpp"
@@ -233,62 +234,27 @@ TEST(ChunkCount, RoundsUp) {
   EXPECT_EQ(chunk_count(1000, 1), 1000);
 }
 
-TEST(ThreadPoolCancel, CancelledBatchSkipsNotYetStartedTasks) {
-  const int hw = ThreadPool::default_thread_count();
-  for (const int threads : {1, 2, hw}) {
-    ThreadPool pool(threads);
-    std::atomic<bool> stop{false};
-    std::atomic<std::int64_t> ran{0};
-    pool.run_tasks(
-        512,
-        [&](std::int64_t i) {
-          ran.fetch_add(1);
-          if (i == 0) stop.store(true);
-        },
-        [&] { return stop.load(); });
-    // Task 0 trips the flag; everything claimed afterwards is skipped.
-    // At least one task ran, and nowhere near all 512 at 1 thread.
-    EXPECT_GE(ran.load(), 1) << "threads " << threads;
-    if (threads == 1) {
-      EXPECT_LT(ran.load(), 512);
-    }
-    // The pool is not wedged: the accounting drained all 512 claims.
-    std::atomic<std::int64_t> next{0};
-    pool.run_tasks(64, [&](std::int64_t) { next.fetch_add(1); });
-    EXPECT_EQ(next.load(), 64);
-  }
-}
-
-TEST(ThreadPoolCancel, EmptyCancelCallbackBehavesLikeThePlainOverload) {
-  ThreadPool pool(2);
-  const std::function<bool()> empty;
-  std::vector<std::atomic<int>> hits(128);
-  pool.run_tasks(
-      128, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; }, empty);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolCancel, ExceptionWinsOverCancellation) {
-  // Regression: a task that trips the cancel flag and *then* throws must
-  // still surface its exception -- deterministically the lowest-index
-  // thrower -- not be silently swallowed by the cancellation path.
+  // Regression: a chunk that trips the cancel token and *then* throws
+  // must still surface its exception -- deterministically the
+  // lowest-index thrower -- not be silently swallowed by the
+  // cancellation path.
   const int hw = ThreadPool::default_thread_count();
   for (const int threads : {1, 2, hw}) {
     ThreadPool pool(threads);
     for (int repeat = 0; repeat < 8; ++repeat) {
-      std::atomic<bool> stop{false};
+      const robust::CancelToken token = robust::CancelToken::manual();
       try {
-        pool.run_tasks(
-            256,
-            [&](std::int64_t i) {
-              if (i == 0) stop.store(true);
-              throw std::runtime_error("task " + std::to_string(i));
+        (void)parallel_for(
+            &pool, 256, 1,
+            [&](std::int64_t begin, std::int64_t) {
+              if (begin == 0) token.cancel();
+              throw std::runtime_error("task " + std::to_string(begin));
             },
-            [&] { return stop.load(); });
-        // Legal only if cancellation latched before any task started
-        // throwing -- impossible here: task 0 throws unconditionally
-        // and the poll happens before the first task executes, when
-        // stop is still false.
+            token);
+        // Legal only if the token tripped before any chunk started
+        // throwing -- impossible here: chunk 0 throws unconditionally
+        // and polls the token before it runs, when it is still live.
         FAIL() << "expected an exception (threads " << threads << ")";
       } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "task 0") << "threads " << threads;
