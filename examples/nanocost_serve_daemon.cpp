@@ -19,9 +19,9 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -63,6 +63,17 @@ bool parse_count(const char* text, T& out, std::type_identity_t<T> min) {
   return true;
 }
 
+/// Parses `text` as a finite decimal number of milliseconds, at least 0;
+/// false on garbage, trailing characters, a negative value, nan or inf.
+bool parse_ms(const char* text, double& out) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value < 0.0) return false;
+  out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,13 +107,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--artifact-cap" && has_value) {
       if (!parse_count(argv[++i], options.artifact_byte_cap, 0)) return usage(argv[0]);
     } else if (arg == "--request-budget-ms" && has_value) {
-      options.request_budget_ms = std::atof(argv[++i]);
+      if (!parse_ms(argv[++i], options.request_budget_ms)) return usage(argv[0]);
     } else if (arg == "--drain-budget-ms" && has_value) {
-      options.drain_budget_ms = std::atof(argv[++i]);
+      if (!parse_ms(argv[++i], options.drain_budget_ms)) return usage(argv[0]);
     } else if (arg == "--idle-timeout-ms" && has_value) {
-      options.idle_timeout_ms = std::atof(argv[++i]);
+      if (!parse_ms(argv[++i], options.idle_timeout_ms)) return usage(argv[0]);
     } else if (arg == "--read-deadline-ms" && has_value) {
-      options.read_deadline_ms = std::atof(argv[++i]);
+      if (!parse_ms(argv[++i], options.read_deadline_ms)) return usage(argv[0]);
     } else if (arg == "--max-conns" && has_value) {
       if (!parse_count(argv[++i], options.max_connections, 0)) return usage(argv[0]);
     } else if (arg == "--tenant-quota" && has_value) {
