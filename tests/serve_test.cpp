@@ -1015,29 +1015,39 @@ TEST(AdmissionQueue, DrainPicksUpSubmissionsArrivingMidCycle) {
 // Graceful drain.
 
 TEST(Drain, ShutdownStopsInFlightCampaignsResumable) {
+  // 10 ms wafers on two lanes: the 64-wafer lot needs ~320 ms, so the
+  // drain stop trips ~150 ms in, with some chunks done and most not.
+  const CampaignJob big = small_campaign(3, 64);  // 16 chunks
+  const std::vector<std::uint8_t> reference = direct_campaign_bytes(big);
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 10000});
+  robust::install_fault_plan(plan);
+
   const TempDir tmp("drain");
+  exec::ThreadPool pool(2);
   ServerOptions options;
+  options.pool = &pool;
   options.artifact_dir = tmp.path();
   options.drain_budget_ms = 100.0;
   Server server(options);
   Client client = make_client(server);
 
-  const CampaignJob big = small_campaign(3, 64);  // 16 chunks
   const std::uint64_t id = client.submit(big);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   const DrainReport report = server.shutdown();
-  EXPECT_EQ(report.campaigns_stopped + report.campaigns_completed, 1u);
+  EXPECT_EQ(report.campaigns_stopped, 1u);
+  EXPECT_EQ(report.campaigns_completed, 0u);
 
   // The response was written before the drain finished.
   const Response r = client.wait(id);
-  if (r.status == ResponseStatus::kStopped) {
-    EXPECT_LT(r.completeness, 1.0);
-    EXPECT_LT(r.frontier_chunks, 16);
-    EXPECT_FALSE(r.message.empty());
-  } else {
-    EXPECT_EQ(r.status, ResponseStatus::kOk) << r.message;  // a very fast box
-  }
+  EXPECT_EQ(r.status, ResponseStatus::kStopped) << r.message;
+  EXPECT_LT(r.completeness, 1.0);
+  EXPECT_GT(r.frontier_chunks, 0);
+  EXPECT_LT(r.frontier_chunks, 16);
+  EXPECT_FALSE(r.message.empty());
 
   // Idempotent: the second shutdown returns the first report.
   const DrainReport again = server.shutdown();
@@ -1052,14 +1062,13 @@ TEST(Drain, ShutdownStopsInFlightCampaignsResumable) {
 
   // The stopped campaign is resumable: a fresh server on the same tier
   // finishes it with the stopped frontier replayed, bitwise correct.
-  if (r.status == ResponseStatus::kStopped && r.frontier_chunks > 0) {
-    Server resumed(options);
-    Client client2 = make_client(resumed);
-    const Response full = client2.wait(client2.submit(big));
-    EXPECT_EQ(full.status, ResponseStatus::kOk) << full.message;
-    EXPECT_GE(full.artifact_hits, static_cast<std::uint64_t>(r.frontier_chunks));
-    EXPECT_EQ(full.result, direct_campaign_bytes(big));
-  }
+  robust::clear_fault_plan();
+  Server resumed(options);
+  Client client2 = make_client(resumed);
+  const Response full = client2.wait(client2.submit(big));
+  EXPECT_EQ(full.status, ResponseStatus::kOk) << full.message;
+  EXPECT_GE(full.artifact_hits, static_cast<std::uint64_t>(r.frontier_chunks));
+  EXPECT_EQ(full.result, reference);
 }
 
 TEST(Drain, ShutdownStopsTheQueuedCampaignsWithoutRunningThem) {
