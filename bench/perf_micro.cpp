@@ -303,20 +303,33 @@ std::vector<std::pair<std::string, std::uint64_t>> collect_obs_counters(Work&& w
   return out;
 }
 
-/// Median-of-`reps` wall time of one invocation of `fn`, in
-/// nanoseconds.  The median is robust against the one-sided noise a
-/// shared machine injects (interrupts, frequency dips) without
-/// rewarding a single lucky run the way best-of does.
+/// Shortest span one timing sample covers.  A sub-millisecond op is
+/// repeated within the sample until the sample spans this long, so one
+/// scheduler hiccup or one cold cache line is spread over many calls
+/// instead of deciding the sample; an op of 1 ms or more runs once.
+constexpr auto kMinSampleSpan = std::chrono::milliseconds(1);
+
+/// Median-of-`reps` wall time per invocation of `fn`, in nanoseconds,
+/// each sample averaging the calls made in at least kMinSampleSpan.
+/// The median is robust against the one-sided noise a shared machine
+/// injects (interrupts, frequency dips) without rewarding a single
+/// lucky run the way best-of does.
 template <typename Fn>
 double time_ns(Fn&& fn, int reps) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
+    std::int64_t calls = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
+    auto t1 = t0;
+    do {
+      fn();
+      ++calls;
+      t1 = std::chrono::steady_clock::now();
+    } while (t1 - t0 < kMinSampleSpan);
     samples.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
+                          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
+                      static_cast<double>(calls));
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];

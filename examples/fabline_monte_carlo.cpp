@@ -2,6 +2,8 @@
 // defects, wafer maps, yield learning -- and reconcile what the line
 // *measures* with what the analytic models *predict*, then roll the
 // run into per-die economics.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +32,17 @@
 #include "nanocost/yield/models.hpp"
 
 namespace {
+
+/// A finite decimal millisecond count > 0 and nothing else: "nan", "1x"
+/// and "-5" are refused, not read as a zero or partial budget.
+bool parse_positive_ms(const char* text, double& out) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value <= 0.0) return false;
+  out = value;
+  return true;
+}
 
 /// With `--trace`/`--metrics` the campaign demo also runs a small
 /// place -> route -> STA pass, so one trace shows the whole engine:
@@ -237,8 +250,7 @@ int main(int argc, char** argv) {
         std::fputs("--deadline-ms needs a millisecond budget\n", stderr);
         return 2;
       }
-      deadline_ms = std::atof(argv[++i]);
-      if (deadline_ms <= 0.0) {
+      if (!parse_positive_ms(argv[++i], deadline_ms)) {
         std::fputs("--deadline-ms needs a positive millisecond budget\n", stderr);
         return 2;
       }
@@ -248,8 +260,7 @@ int main(int argc, char** argv) {
         std::fputs("--budget needs a millisecond budget\n", stderr);
         return 2;
       }
-      budget_ms = std::atof(argv[++i]);
-      if (budget_ms <= 0.0) {
+      if (!parse_positive_ms(argv[++i], budget_ms)) {
         std::fputs("--budget needs a positive millisecond budget\n", stderr);
         return 2;
       }
@@ -265,13 +276,16 @@ int main(int argc, char** argv) {
   if (with_metrics) obs::set_metrics_enabled(true);
   if (!trace_file.empty()) obs::start_trace(trace_file);
 
-  // `--budget M` bounds the invocation's deadline-aware paths: the token
-  // goes to the campaign waves, the rip-up passes and the mature lot, so
-  // the demo degrades gracefully instead of overrunning.
+  // `--budget M` bounds the invocation's deadline-aware paths only: the
+  // token goes to the campaign waves, the mature lot and the router's
+  // rip-up passes, which stop early instead of overrunning.  The main
+  // demo's ramp (phase 1) takes no token and always runs to completion.
   robust::CancelToken budget_token;
   if (budget_ms > 0.0) {
     budget_token = robust::CancelToken::with_deadline(budget_ms);
-    std::printf("global budget: %.0f ms\n\n", budget_ms);
+    std::printf("global budget: %g ms (bounds the campaign waves, the mature lot and the "
+                "route passes; the ramp runs to completion)\n\n",
+                budget_ms);
   }
 
   const auto finish = [&](int rc) {

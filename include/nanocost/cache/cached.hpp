@@ -1,4 +1,6 @@
-// Cached spellings of the deterministic entry points.
+// Cached spellings of the three entry points that have cached callers:
+// the served eq4 sweep (serve::execute), and the risk Monte-Carlo and
+// robust sweep whose warm hits perf_micro times.
 //
 // Each *_cached function is observably identical to its plain
 // counterpart -- PRs 1-6 made every one of these a pure function of
@@ -21,9 +23,6 @@
 
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
-#include "nanocost/fabsim/simulator.hpp"
-#include "nanocost/place/placer.hpp"
-#include "nanocost/regularity/window_sweep.hpp"
 
 namespace nanocost::exec {
 class ThreadPool;
@@ -49,24 +48,5 @@ namespace nanocost::cache {
                                                    int steps, int samples = 2000,
                                                    std::uint64_t seed = 1,
                                                    exec::ThreadPool* pool = nullptr);
-
-/// regularity::sweep_windows, memoized (the cell hashes by content).
-[[nodiscard]] std::vector<regularity::WindowSweepPoint> sweep_windows_cached(
-    const layout::Cell& top, layout::Coord min_window, int steps,
-    bool orientation_invariant = false, exec::ThreadPool* pool = nullptr);
-
-/// fabsim::FabSimulator::run, memoized (the simulator hashes by
-/// configuration content).
-[[nodiscard]] fabsim::LotResult fabsim_run_cached(const fabsim::FabSimulator& sim,
-                                                  std::int64_t n_wafers,
-                                                  std::uint64_t seed = 42,
-                                                  exec::ThreadPool* pool = nullptr);
-
-/// place::anneal_place_multistart, memoized (the netlist hashes by
-/// content).
-[[nodiscard]] place::MultistartResult anneal_place_multistart_cached(
-    const netlist::Netlist& netlist, std::int32_t rows, std::int32_t cols,
-    std::int32_t starts, const place::AnnealParams& params = {},
-    exec::ThreadPool* pool = nullptr);
 
 }  // namespace nanocost::cache

@@ -1,8 +1,11 @@
-// Byte codec for cached results.
+// Byte codec for entry-point results.
 //
-// Cached values travel as flat little-endian byte blobs -- through the
-// in-memory LRU and the on-disk artifact tier alike -- because the
-// result structs hold std::vectors and unit wrappers whose in-memory
+// The three cached results (cache/cached.hpp) travel through the
+// in-memory LRU as flat little-endian byte blobs, and the served
+// replies carry the same bytes.  fabsim::LotResult is not cached: its
+// codec is the served campaign's result format and the bytes behind
+// the fabline example's lot digest.  Flat bytes, because the result
+// structs hold std::vectors and unit wrappers whose in-memory
 // representation is neither contiguous nor portable.  The encoding is
 // the identity on information: decode(encode(r)) reproduces r field
 // for field, floats by IEEE bit pattern, so "cache hit equals cold
@@ -24,13 +27,12 @@
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/fabsim/simulator.hpp"
-#include "nanocost/place/placer.hpp"
-#include "nanocost/regularity/window_sweep.hpp"
 
 namespace nanocost::cache {
 
 // ---- Result codecs ------------------------------------------------------
-// One encode/decode pair per cached entry-point result type.
+// One encode/decode pair per result type: the three cached results,
+// then the served campaign's lot.
 
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::RiskResult& r);
 [[nodiscard]] core::RiskResult decode_risk_result(const std::vector<std::uint8_t>& blob);
@@ -42,16 +44,7 @@ namespace nanocost::cache {
 [[nodiscard]] std::vector<core::SweepPoint> decode_sweep_points(
     const std::vector<std::uint8_t>& blob);
 
-[[nodiscard]] std::vector<std::uint8_t> encode(
-    const std::vector<regularity::WindowSweepPoint>& r);
-[[nodiscard]] std::vector<regularity::WindowSweepPoint> decode_window_sweep_points(
-    const std::vector<std::uint8_t>& blob);
-
 [[nodiscard]] std::vector<std::uint8_t> encode(const fabsim::LotResult& r);
 [[nodiscard]] fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob);
-
-[[nodiscard]] std::vector<std::uint8_t> encode(const place::MultistartResult& r);
-[[nodiscard]] place::MultistartResult decode_multistart_result(
-    const std::vector<std::uint8_t>& blob);
 
 }  // namespace nanocost::cache

@@ -20,8 +20,8 @@
 //     kernels see them;
 //   * integers serialize little-endian at fixed width regardless of
 //     host; bools as one byte;
-//   * aggregate inputs (roadmap/process tables, netlists, layout cells)
-//     hash their full content, not an identity or pointer.
+//   * aggregate inputs (the fab configuration) hash their full
+//     content, not an identity or pointer.
 //
 // kKeySchemaVersion is the invalidation lever: bump it whenever any
 // kernel changes observable output (a new RNG consumption order, a
@@ -35,9 +35,6 @@
 #include "nanocost/core/risk.hpp"
 #include "nanocost/core/transistor_cost.hpp"
 #include "nanocost/fabsim/simulator.hpp"
-#include "nanocost/layout/cell.hpp"
-#include "nanocost/netlist/netlist.hpp"
-#include "nanocost/place/placer.hpp"
 
 namespace nanocost::cache {
 
@@ -47,9 +44,10 @@ namespace nanocost::cache {
 // artifact tier, fabsim's configuration digest) can use them too.
 
 // ---- Entry-point keys ---------------------------------------------------
-// One function per deterministic entry point; each hashes the complete
-// input closure of the computation (config structs recursively, tables
-// and netlists by content).
+// One function per keyed entry point: the three cached spellings
+// (cache/cached.hpp) and the fab-lot run the serve daemon coalesces on
+// (serve::job_key).  Each hashes the complete input closure of the
+// computation, config structs recursively.
 
 /// eq. (4) log sweep: core::sweep_eq4.
 [[nodiscard]] Digest128 sweep_eq4_key(const core::Eq4Inputs& inputs, double lo, double hi,
@@ -71,25 +69,5 @@ namespace nanocost::cache {
 /// shape.
 [[nodiscard]] Digest128 fabsim_run_key(const fabsim::FabConfig& config, std::int64_t n_wafers,
                                        std::uint64_t seed);
-
-/// Multi-start annealing: place::anneal_place_multistart.  The netlist
-/// hashes by content (gates, connectivity), not identity.
-[[nodiscard]] Digest128 anneal_place_multistart_key(const netlist::Netlist& netlist,
-                                                    std::int32_t rows, std::int32_t cols,
-                                                    std::int32_t starts,
-                                                    const place::AnnealParams& params);
-
-/// Regularity window sweep: regularity::sweep_windows.  The cell
-/// hierarchy hashes recursively by content (rects + instances), with
-/// shared sub-cells hashed once.
-[[nodiscard]] Digest128 window_sweep_key(const layout::Cell& top, std::int64_t min_window,
-                                         int steps, bool orientation_invariant);
-
-/// Content digest of a layout cell hierarchy (exposed for reuse and for
-/// the golden-vector tests).
-[[nodiscard]] Digest128 cell_content_digest(const layout::Cell& cell);
-
-/// Content digest of a netlist (exposed for the golden-vector tests).
-[[nodiscard]] Digest128 netlist_content_digest(const netlist::Netlist& netlist);
 
 }  // namespace nanocost::cache

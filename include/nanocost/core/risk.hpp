@@ -72,7 +72,7 @@ struct RiskResult final {
 /// rng_batch columns; only the transcendental tail (log/sincos/exp of
 /// the Gaussian draws) stays scalar, in all paths.  The one kernel that
 /// prices scenarios: monte_carlo_cost, monte_carlo_cost_partial (the
-/// served risk job), robust_sd and robust_sd_partial run it per chunk.
+/// served risk job) and robust_sd run it per chunk.
 void risk_sample_cost_batch(const UncertainInputs& inputs, double s_d, std::uint64_t seed,
                             std::uint64_t index0, std::size_t n, double* out);
 
@@ -147,27 +147,5 @@ struct RobustOptimum final {
                                       double lo, double hi, int steps, int samples = 2000,
                                       std::uint64_t seed = 1,
                                       exec::ThreadPool* pool = nullptr);
-
-/// A robust-density sweep truncated by a deadline: the optimum over the
-/// leading `completed_steps` grid points only (the sweep walks the grid
-/// low-to-high density, so a partial sweep covers a contiguous density
-/// prefix).  completed_steps == 0 leaves `optimum` default (nothing to
-/// choose from).
-struct PartialSweep final {
-  RobustOptimum optimum;
-  double completeness = 1.0;
-  int completed_steps = 0;
-  std::int64_t frontier_chunks = 0;  ///< grid points == chunks (grain 1)
-  bool cancelled = false;
-};
-
-/// Deadline-aware robust_sd(): polls `token` at grid-point granularity.
-/// On expiry the optimum is taken over exactly the completed leading
-/// grid points -- bitwise what robust_sd over that prefix would pick, at
-/// any thread count.  With an invalid token this is robust_sd.
-[[nodiscard]] PartialSweep robust_sd_partial(const UncertainInputs& inputs, double quantile,
-                                             double lo, double hi, int steps, int samples,
-                                             std::uint64_t seed, exec::ThreadPool* pool,
-                                             const robust::CancelToken& token);
 
 }  // namespace nanocost::core

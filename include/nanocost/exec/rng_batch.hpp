@@ -14,10 +14,10 @@
 // SimdLevel produces bitwise-identical output.  The vector lanes use
 // only IEEE-exact operations (integer arithmetic; double add/mul,
 // which round lane-wise exactly like scalar); nothing transcendental
-// is vectorized.  The _at variants pin the lane explicitly -- they
-// exist for the parity test and for callers that must not consult the
-// process-global level; everything else should use the plain forms,
-// which dispatch on exec::simd_level().
+// is vectorized.  Every function takes its lane explicitly (the _at
+// spelling): the kernels pass the level they dispatch on, and the
+// parity test walks every level.  uniform_unit_batch, which fabsim
+// calls, is the one plain form; it dispatches on exec::simd_level().
 #pragma once
 
 #include <cstddef>
@@ -30,7 +30,6 @@ namespace nanocost::exec {
 
 /// The next `n` engine outputs, exactly as n next() calls would return
 /// them; the engine advances past the batch.
-void splitmix64_batch(SplitMix64& rng, std::uint64_t* out, std::size_t n);
 void splitmix64_batch_at(SimdLevel level, SplitMix64& rng, std::uint64_t* out, std::size_t n);
 
 /// The next `n` uniform [0, 1) doubles (uniform_unit applied n times).
@@ -41,14 +40,12 @@ void uniform_unit_batch_at(SimdLevel level, SplitMix64& rng, double* out, std::s
 /// its rejection behaviour: a batch whose lanes could reject re-runs
 /// the affected tail through the scalar path, consuming the identical
 /// stream).  Requires bound >= 1.
-void bounded_u32_batch(SplitMix64& rng, std::uint32_t bound, std::uint32_t* out, std::size_t n);
 void bounded_u32_batch_at(SimdLevel level, SplitMix64& rng, std::uint32_t bound,
                           std::uint32_t* out, std::size_t n);
 
 /// Task seeds i0..i0+n-1 of SeedSequence::for_task(base, i), batched:
 /// the per-unit seeding of every parallel kernel, which is itself one
 /// splitmix64 of an affine sequence.
-void for_task_batch(std::uint64_t base, std::uint64_t index0, std::uint64_t* out, std::size_t n);
 void for_task_batch_at(SimdLevel level, std::uint64_t base, std::uint64_t index0,
                        std::uint64_t* out, std::size_t n);
 
@@ -56,8 +53,6 @@ void for_task_batch_at(SimdLevel level, std::uint64_t base, std::uint64_t index0
 /// *different* streams at once.  The risk batch kernel uses this to
 /// draw one column (e.g. "every scenario's first uniform") across a
 /// tile of scenarios.
-void mix_add_batch(const std::uint64_t* states, std::uint64_t addend, std::uint64_t* out,
-                   std::size_t n);
 void mix_add_batch_at(SimdLevel level, const std::uint64_t* states, std::uint64_t addend,
                       std::uint64_t* out, std::size_t n);
 
@@ -65,9 +60,7 @@ void mix_add_batch_at(SimdLevel level, const std::uint64_t* states, std::uint64_
 /// gauss_pair u1 mapping: [0,1) = (b >> 11) * 2^-53, and (0,1] =
 /// ((b >> 11) + 1) * 2^-53.  Exact at every level (the 53-bit integer
 /// converts to double without rounding).
-void u53_to_unit_batch(const std::uint64_t* bits, double* out, std::size_t n);
 void u53_to_unit_batch_at(SimdLevel level, const std::uint64_t* bits, double* out, std::size_t n);
-void u53_to_unit_pos_batch(const std::uint64_t* bits, double* out, std::size_t n);
 void u53_to_unit_pos_batch_at(SimdLevel level, const std::uint64_t* bits, double* out,
                               std::size_t n);
 

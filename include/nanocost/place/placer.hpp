@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "nanocost/netlist/netlist.hpp"
-#include "nanocost/robust/cancel.hpp"
 
 namespace nanocost::exec {
 class ThreadPool;
@@ -110,27 +109,6 @@ struct MultistartResult final {
                                                        std::int32_t starts,
                                                        const AnnealParams& params = {},
                                                        exec::ThreadPool* pool = nullptr);
-
-/// A multi-start run truncated by a deadline: the winner over the
-/// leading `completed_starts` starts only.  completed_starts == 0 falls
-/// back to the un-annealed ordered placement (best_start == -1), so the
-/// caller always holds a legal placement.
-struct PartialMultistart final {
-  MultistartResult result;
-  double completeness = 1.0;
-  std::int32_t completed_starts = 0;
-  bool cancelled = false;
-};
-
-/// Deadline-aware anneal_place_multistart(): polls `token` at start
-/// granularity.  On expiry the winner is chosen over exactly the
-/// completed leading starts -- bitwise what a fresh run with that many
-/// starts picks, at any thread count.  With an invalid token this is
-/// anneal_place_multistart.
-[[nodiscard]] PartialMultistart anneal_place_multistart_partial(
-    const netlist::Netlist& netlist, std::int32_t rows, std::int32_t cols,
-    std::int32_t starts, const AnnealParams& params, exec::ThreadPool* pool,
-    const robust::CancelToken& token);
 
 /// Net-weighted HPWL: sum of per-net HPWL times weight (weights indexed
 /// by net id; missing entries default to 1).  Weighting critical nets

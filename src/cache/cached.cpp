@@ -79,34 +79,4 @@ core::RobustOptimum robust_sd_cached(const core::UncertainInputs& inputs, double
       [&] { return core::robust_sd(inputs, quantile, lo, hi, steps, samples, seed, pool); });
 }
 
-std::vector<regularity::WindowSweepPoint> sweep_windows_cached(const layout::Cell& top,
-                                                               layout::Coord min_window,
-                                                               int steps,
-                                                               bool orientation_invariant,
-                                                               exec::ThreadPool* pool) {
-  return hit_or_compute(
-      window_sweep_key(top, min_window, steps, orientation_invariant),
-      [](const std::vector<std::uint8_t>& blob) { return decode_window_sweep_points(blob); },
-      [&] { return regularity::sweep_windows(top, min_window, steps, orientation_invariant, pool); });
-}
-
-fabsim::LotResult fabsim_run_cached(const fabsim::FabSimulator& sim, std::int64_t n_wafers,
-                                    std::uint64_t seed, exec::ThreadPool* pool) {
-  return hit_or_compute(
-      fabsim_run_key(sim.config(), n_wafers, seed),
-      [](const std::vector<std::uint8_t>& blob) { return decode_lot_result(blob); },
-      [&] { return sim.run(n_wafers, seed, pool); });
-}
-
-place::MultistartResult anneal_place_multistart_cached(const netlist::Netlist& netlist,
-                                                       std::int32_t rows, std::int32_t cols,
-                                                       std::int32_t starts,
-                                                       const place::AnnealParams& params,
-                                                       exec::ThreadPool* pool) {
-  return hit_or_compute(
-      anneal_place_multistart_key(netlist, rows, cols, starts, params),
-      [](const std::vector<std::uint8_t>& blob) { return decode_multistart_result(blob); },
-      [&] { return place::anneal_place_multistart(netlist, rows, cols, starts, params, pool); });
-}
-
 }  // namespace nanocost::cache

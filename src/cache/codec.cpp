@@ -87,32 +87,6 @@ std::vector<core::SweepPoint> decode_sweep_points(const std::vector<std::uint8_t
   return out;
 }
 
-std::vector<std::uint8_t> encode(const std::vector<regularity::WindowSweepPoint>& r) {
-  ByteWriter w;
-  w.u64(r.size());
-  for (const regularity::WindowSweepPoint& p : r) {
-    w.i64(p.window);
-    w.i64(p.total_windows);
-    w.i64(p.unique_patterns);
-    w.f64(p.regularity_index);
-  }
-  return w.take();
-}
-
-std::vector<regularity::WindowSweepPoint> decode_window_sweep_points(
-    const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  std::vector<regularity::WindowSweepPoint> out(r.count(32));
-  for (regularity::WindowSweepPoint& p : out) {
-    p.window = r.i64();
-    p.total_windows = r.i64();
-    p.unique_patterns = r.i64();
-    p.regularity_index = r.f64();
-  }
-  r.expect_end();
-  return out;
-}
-
 std::vector<std::uint8_t> encode(const fabsim::LotResult& r) {
   ByteWriter w;
   w.u64(r.wafers.size());
@@ -143,45 +117,6 @@ fabsim::LotResult decode_lot_result(const std::vector<std::uint8_t>& blob) {
   out.good_dies = r.i64();
   out.fault_histogram.resize(r.count(8));
   for (std::int64_t& count : out.fault_histogram) count = r.i64();
-  r.expect_end();
-  return out;
-}
-
-std::vector<std::uint8_t> encode(const place::MultistartResult& r) {
-  ByteWriter w;
-  const place::Placement& p = r.best.placement;
-  w.i32(p.rows());
-  w.i32(p.cols());
-  w.i32(p.gate_count());
-  for (std::int32_t g = 0; g < p.gate_count(); ++g) w.i32(p.site_of(g));
-  w.f64(r.best.initial_hpwl);
-  w.f64(r.best.final_hpwl);
-  w.i64(r.best.moves_tried);
-  w.i64(r.best.moves_accepted);
-  w.i32(r.best_start);
-  w.i32(r.starts);
-  w.u64(r.start_hpwls.size());
-  for (const double h : r.start_hpwls) w.f64(h);
-  return w.take();
-}
-
-place::MultistartResult decode_multistart_result(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  const std::int32_t rows = r.i32();
-  const std::int32_t cols = r.i32();
-  const std::int32_t gates = r.i32();
-  place::Placement placement(rows, cols, gates);
-  for (std::int32_t g = 0; g < gates; ++g) placement.assign(g, r.i32());
-  place::MultistartResult out{place::PlaceResult{std::move(placement), 0.0, 0.0, 0, 0}, 0, 0,
-                              {}};
-  out.best.initial_hpwl = r.f64();
-  out.best.final_hpwl = r.f64();
-  out.best.moves_tried = r.i64();
-  out.best.moves_accepted = r.i64();
-  out.best_start = r.i32();
-  out.starts = r.i32();
-  out.start_hpwls.resize(r.count(8));
-  for (double& h : out.start_hpwls) h = r.f64();
   r.expect_end();
   return out;
 }

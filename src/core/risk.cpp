@@ -295,16 +295,9 @@ PartialRisk monte_carlo_cost_partial(const UncertainInputs& inputs, double s_d, 
   return out;
 }
 
-namespace {
-
-struct SweepOutcome {
-  RobustOptimum best;
-  exec::LoopStatus status;
-};
-
-SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, double lo,
-                            double hi, int steps, int samples, std::uint64_t seed,
-                            exec::ThreadPool* pool, const robust::CancelToken& token) {
+RobustOptimum robust_sd(const UncertainInputs& inputs, double quantile, double lo,
+                        double hi, int steps, int samples, std::uint64_t seed,
+                        exec::ThreadPool* pool) {
   if (!(quantile > 0.0 && quantile < 1.0)) {
     throw std::invalid_argument("quantile must be in (0, 1)");
   }
@@ -320,63 +313,28 @@ SweepOutcome robust_sd_impl(const UncertainInputs& inputs, double quantile, doub
   // index) only -- every grid point prices the identical scenario set.
   // The nested sample_costs loop runs inline on the worker lane.
   std::vector<double> quantile_cost(grid.size());
-  const exec::LoopStatus status = exec::parallel_for(
-      pool, steps, 1,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          std::vector<double> costs =
-              sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool)
-                  .costs;
-          std::size_t placed = 0;
-          quantile_cost[static_cast<std::size_t>(i)] =
-              select_percentile(costs, placed, quantile);
-        }
-      },
-      token);
+  exec::parallel_for(pool, steps, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      std::vector<double> costs =
+          sample_costs(inputs, grid[static_cast<std::size_t>(i)], samples, seed, pool).costs;
+      std::size_t placed = 0;
+      quantile_cost[static_cast<std::size_t>(i)] = select_percentile(costs, placed, quantile);
+    }
+  });
 
   // risk -> optimizer boundary: the sweep must not pick an optimum off
-  // a poisoned quantile.  Only the completed prefix is trusted.
-  robust::check_finite_range(quantile_cost.data(),
-                             static_cast<std::size_t>(status.frontier), "risk.quantile");
+  // a poisoned quantile.
+  robust::check_finite_range(quantile_cost.data(), quantile_cost.size(), "risk.quantile");
 
-  SweepOutcome out;
-  out.status = status;
-  if (status.frontier > 0) {
-    out.best.quantile_cost = 1e300;
-    for (std::int64_t i = 0; i < status.frontier; ++i) {
-      if (quantile_cost[static_cast<std::size_t>(i)] < out.best.quantile_cost) {
-        out.best.quantile_cost = quantile_cost[static_cast<std::size_t>(i)];
-        out.best.s_d = grid[static_cast<std::size_t>(i)];
-      }
+  RobustOptimum best;
+  best.quantile_cost = 1e300;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (quantile_cost[i] < best.quantile_cost) {
+      best.quantile_cost = quantile_cost[i];
+      best.s_d = grid[i];
     }
   }
-  return out;
-}
-
-}  // namespace
-
-RobustOptimum robust_sd(const UncertainInputs& inputs, double quantile, double lo,
-                        double hi, int steps, int samples, std::uint64_t seed,
-                        exec::ThreadPool* pool) {
-  // An invalid token never cancels: the frontier always spans the
-  // whole grid.
-  return robust_sd_impl(inputs, quantile, lo, hi, steps, samples, seed, pool,
-                        robust::CancelToken{})
-      .best;
-}
-
-PartialSweep robust_sd_partial(const UncertainInputs& inputs, double quantile, double lo,
-                               double hi, int steps, int samples, std::uint64_t seed,
-                               exec::ThreadPool* pool, const robust::CancelToken& token) {
-  const SweepOutcome o =
-      robust_sd_impl(inputs, quantile, lo, hi, steps, samples, seed, pool, token);
-  PartialSweep out;
-  out.optimum = o.best;
-  out.completed_steps = static_cast<int>(o.status.frontier);
-  out.completeness = o.status.completeness();
-  out.frontier_chunks = o.status.frontier;
-  out.cancelled = o.status.cancelled;
-  return out;
+  return best;
 }
 
 }  // namespace nanocost::core

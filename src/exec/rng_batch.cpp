@@ -232,18 +232,9 @@ void splitmix64_batch_at(SimdLevel level, SplitMix64& rng, std::uint64_t* out, s
   rng.advance(n);
 }
 
-void splitmix64_batch(SplitMix64& rng, std::uint64_t* out, std::size_t n) {
-  splitmix64_batch_at(simd_level(), rng, out, n);
-}
-
 void for_task_batch_at(SimdLevel level, std::uint64_t base, std::uint64_t index0,
                        std::uint64_t* out, std::size_t n) {
   mix_affine_at(level, base + (index0 + 1) * kGamma, kGamma, out, n);
-}
-
-void for_task_batch(std::uint64_t base, std::uint64_t index0, std::uint64_t* out,
-                    std::size_t n) {
-  for_task_batch_at(simd_level(), base, index0, out, n);
 }
 
 void mix_add_batch_at(SimdLevel level, const std::uint64_t* states, std::uint64_t addend,
@@ -257,11 +248,6 @@ void mix_add_batch_at(SimdLevel level, const std::uint64_t* states, std::uint64_
   mix_add_scalar(states, addend, out, n);
 }
 
-void mix_add_batch(const std::uint64_t* states, std::uint64_t addend, std::uint64_t* out,
-                   std::size_t n) {
-  mix_add_batch_at(simd_level(), states, addend, out, n);
-}
-
 void u53_to_unit_batch_at(SimdLevel level, const std::uint64_t* bits, double* out,
                           std::size_t n) {
 #if defined(NANOCOST_X86_SIMD)
@@ -273,10 +259,6 @@ void u53_to_unit_batch_at(SimdLevel level, const std::uint64_t* bits, double* ou
   u53_scalar(bits, out, n);
 }
 
-void u53_to_unit_batch(const std::uint64_t* bits, double* out, std::size_t n) {
-  u53_to_unit_batch_at(simd_level(), bits, out, n);
-}
-
 void u53_to_unit_pos_batch_at(SimdLevel level, const std::uint64_t* bits, double* out,
                               std::size_t n) {
 #if defined(NANOCOST_X86_SIMD)
@@ -286,10 +268,6 @@ void u53_to_unit_pos_batch_at(SimdLevel level, const std::uint64_t* bits, double
   (void)level;
 #endif
   u53_pos_scalar(bits, out, n);
-}
-
-void u53_to_unit_pos_batch(const std::uint64_t* bits, double* out, std::size_t n) {
-  u53_to_unit_pos_batch_at(simd_level(), bits, out, n);
 }
 
 void uniform_unit_batch_at(SimdLevel level, SplitMix64& rng, double* out, std::size_t n) {
@@ -341,11 +319,6 @@ void bounded_u32_batch_at(SimdLevel level, SplitMix64& rng, std::uint32_t bound,
     }
     done += take;
   }
-}
-
-void bounded_u32_batch(SplitMix64& rng, std::uint32_t bound, std::uint32_t* out,
-                       std::size_t n) {
-  bounded_u32_batch_at(simd_level(), rng, bound, out, n);
 }
 
 }  // namespace nanocost::exec

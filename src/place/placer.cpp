@@ -306,17 +306,10 @@ PlaceResult anneal_place(const Netlist& netlist, std::int32_t rows, std::int32_t
   return anneal_impl(netlist, rows, cols, params, nullptr);
 }
 
-namespace {
-
-struct MultistartOutcome {
-  MultistartResult result;
-  exec::LoopStatus status;
-};
-
-MultistartOutcome multistart_impl(const Netlist& netlist, std::int32_t rows,
-                                  std::int32_t cols, std::int32_t starts,
-                                  const AnnealParams& params, exec::ThreadPool* pool,
-                                  const robust::CancelToken& token) {
+MultistartResult anneal_place_multistart(const Netlist& netlist, std::int32_t rows,
+                                         std::int32_t cols, std::int32_t starts,
+                                         const AnnealParams& params,
+                                         exec::ThreadPool* pool) {
   if (starts < 1) throw std::invalid_argument("multi-start needs starts >= 1");
   obs::ObsSpan span("place.multistart");
   span.arg("starts", static_cast<std::uint64_t>(starts));
@@ -324,74 +317,35 @@ MultistartOutcome multistart_impl(const Netlist& netlist, std::int32_t rows,
   // One task per start; each start's seed and initial placement are
   // pure functions of (params.seed, start index), so the fan-out is
   // bitwise thread-count-invariant.
-  const exec::LoopStatus status = exec::parallel_for(
-      pool, starts, 1,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          obs::ObsSpan start_span("place.start");
-          start_span.arg("start", static_cast<std::uint64_t>(i));
-          AnnealParams task = params;
-          task.seed =
-              exec::SeedSequence::for_task(params.seed, static_cast<std::uint64_t>(i));
-          if (i == 0) {
-            results[static_cast<std::size_t>(i)] =
-                anneal_impl(netlist, rows, cols, task, nullptr);
-          } else {
-            const Placement random_start =
-                Placement::random(netlist, rows, cols, exec::splitmix64(task.seed));
-            results[static_cast<std::size_t>(i)] =
-                anneal_impl(netlist, rows, cols, task, nullptr, &random_start);
-          }
-        }
-      },
-      token);
+  exec::parallel_for(pool, starts, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      obs::ObsSpan start_span("place.start");
+      start_span.arg("start", static_cast<std::uint64_t>(i));
+      AnnealParams task = params;
+      task.seed = exec::SeedSequence::for_task(params.seed, static_cast<std::uint64_t>(i));
+      if (i == 0) {
+        results[static_cast<std::size_t>(i)] = anneal_impl(netlist, rows, cols, task, nullptr);
+      } else {
+        const Placement random_start =
+            Placement::random(netlist, rows, cols, exec::splitmix64(task.seed));
+        results[static_cast<std::size_t>(i)] =
+            anneal_impl(netlist, rows, cols, task, nullptr, &random_start);
+      }
+    }
+  });
 
-  const std::int32_t usable = static_cast<std::int32_t>(status.frontier);
-  if (usable == 0) {
-    // Nothing finished before the deadline: fall back to the ordered
-    // placement so the caller still holds a legal result.
-    Placement ordered = Placement::ordered(netlist, rows, cols);
-    const double hpwl = total_hpwl(netlist, ordered, params.row_weight);
-    return MultistartOutcome{
-        MultistartResult{PlaceResult{std::move(ordered), hpwl, hpwl, 0, 0}, -1, 0, {}},
-        status};
-  }
   std::vector<double> hpwls;
-  hpwls.reserve(static_cast<std::size_t>(usable));
+  hpwls.reserve(static_cast<std::size_t>(starts));
   std::int32_t best = 0;
-  for (std::int32_t i = 0; i < usable; ++i) {
+  for (std::int32_t i = 0; i < starts; ++i) {
     const PlaceResult& r = *results[static_cast<std::size_t>(i)];
     hpwls.push_back(r.final_hpwl);
     // (final_hpwl, start index) tie-break: strictly-better wins, the
     // lowest index keeps ties.
     if (r.final_hpwl < results[static_cast<std::size_t>(best)]->final_hpwl) best = i;
   }
-  return MultistartOutcome{MultistartResult{std::move(*results[static_cast<std::size_t>(best)]),
-                                            best, usable, std::move(hpwls)},
-                           status};
-}
-
-}  // namespace
-
-MultistartResult anneal_place_multistart(const Netlist& netlist, std::int32_t rows,
-                                         std::int32_t cols, std::int32_t starts,
-                                         const AnnealParams& params,
-                                         exec::ThreadPool* pool) {
-  // An invalid token never cancels; the frontier spans every start.
-  return multistart_impl(netlist, rows, cols, starts, params, pool,
-                         robust::CancelToken{})
-      .result;
-}
-
-PartialMultistart anneal_place_multistart_partial(const Netlist& netlist, std::int32_t rows,
-                                                  std::int32_t cols, std::int32_t starts,
-                                                  const AnnealParams& params,
-                                                  exec::ThreadPool* pool,
-                                                  const robust::CancelToken& token) {
-  MultistartOutcome o = multistart_impl(netlist, rows, cols, starts, params, pool, token);
-  return PartialMultistart{std::move(o.result), o.status.completeness(),
-                           static_cast<std::int32_t>(o.status.frontier),
-                           o.status.cancelled};
+  return MultistartResult{std::move(*results[static_cast<std::size_t>(best)]), best, starts,
+                          std::move(hpwls)};
 }
 
 PlaceResult anneal_place_weighted(const Netlist& netlist, std::int32_t rows,

@@ -1,5 +1,6 @@
 #include "nanocost/serve/jobs.hpp"
 
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,17 @@ namespace {
 
 using cache::ByteReader;
 using cache::ByteWriter;
+
+/// A u64 wire field that the struct holds as a u32: a value wider than
+/// 32 bits is a malformed payload, not a number to truncate.
+std::uint32_t get_u32_field(ByteReader& r, const char* field) {
+  const std::uint64_t v = r.u64();
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw cache::DecodeError(std::string(field) + " " + std::to_string(v) +
+                             " does not fit 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
+}
 
 // Job payloads flatten the unit wrappers to their double values; the
 // strong types are re-entered (and re-validated: Probability throws on
@@ -269,7 +281,7 @@ StatsReport decode_stats_report(const std::vector<std::uint8_t>& payload) {
   report.request_id = r.u64();
   report.server_version = r.str();
   report.simd_level = r.str();
-  report.hardware_concurrency = static_cast<std::uint32_t>(r.u64());
+  report.hardware_concurrency = get_u32_field(r, "hardware concurrency");
   report.pid = r.u64();
   report.uptime_ms = r.u64();
   report.stats = r.bytes();
@@ -291,10 +303,10 @@ HelloRequest decode_hello(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
   HelloRequest hello;
   hello.request_id = r.u64();
-  hello.protocol_version = static_cast<std::uint32_t>(r.u64());
+  hello.protocol_version = get_u32_field(r, "protocol version");
   hello.build_version = r.str();
   hello.tenant = r.str();
-  hello.attempt = static_cast<std::uint32_t>(r.u64());
+  hello.attempt = get_u32_field(r, "attempt");
   r.expect_end();
   return hello;
 }
@@ -311,7 +323,7 @@ HelloAck decode_hello_ack(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
   HelloAck ack;
   ack.request_id = r.u64();
-  ack.protocol_version = static_cast<std::uint32_t>(r.u64());
+  ack.protocol_version = get_u32_field(r, "protocol version");
   ack.build_version = r.str();
   r.expect_end();
   return ack;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -50,16 +51,15 @@ constexpr robust::FaultSite kAcceptSite{"serve.accept"};
 constexpr robust::FaultSite kDispatchSite{"serve.dispatch"};
 
 /// Leading integer of a "major.minor.patch" string; -1 when the string
-/// does not start with digits followed by a dot (treated as a mismatch
-/// by the handshake, with the raw string in the diagnostic).
+/// does not start with digits followed by a dot, or the digits overflow
+/// an int (each treated as a mismatch by the handshake, with the raw
+/// string in the diagnostic).
 int major_version_of(const std::string& v) noexcept {
+  if (v.empty() || v[0] < '0' || v[0] > '9') return -1;
+  const char* end = v.data() + v.size();
   int major = 0;
-  std::size_t i = 0;
-  while (i < v.size() && v[i] >= '0' && v[i] <= '9') {
-    major = major * 10 + (v[i] - '0');
-    ++i;
-  }
-  if (i == 0 || i >= v.size() || v[i] != '.') return -1;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, major);
+  if (ec != std::errc{} || ptr == end || *ptr != '.') return -1;
   return major;
 }
 

@@ -5,15 +5,17 @@
 //                        (artifact filenames embed it), so golden
 //                        vectors pin the exact mixing; any change must
 //                        bump kKeySchemaVersion and these constants.
-//  * cache/key.hpp    -- canonical parameter keys: golden vectors plus
-//                        sensitivity (entry point, tag, value, type
-//                        code all distinguish).
+//  * cache/key.hpp    -- canonical parameter keys: golden vectors for
+//                        the three cached entry points plus sensitivity
+//                        (entry point, tag, value, type code all
+//                        distinguish); serve_test pins fabsim_run_key.
 //  * cache/lru.hpp    -- sharded LRU semantics and exact counters,
 //                        including a multi-thread run for TSan.
 //  * robust/artifact_store.hpp -- NCBLOB01 round-trip and strict
 //                        corrupt-blob rejection naming the file.
-// Plus the end-to-end contracts: every *_cached entry point returns
-// bytes memcmp-identical to a cold recompute at 1/2/hardware threads,
+// Plus the end-to-end contracts: each of the three *_cached entry
+// points returns bytes memcmp-identical to a cold recompute at
+// 1/2/hardware threads,
 // and a killed-then-rerun campaign with an artifact tier recomputes
 // zero completed chunks while matching the undisturbed run bitwise.
 
@@ -43,10 +45,7 @@
 #include "nanocost/core/risk.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/simulator.hpp"
-#include "nanocost/layout/cell.hpp"
-#include "nanocost/netlist/netlist.hpp"
 #include "nanocost/obs/metrics.hpp"
-#include "nanocost/place/placer.hpp"
 #include "nanocost/robust/artifact_store.hpp"
 #include "nanocost/robust/campaign.hpp"
 #include "nanocost/robust/checkpoint.hpp"
@@ -55,8 +54,6 @@
 namespace {
 
 using namespace nanocost;
-using units::Micrometers;
-using units::Millimeters;
 
 // ---------------------------------------------------------------------------
 // Hash128: golden vectors pin the mixing as a format.
@@ -123,32 +120,6 @@ TEST(CacheKey, GoldenEntryPointKeys) {
             "fe1d8212a875089bd97e321669c2bbe8");
 }
 
-TEST(CacheKey, GoldenContentDigests) {
-  netlist::Netlist nl;
-  const auto a = nl.add_primary_input();
-  const auto b = nl.add_primary_input();
-  const auto g0 = nl.add_gate(netlist::GateType::kNand2, {a, b});
-  (void)nl.add_gate(netlist::GateType::kInv, {nl.output_net_of(g0)});
-  EXPECT_EQ(cache::netlist_content_digest(nl).hex(), "983338628981341c7c23fc2fb7d393a5");
-  const place::AnnealParams params;
-  EXPECT_EQ(cache::anneal_place_multistart_key(nl, 2, 2, 2, params).hex(),
-            "afd1ebfd6820365880596098cf542bd9");
-
-  layout::Library lib;
-  layout::Cell& leaf = lib.create_cell("leaf");
-  leaf.add_rect(layout::Rect{layout::Layer::kPoly, 0, 0, 10, 4});
-  layout::Cell& top = lib.create_cell("top");
-  layout::Instance inst;
-  inst.cell = &leaf;
-  inst.nx = 2;
-  inst.ny = 1;
-  inst.pitch_x = 12;
-  top.add_instance(inst);
-  EXPECT_EQ(cache::cell_content_digest(top).hex(), "b2166b00a4498d64cceb7483a895fc6b");
-  EXPECT_EQ(cache::window_sweep_key(top, 8, 3, false).hex(),
-            "4c7e58c3d157a1c8c65b56a8385c2a39");
-}
-
 TEST(CacheKey, KeysAreDeterministicAndSensitive) {
   const core::Eq4Inputs eq4;
   const cache::Digest128 base = cache::sweep_eq4_key(eq4, 100.0, 2000.0, 24);
@@ -183,29 +154,6 @@ TEST(CacheKey, BuilderDistinguishesEntryPointTagValueAndType) {
   EXPECT_NE(base, key("ep_a", "x", [one_bits](cache::KeyBuilder& b, const char* tag) {
               b.u64(tag, one_bits);
             }));
-}
-
-TEST(CacheKey, CellDigestSeesNestedContentNotIdentity) {
-  // Two structurally identical hierarchies hash equal; a one-rect edit
-  // deep in the leaf changes the top digest.
-  const auto build = [](layout::Library& lib, layout::Coord x1) -> layout::Cell& {
-    layout::Cell& leaf = lib.create_cell("leaf");
-    leaf.add_rect(layout::Rect{layout::Layer::kDiffusion, 0, 0, x1, 4});
-    layout::Cell& top = lib.create_cell("top");
-    layout::Instance inst;
-    inst.cell = &leaf;
-    inst.nx = 3;
-    inst.ny = 2;
-    inst.pitch_x = 20;
-    inst.pitch_y = 10;
-    top.add_instance(inst);
-    return top;
-  };
-  layout::Library lib_a, lib_b, lib_c, lib_d;
-  EXPECT_EQ(cache::cell_content_digest(build(lib_a, 10)),
-            cache::cell_content_digest(build(lib_b, 10)));
-  EXPECT_NE(cache::cell_content_digest(build(lib_c, 10)),
-            cache::cell_content_digest(build(lib_d, 11)));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,66 +386,6 @@ TEST(CachedEntryPoints, SweepEq4HitMatchesCold) {
   exec::ThreadPool phw(static_cast<int>(std::thread::hardware_concurrency()));
   for (exec::ThreadPool* pool : pool_ladder(p1, p2, phw)) {
     EXPECT_EQ(cache::encode(cache::sweep_eq4_cached(inputs, 120.0, 1200.0, 12, pool)), cold);
-  }
-}
-
-TEST(CachedEntryPoints, WindowSweepHitMatchesCold) {
-  layout::Library lib;
-  layout::Cell& leaf = lib.create_cell("leaf");
-  leaf.add_rect(layout::Rect{layout::Layer::kPoly, 0, 0, 6, 2});
-  leaf.add_rect(layout::Rect{layout::Layer::kDiffusion, 0, 4, 6, 6});
-  layout::Cell& top = lib.create_cell("top");
-  layout::Instance inst;
-  inst.cell = &leaf;
-  inst.nx = 4;
-  inst.ny = 4;
-  inst.pitch_x = 8;
-  inst.pitch_y = 8;
-  top.add_instance(inst);
-
-  const std::vector<std::uint8_t> cold =
-      cache::encode(regularity::sweep_windows(top, 4, 3, false));
-  exec::ThreadPool p1(1), p2(2);
-  exec::ThreadPool phw(static_cast<int>(std::thread::hardware_concurrency()));
-  for (exec::ThreadPool* pool : pool_ladder(p1, p2, phw)) {
-    EXPECT_EQ(cache::encode(cache::sweep_windows_cached(top, 4, 3, false, pool)), cold);
-  }
-}
-
-TEST(CachedEntryPoints, FabsimRunHitMatchesCold) {
-  const geometry::WaferSpec wafer = geometry::WaferSpec::mm200();
-  const geometry::DieSize die{Millimeters{15.0}, Millimeters{15.0}};
-  defect::DefectFieldParams field;
-  field.density_per_cm2 = 0.5;
-  const fabsim::FabSimulator sim(fabsim::FabConfig{
-      wafer, die, defect::DefectSizeDistribution::for_feature_size(Micrometers{0.25}), field,
-      defect::WireArray{Micrometers{0.25}, Micrometers{0.25}, Micrometers{100.0}, 50}});
-
-  const std::vector<std::uint8_t> cold = cache::encode(sim.run(6, 99));
-  exec::ThreadPool p1(1), p2(2);
-  exec::ThreadPool phw(static_cast<int>(std::thread::hardware_concurrency()));
-  for (exec::ThreadPool* pool : pool_ladder(p1, p2, phw)) {
-    EXPECT_EQ(cache::encode(cache::fabsim_run_cached(sim, 6, 99, pool)), cold);
-  }
-}
-
-TEST(CachedEntryPoints, AnnealMultistartHitMatchesCold) {
-  netlist::Netlist nl;
-  const auto a = nl.add_primary_input();
-  const auto b = nl.add_primary_input();
-  const auto g0 = nl.add_gate(netlist::GateType::kNand2, {a, b});
-  const auto g1 = nl.add_gate(netlist::GateType::kInv, {nl.output_net_of(g0)});
-  (void)nl.add_gate(netlist::GateType::kNor2, {nl.output_net_of(g0), nl.output_net_of(g1)});
-
-  place::AnnealParams params;
-  params.seed = 5;
-  const std::vector<std::uint8_t> cold =
-      cache::encode(place::anneal_place_multistart(nl, 2, 2, 2, params));
-  exec::ThreadPool p1(1), p2(2);
-  exec::ThreadPool phw(static_cast<int>(std::thread::hardware_concurrency()));
-  for (exec::ThreadPool* pool : pool_ladder(p1, p2, phw)) {
-    EXPECT_EQ(cache::encode(cache::anneal_place_multistart_cached(nl, 2, 2, 2, params, pool)),
-              cold);
   }
 }
 

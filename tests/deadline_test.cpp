@@ -4,7 +4,9 @@
 //
 // The money properties under test:
 //  * cancel-at-frontier-K is bitwise a fresh run truncated at K, for
-//    fabsim lots and risk Monte-Carlo, at 1/2/hw threads;
+//    fabsim lots and risk Monte-Carlo, at 1/2/hw threads -- the two
+//    kernels with a deadline-aware spelling (run_partial,
+//    monte_carlo_cost_partial), besides the router's pass boundary;
 //  * a deadline-expired campaign resumes from its checkpoint to a lot
 //    bitwise-identical to an undisturbed run.
 #include <gtest/gtest.h>
@@ -22,7 +24,6 @@
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/fabsim/campaign.hpp"
 #include "nanocost/fabsim/simulator.hpp"
-#include "nanocost/netlist/generator.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/place/placer.hpp"
 #include "nanocost/report/campaign_report.hpp"
@@ -437,90 +438,6 @@ TEST(BackoffPolicy, OverrunsBudgetExactlyWhenTheSleepCannotPayOff) {
   const robust::CancelToken expired = robust::CancelToken::with_deadline(0.0);
   const robust::BackoffPolicy off{0.0, 0.0, 2.0, 0.0, 0};
   EXPECT_TRUE(off.overruns_budget(0, expired));
-}
-
-// ---------------------------------------------------------------------------
-// Placement and sweep partials.
-
-TEST(PlaceDeadline, NoAmbientTokenMatchesMultistartBitwise) {
-  netlist::GeneratorParams gen;
-  gen.gate_count = 120;
-  gen.seed = 5;
-  const netlist::Netlist logic = netlist::generate_random_logic(gen);
-  place::AnnealParams params;
-  params.seed = 5;
-  const place::MultistartResult reference =
-      place::anneal_place_multistart(logic, 8, 20, 3, params);
-  const place::PartialMultistart partial = place::anneal_place_multistart_partial(
-      logic, 8, 20, 3, params, nullptr, robust::CancelToken{});
-  EXPECT_FALSE(partial.cancelled);
-  EXPECT_EQ(partial.completed_starts, 3);
-  EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
-  EXPECT_EQ(partial.result.best_start, reference.best_start);
-  EXPECT_EQ(partial.result.best.final_hpwl, reference.best.final_hpwl);
-  EXPECT_EQ(partial.result.start_hpwls, reference.start_hpwls);
-}
-
-TEST(PlaceDeadline, PreExpiredTokenFallsBackToOrderedPlacement) {
-  netlist::GeneratorParams gen;
-  gen.gate_count = 120;
-  gen.seed = 5;
-  const netlist::Netlist logic = netlist::generate_random_logic(gen);
-  const place::PartialMultistart partial = place::anneal_place_multistart_partial(
-      logic, 8, 20, 3, {}, nullptr, robust::CancelToken::with_deadline(-1.0));
-  EXPECT_TRUE(partial.cancelled);
-  EXPECT_EQ(partial.completed_starts, 0);
-  EXPECT_EQ(partial.result.best_start, -1);
-  EXPECT_EQ(partial.result.starts, 0);
-  // The fallback is legal and un-annealed: final == initial HPWL.
-  EXPECT_GT(partial.result.best.final_hpwl, 0.0);
-  EXPECT_EQ(partial.result.best.final_hpwl, partial.result.best.initial_hpwl);
-  EXPECT_EQ(partial.result.best.placement.gate_count(), logic.gate_count());
-}
-
-TEST(PlaceDeadline, TruncatedRunEqualsFreshRunWithFewerStarts) {
-  netlist::GeneratorParams gen;
-  gen.gate_count = 200;
-  gen.seed = 6;
-  const netlist::Netlist logic = netlist::generate_random_logic(gen);
-  place::AnnealParams params;
-  params.seed = 9;
-  exec::ThreadPool pool(2);
-  const place::PartialMultistart partial = place::anneal_place_multistart_partial(
-      logic, 10, 20, 16, params, &pool, robust::CancelToken::with_deadline(20.0));
-  if (partial.completed_starts == 0 || partial.completed_starts == 16) {
-    GTEST_SKIP() << "deadline landed outside the interesting window ("
-                 << partial.completed_starts << " starts)";
-  }
-  // Start i's work depends only on (params.seed, i): a fresh run asked
-  // for exactly the completed starts reproduces the winner bitwise.
-  const place::MultistartResult fresh = place::anneal_place_multistart(
-      logic, 10, 20, partial.completed_starts, params, &pool);
-  EXPECT_EQ(partial.result.best_start, fresh.best_start);
-  EXPECT_EQ(partial.result.best.final_hpwl, fresh.best.final_hpwl);
-  EXPECT_EQ(partial.result.start_hpwls, fresh.start_hpwls);
-}
-
-TEST(SweepDeadline, NoAmbientTokenMatchesRobustSdBitwise) {
-  const core::UncertainInputs u = risk_inputs();
-  const core::RobustOptimum reference = core::robust_sd(u, 0.9, 150.0, 1000.0, 6, 200, 3);
-  const core::PartialSweep partial = core::robust_sd_partial(
-      u, 0.9, 150.0, 1000.0, 6, 200, 3, nullptr, robust::CancelToken{});
-  EXPECT_FALSE(partial.cancelled);
-  EXPECT_EQ(partial.completed_steps, 6);
-  EXPECT_DOUBLE_EQ(partial.completeness, 1.0);
-  EXPECT_EQ(partial.optimum.s_d, reference.s_d);
-  EXPECT_EQ(partial.optimum.quantile_cost, reference.quantile_cost);
-}
-
-TEST(SweepDeadline, PreExpiredTokenReturnsAnEmptySweep) {
-  const core::UncertainInputs u = risk_inputs();
-  const core::PartialSweep partial = core::robust_sd_partial(
-      u, 0.9, 150.0, 1000.0, 6, 200, 3, nullptr, robust::CancelToken::with_deadline(-1.0));
-  EXPECT_TRUE(partial.cancelled);
-  EXPECT_EQ(partial.completed_steps, 0);
-  EXPECT_DOUBLE_EQ(partial.completeness, 0.0);
-  EXPECT_EQ(partial.optimum.s_d, 0.0);
 }
 
 // ---------------------------------------------------------------------------

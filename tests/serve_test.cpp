@@ -1543,25 +1543,30 @@ TEST(Handshake, RejectsProtocolMismatchByName) {
 
 TEST(Handshake, RejectsBuildMajorMismatchByName) {
   Server server(ServerOptions{});
-  RawPeer peer(server);
+  // A plain mismatch, and two majors past int's range: one that wraps
+  // to the server's major 1 modulo 2^32, and one past 2^64.
+  const std::vector<std::string> versions = {"2.0.0", "4294967297.0.0",
+                                             "99999999999999999999.0.0"};
+  for (const std::string& version : versions) {
+    RawPeer peer(server);
+    HelloRequest hello;
+    hello.request_id = 9;
+    hello.build_version = version;
+    peer.send(encode_frame(FrameType::kHello, encode_payload(hello)));
 
-  HelloRequest hello;
-  hello.request_id = 9;
-  hello.build_version = "2.0.0";
-  peer.send(encode_frame(FrameType::kHello, encode_payload(hello)));
-
-  MemStream parser(peer.slurp());
-  const std::optional<Frame> frame = read_frame(parser);
-  ASSERT_TRUE(frame.has_value());
-  ASSERT_EQ(frame->type, FrameType::kErrorFrame);
-  const ErrorFrame e = decode_error_frame(frame->payload);
-  EXPECT_NE(e.message.find("handshake rejected"), std::string::npos) << e.message;
-  EXPECT_NE(e.message.find("\"2.0.0\""), std::string::npos) << e.message;
-  EXPECT_NE(e.message.find(kServeVersion), std::string::npos)
-      << "the diagnostic must name both versions: " << e.message;
+    MemStream parser(peer.slurp());
+    const std::optional<Frame> frame = read_frame(parser);
+    ASSERT_TRUE(frame.has_value()) << version;
+    ASSERT_EQ(frame->type, FrameType::kErrorFrame) << version;
+    const ErrorFrame e = decode_error_frame(frame->payload);
+    EXPECT_NE(e.message.find("handshake rejected"), std::string::npos) << e.message;
+    EXPECT_NE(e.message.find("\"" + version + "\""), std::string::npos) << e.message;
+    EXPECT_NE(e.message.find(kServeVersion), std::string::npos)
+        << "the diagnostic must name both versions: " << e.message;
+  }
 
   const DrainReport report = server.shutdown();
-  EXPECT_EQ(report.handshake_rejects, 1u);
+  EXPECT_EQ(report.handshake_rejects, versions.size());
 }
 
 TEST(Handshake, RejectsLateHello) {
@@ -1616,10 +1621,31 @@ TEST(Handshake, MalformedHelloPayloadIsRejectedWithDiagnostic) {
               std::string::npos);
   }
 
+  // A protocol version that does not fit its 32-bit field: 2^32 + 1
+  // must not truncate to the server's version 1.
+  {
+    RawPeer peer(server);
+    cache::ByteWriter w;
+    w.u64(5);                  // request id
+    w.u64((1ULL << 32) + 1);   // protocol version
+    w.str(kServeVersion);      // build version
+    w.str("");                 // tenant
+    w.u64(0);                  // attempt
+    peer.send(encode_frame(FrameType::kHello, w.take()));
+    MemStream parser(peer.slurp());
+    const std::optional<Frame> frame = read_frame(parser);
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->type, FrameType::kErrorFrame);
+    const std::string message = decode_error_frame(frame->payload).message;
+    EXPECT_NE(message.find("malformed hello payload"), std::string::npos) << message;
+    EXPECT_NE(message.find("4294967297"), std::string::npos) << message;
+    EXPECT_FALSE(read_frame(parser).has_value());
+  }
+
   Client client = make_client(server);
   EXPECT_TRUE(client.ping());
   const DrainReport report = server.shutdown();
-  EXPECT_EQ(report.handshake_rejects, 2u);
+  EXPECT_EQ(report.handshake_rejects, 3u);
 }
 
 TEST(Handshake, CorruptionMatrixKillsOnlyTheOffendingConnection) {
