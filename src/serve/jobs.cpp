@@ -1,6 +1,5 @@
 #include "nanocost/serve/jobs.hpp"
 
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -15,17 +14,6 @@ namespace {
 
 using cache::ByteReader;
 using cache::ByteWriter;
-
-/// A u64 wire field that the struct holds as a u32: a value wider than
-/// 32 bits is a malformed payload, not a number to truncate.
-std::uint32_t get_u32_field(ByteReader& r, const char* field) {
-  const std::uint64_t v = r.u64();
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw cache::DecodeError(std::string(field) + " " + std::to_string(v) +
-                             " does not fit 32 bits");
-  }
-  return static_cast<std::uint32_t>(v);
-}
 
 // Job payloads flatten the unit wrappers to their double values; the
 // strong types are re-entered (and re-validated: Probability throws on
@@ -145,7 +133,7 @@ Eq4Job decode_eq4_job(const std::vector<std::uint8_t>& payload) {
   job.inputs = get_eq4_inputs(r);
   job.lo = r.f64();
   job.hi = r.f64();
-  job.steps = r.i32();
+  job.steps = r.i32("eq4 steps");
   r.expect_end();
   return job;
 }
@@ -167,7 +155,7 @@ RiskJob decode_risk_job(const std::vector<std::uint8_t>& payload) {
   job.request_id = r.u64();
   job.inputs = get_uncertain_inputs(r);
   job.s_d = r.f64();
-  job.samples = r.i32();
+  job.samples = r.i32("risk samples");
   job.seed = r.u64();
   job.die_budget = r.f64();
   r.expect_end();
@@ -188,7 +176,7 @@ std::vector<std::uint8_t> encode_payload(const CampaignJob& job) {
   w.f64(job.size_q);
   w.f64(job.defect_density_per_cm2);
   w.f64(job.cluster_alpha);
-  w.u8(job.clustered ? 1 : 0);
+  w.flag(job.clustered);
   w.f64(job.radial_edge_boost);
   w.f64(job.radial_sharpness);
   w.f64(job.wire_width_um);
@@ -216,13 +204,13 @@ CampaignJob decode_campaign_job(const std::vector<std::uint8_t>& payload) {
   job.size_q = r.f64();
   job.defect_density_per_cm2 = r.f64();
   job.cluster_alpha = r.f64();
-  job.clustered = r.u8() != 0;
+  job.clustered = r.flag("campaign clustered flag");
   job.radial_edge_boost = r.f64();
   job.radial_sharpness = r.f64();
   job.wire_width_um = r.f64();
   job.wire_spacing_um = r.f64();
   job.wire_length_um = r.f64();
-  job.wire_count = r.i32();
+  job.wire_count = r.i32("campaign wire count");
   job.n_wafers = r.i64();
   job.seed = r.u64();
   job.max_chunks = r.i64();
@@ -239,7 +227,7 @@ std::vector<std::uint8_t> encode_payload(const Response& response) {
   w.f64(response.completeness);
   w.i64(response.frontier_chunks);
   w.u64(response.artifact_hits);
-  w.u8(response.coalesced ? 1 : 0);
+  w.flag(response.coalesced);
   return w.take();
 }
 
@@ -258,7 +246,7 @@ Response decode_response(const std::vector<std::uint8_t>& payload) {
   response.completeness = r.f64();
   response.frontier_chunks = r.i64();
   response.artifact_hits = r.u64();
-  response.coalesced = r.u8() != 0;
+  response.coalesced = r.flag("response coalesced flag");
   r.expect_end();
   return response;
 }
@@ -281,7 +269,7 @@ StatsReport decode_stats_report(const std::vector<std::uint8_t>& payload) {
   report.request_id = r.u64();
   report.server_version = r.str();
   report.simd_level = r.str();
-  report.hardware_concurrency = get_u32_field(r, "hardware concurrency");
+  report.hardware_concurrency = r.u64_as_u32("hardware concurrency");
   report.pid = r.u64();
   report.uptime_ms = r.u64();
   report.stats = r.bytes();
@@ -303,10 +291,10 @@ HelloRequest decode_hello(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
   HelloRequest hello;
   hello.request_id = r.u64();
-  hello.protocol_version = get_u32_field(r, "protocol version");
+  hello.protocol_version = r.u64_as_u32("protocol version");
   hello.build_version = r.str();
   hello.tenant = r.str();
-  hello.attempt = get_u32_field(r, "attempt");
+  hello.attempt = r.u64_as_u32("attempt");
   r.expect_end();
   return hello;
 }
@@ -323,7 +311,7 @@ HelloAck decode_hello_ack(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
   HelloAck ack;
   ack.request_id = r.u64();
-  ack.protocol_version = get_u32_field(r, "protocol version");
+  ack.protocol_version = r.u64_as_u32("protocol version");
   ack.build_version = r.str();
   r.expect_end();
   return ack;

@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -226,6 +227,43 @@ TEST(CacheCodec, TruncatedAndTrailingBlobsThrow) {
   // throw, not allocate.
   std::vector<std::uint8_t> bogus(8, 0xFF);
   EXPECT_THROW((void)cache::decode_sweep_points(bogus), std::runtime_error);
+}
+
+TEST(CacheBytes, NarrowingReadsRefuseWhatTheirTypeCannotHold) {
+  cache::ByteWriter w;
+  w.i32(std::numeric_limits<std::int32_t>::min());
+  w.i32(std::numeric_limits<std::int32_t>::max());
+  w.i64(std::int64_t{1} << 31);
+  w.i64(-(std::int64_t{1} << 31) - 1);
+  w.u64(std::numeric_limits<std::uint32_t>::max());
+  w.u64(std::uint64_t{1} << 32);
+  w.flag(false);
+  w.flag(true);
+  w.u8(2);
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  cache::ByteReader r(bytes);
+  EXPECT_EQ(r.i32("low"), std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(r.i32("high"), std::numeric_limits<std::int32_t>::max());
+  const auto message_of = [&](auto read) {
+    try {
+      (void)read();
+    } catch (const cache::DecodeError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no DecodeError");
+  };
+  EXPECT_EQ(message_of([&] { return r.i32("steps"); }),
+            "steps 2147483648 at byte 16 does not fit 32 bits");
+  EXPECT_EQ(message_of([&] { return r.i32("steps"); }),
+            "steps -2147483649 at byte 24 does not fit 32 bits");
+  EXPECT_EQ(r.u64_as_u32("count"), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(message_of([&] { return r.u64_as_u32("count"); }),
+            "count 4294967296 at byte 40 does not fit 32 bits");
+  EXPECT_FALSE(r.flag("flag"));
+  EXPECT_TRUE(r.flag("flag"));
+  EXPECT_EQ(message_of([&] { return r.flag("flag"); }), "flag 2 at byte 50 is neither 0 nor 1");
+  r.expect_end();
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -364,6 +366,163 @@ TEST(JobCodecs, DecodingIsStrict) {
 
   EXPECT_EQ(peek_request_id(encode_payload(Eq4Job{.request_id = 77})), 77u);
   EXPECT_EQ(peek_request_id({1, 2, 3}), 0u);
+}
+
+/// The first byte at which two encodings differ: where the field sits
+/// that the two encoded values were built to differ in.
+std::size_t first_difference(const std::vector<std::uint8_t>& a,
+                             const std::vector<std::uint8_t>& b) {
+  std::size_t at = 0;
+  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+  return at;
+}
+
+/// `payload` with the 8 bytes at `at` overwritten by `v`, little-endian.
+std::vector<std::uint8_t> with_u64_at(std::vector<std::uint8_t> payload, std::size_t at,
+                                      std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return payload;
+}
+
+/// Runs `decode` and returns the DecodeError's message ("" when it
+/// decoded, which fails the test).
+template <typename Decode>
+std::string decode_error_of(Decode decode) {
+  try {
+    (void)decode();
+  } catch (const cache::DecodeError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "decoded without a DecodeError";
+  return "";
+}
+
+TEST(JobCodecs, FieldsTheirStructCannotHoldAreRefused) {
+  // 2^32 + 24 would truncate to 24; 2^31 and -2^31 - 1 to the wrong sign.
+  const std::uint64_t out_of_range[] = {(1ULL << 32) + 24, 1ULL << 31,
+                                        static_cast<std::uint64_t>(-(1LL << 31) - 1)};
+  const char* const shown[] = {"4294967320", "2147483648", "-2147483649"};
+
+  Eq4Job eq4 = small_eq4();
+  const std::vector<std::uint8_t> eq4_bytes = encode_payload(eq4);
+  ++eq4.steps;
+  const std::size_t steps_at = first_difference(eq4_bytes, encode_payload(eq4));
+
+  RiskJob risk = small_risk();
+  const std::vector<std::uint8_t> risk_bytes = encode_payload(risk);
+  ++risk.samples;
+  const std::size_t samples_at = first_difference(risk_bytes, encode_payload(risk));
+
+  CampaignJob campaign = small_campaign(5);
+  const std::vector<std::uint8_t> campaign_bytes = encode_payload(campaign);
+  ++campaign.wire_count;
+  const std::size_t wires_at = first_difference(campaign_bytes, encode_payload(campaign));
+
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(shown[k]);
+    const std::string steps = decode_error_of(
+        [&] { return decode_eq4_job(with_u64_at(eq4_bytes, steps_at, out_of_range[k])); });
+    EXPECT_NE(steps.find(std::string("eq4 steps ") + shown[k]), std::string::npos) << steps;
+    const std::string samples = decode_error_of(
+        [&] { return decode_risk_job(with_u64_at(risk_bytes, samples_at, out_of_range[k])); });
+    EXPECT_NE(samples.find(std::string("risk samples ") + shown[k]), std::string::npos)
+        << samples;
+    const std::string wires = decode_error_of([&] {
+      return decode_campaign_job(with_u64_at(campaign_bytes, wires_at, out_of_range[k]));
+    });
+    EXPECT_NE(wires.find(std::string("campaign wire count ") + shown[k]), std::string::npos)
+        << wires;
+  }
+
+  // A flag byte is 0 or 1; 2 would decode as true and re-encode as 1.
+  campaign = small_campaign(5);
+  campaign.clustered = false;
+  const std::vector<std::uint8_t> unclustered = encode_payload(campaign);
+  campaign.clustered = true;
+  const std::size_t clustered_at = first_difference(unclustered, encode_payload(campaign));
+  Response response;
+  response.coalesced = false;
+  const std::vector<std::uint8_t> alone = encode_payload(response);
+  response.coalesced = true;
+  const std::size_t coalesced_at = first_difference(alone, encode_payload(response));
+  for (const std::uint8_t bad : {std::uint8_t{2}, std::uint8_t{255}}) {
+    std::vector<std::uint8_t> c = unclustered;
+    c.at(clustered_at) = bad;
+    const std::string clustered = decode_error_of([&] { return decode_campaign_job(c); });
+    EXPECT_NE(clustered.find("campaign clustered flag " + std::to_string(bad)),
+              std::string::npos)
+        << clustered;
+    std::vector<std::uint8_t> r = alone;
+    r.at(coalesced_at) = bad;
+    const std::string coalesced = decode_error_of([&] { return decode_response(r); });
+    EXPECT_NE(coalesced.find("response coalesced flag " + std::to_string(bad)),
+              std::string::npos)
+        << coalesced;
+  }
+}
+
+TEST(JobCodecs, BoundaryValuesRoundTripToTheirOwnBytes) {
+  for (const std::int32_t v : {std::numeric_limits<std::int32_t>::min(), -1, 0,
+                               std::numeric_limits<std::int32_t>::max()}) {
+    Eq4Job eq4 = small_eq4();
+    eq4.steps = v;
+    const std::vector<std::uint8_t> eq4_bytes = encode_payload(eq4);
+    EXPECT_EQ(encode_payload(decode_eq4_job(eq4_bytes)), eq4_bytes);
+    RiskJob risk = small_risk();
+    risk.samples = v;
+    const std::vector<std::uint8_t> risk_bytes = encode_payload(risk);
+    EXPECT_EQ(encode_payload(decode_risk_job(risk_bytes)), risk_bytes);
+    CampaignJob campaign = small_campaign(5);
+    campaign.wire_count = v;
+    for (const bool clustered : {false, true}) {
+      campaign.clustered = clustered;
+      const std::vector<std::uint8_t> campaign_bytes = encode_payload(campaign);
+      EXPECT_EQ(encode_payload(decode_campaign_job(campaign_bytes)), campaign_bytes);
+    }
+  }
+  for (const bool coalesced : {false, true}) {
+    Response response;
+    response.coalesced = coalesced;
+    const std::vector<std::uint8_t> bytes = encode_payload(response);
+    EXPECT_EQ(encode_payload(decode_response(bytes)), bytes);
+  }
+}
+
+TEST(JobCodecs, OutOfRangeEq4JobIsAnsweredErrorOnALiveConnection) {
+  // A well-formed frame (its checksum passes) whose eq4 job carries
+  // steps 2^32 + 24: the server must refuse it, not run steps 24.
+  Eq4Job eq4 = small_eq4();
+  eq4.request_id = 31;
+  const std::vector<std::uint8_t> good = encode_payload(eq4);
+  ++eq4.steps;
+  const std::size_t steps_at = first_difference(good, encode_payload(eq4));
+
+  Server server(ServerOptions{});
+  RawPeer peer(server);
+  peer.send(encode_frame(FrameType::kEq4Request, with_u64_at(good, steps_at, (1ULL << 32) + 24)));
+  cache::ByteWriter w;
+  w.u64(99);
+  peer.send(encode_frame(FrameType::kPing, w.take()));
+
+  bool saw_error_response = false;
+  bool saw_pong = false;
+  MemStream parser(peer.slurp());
+  while (true) {
+    const std::optional<Frame> frame = read_frame(parser);
+    if (!frame) break;
+    if (frame->type == FrameType::kResponse) {
+      const Response r = decode_response(frame->payload);
+      EXPECT_EQ(r.request_id, 31u);
+      EXPECT_EQ(r.status, ResponseStatus::kError);
+      EXPECT_NE(r.message.find("eq4 steps 4294967320"), std::string::npos) << r.message;
+      saw_error_response = true;
+    }
+    if (frame->type == FrameType::kPong) saw_pong = true;
+  }
+  EXPECT_TRUE(saw_error_response);
+  EXPECT_TRUE(saw_pong);
 }
 
 TEST(JobKeys, CoalesceOnContentNotRequestId) {
