@@ -79,12 +79,29 @@ HpwlCache::HpwlCache(const Netlist& netlist, const Placement& placement, double 
     weight_[n] = net_weights != nullptr && n < net_weights->size() ? (*net_weights)[n] : 1.0;
   }
 
-  box_.resize(nets);
   value_.resize(nets);
+  counted_of_.assign(nets, -1);
   for (std::size_t n = 0; n < nets; ++n) {
-    box_[n] = scan_box(static_cast<std::int32_t>(n));
-    value_[n] = box_value(box_[n]);
+    const Box box = scan_box(static_cast<std::int32_t>(n));
+    value_[n] = span_value(box.min_c, box.max_c, box.min_r, box.max_r);
+    if (net_pin_offset_[n + 1] - net_pin_offset_[n] > kSmallNetPins) {
+      counted_of_[n] = static_cast<std::int32_t>(counted_.size());
+      counted_.push_back(box);
+    }
   }
+  others_.resize(gate_net_id_.size());
+  std::size_t most_nets = 0;
+  for (std::size_t g = 0; g < gates; ++g) {
+    for (std::int32_t i = gate_net_offset_[g]; i < gate_net_offset_[g + 1]; ++i) {
+      const std::int32_t net = gate_net_id_[static_cast<std::size_t>(i)];
+      if (counted_of_[static_cast<std::size_t>(net)] < 0) {
+        others_[static_cast<std::size_t>(i)] = scan_others(net, static_cast<std::int32_t>(g));
+      }
+    }
+    most_nets = std::max(most_nets,
+                         static_cast<std::size_t>(gate_net_offset_[g + 1] - gate_net_offset_[g]));
+  }
+  stash_.resize(2 * most_nets);
   total_ = resum();
 }
 
@@ -130,25 +147,64 @@ HpwlCache::Box HpwlCache::scan_box(std::int32_t net) const {
   return box;
 }
 
-double HpwlCache::net_hpwl(std::int32_t net) const {
-  return box_value(box_[static_cast<std::size_t>(net)]);
+HpwlCache::OtherBox HpwlCache::scan_others(std::int32_t net, std::int32_t gate) const {
+  const auto n = static_cast<std::size_t>(net);
+  OtherBox box;
+  box.min_c = std::numeric_limits<std::int32_t>::max();
+  box.max_c = std::numeric_limits<std::int32_t>::min();
+  box.min_r = box.min_c;
+  box.max_r = box.max_c;
+  for (std::int32_t i = net_pin_offset_[n]; i < net_pin_offset_[n + 1]; ++i) {
+    const std::int32_t pin_gate = net_pin_gate_[static_cast<std::size_t>(i)];
+    if (pin_gate == gate) continue;
+    const Pos p = pos_[static_cast<std::size_t>(pin_gate)];
+    const auto c = static_cast<std::int32_t>(p.c);
+    const auto r = static_cast<std::int32_t>(p.r);
+    box.min_c = std::min(box.min_c, c);
+    box.max_c = std::max(box.max_c, c);
+    box.min_r = std::min(box.min_r, r);
+    box.max_r = std::max(box.max_r, r);
+  }
+  return box;
 }
 
 double HpwlCache::resum() const {
   double total = 0.0;
-  for (std::size_t n = 0; n < box_.size(); ++n) {
-    total += weight_[n] * box_value(box_[n]);
+  for (std::size_t n = 0; n < value_.size(); ++n) {
+    total += weight_[n] * value_[n];
   }
   return total;
 }
 
-void HpwlCache::refresh_nets_of(std::int32_t gate) {
-  const auto gi = static_cast<std::size_t>(gate);
-  for (std::int32_t i = gate_net_offset_[gi]; i < gate_net_offset_[gi + 1]; ++i) {
-    const std::int32_t net = gate_net_id_[static_cast<std::size_t>(i)];
-    const auto n = static_cast<std::size_t>(net);
-    box_[n] = scan_box(net);
-    value_[n] = box_value(box_[n]);
+void HpwlCache::commit() {
+  // The peek scored every affected net already; adopt those values and
+  // bring the boxes the move invalidated up to date.  A gate listed
+  // twice on a net is refreshed twice, which is idempotent.
+  for (std::int32_t k = 0; k < stashed_; ++k) {
+    const Stashed& s = stash_[static_cast<std::size_t>(k)];
+    const auto n = static_cast<std::size_t>(s.net);
+    value_[n] = s.value;
+    const std::int32_t counted = counted_of_[n];
+    if (counted >= 0) {
+      counted_[static_cast<std::size_t>(counted)] = scan_box(s.net);
+    } else {
+      refresh_others(s.net, s.mover);
+    }
+  }
+  total_ += pending_delta_;
+  pending_gate_ = -1;
+}
+
+void HpwlCache::refresh_others(std::int32_t net, std::int32_t mover) {
+  const auto n = static_cast<std::size_t>(net);
+  for (std::int32_t i = net_pin_offset_[n]; i < net_pin_offset_[n + 1]; ++i) {
+    const std::int32_t gate = net_pin_gate_[static_cast<std::size_t>(i)];
+    if (gate == mover) continue;
+    // The gate's incidence on `net`: a pin of the net, so its net list
+    // (a handful of entries) holds it.
+    std::int32_t at = gate_net_offset_[static_cast<std::size_t>(gate)];
+    while (gate_net_id_[static_cast<std::size_t>(at)] != net) ++at;
+    others_[static_cast<std::size_t>(at)] = scan_others(net, gate);
   }
 }
 
