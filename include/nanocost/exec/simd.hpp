@@ -2,7 +2,7 @@
 //
 // Every batched kernel in the repo (rng_batch, defect sampling, the
 // wafer-map site lookup, the kill-probability LUT, the risk sample
-// pricer, the HPWL pin scan) ships a scalar path plus SSE2/AVX2 lanes
+// pricer) ships a scalar path plus SSE2/AVX2 lanes
 // that are *bitwise identical* to it -- the vector lanes restrict
 // themselves to IEEE-exact operations (add/sub/mul/div/sqrt/min/max/
 // floor and integer arithmetic), which evaluate lane-wise exactly like

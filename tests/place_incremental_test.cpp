@@ -2,9 +2,10 @@
 // (hpwl_cache.hpp) against full recomputation: randomized move/swap
 // sequences, pending-proposal discard, exact revert negation, and the
 // resum() == total_weighted_hpwl bitwise invariant, unweighted and
-// weighted; a hand-built netlist that drives every path of the cache
-// (other-pin boxes, counted boxes with recompute-on-shrink, shared
-// nets); and the placer's NANOCOST_PLACE_CHECK mode.
+// weighted; a hand-built netlist whose nets of 0 to 40 pins, gates
+// listed twice and net-sharing swap partners drive the other-pin boxes
+// through ties, two-pin holders and nets both partners sit on; and the
+// placer's NANOCOST_PLACE_CHECK mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,10 +183,11 @@ constexpr std::int32_t kCornerRows = 7;
 constexpr std::int32_t kCornerCols = 8;
 
 /// Nets of 0, 1, 2, 8, 9 and 40 pins, built by hand: generated netlists
-/// almost never pass 8 pins, so they leave the counted-box path and its
-/// recompute-on-shrink to chance.  Gates listed twice sit on the 8-pin
-/// net, the 9-pin net, and a 2-pin net whose only gate is that one (its
-/// other-pin box is empty).
+/// almost never pass 8 pins or list a gate twice, so they leave large
+/// boxes and two-pin holders to chance.  Gates listed twice sit on the
+/// 8-pin net, the 9-pin net, and a 2-pin net whose only gate is that
+/// one (its other-pin box is empty); on the first two, such a gate
+/// often holds a side, and its box must skip both of its pins.
 netlist::Netlist corner_netlist() {
   using netlist::GateType;
   netlist::Netlist nl;

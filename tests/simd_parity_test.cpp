@@ -26,7 +26,6 @@
 #include "nanocost/exec/simd.hpp"
 #include "nanocost/fabsim/simulator.hpp"
 #include "nanocost/geometry/wafer_map.hpp"
-#include "nanocost/place/pin_scan.hpp"
 
 namespace {
 
@@ -339,34 +338,6 @@ TEST(SimdParity, RiskSampleBatch) {
       std::vector<double> got(n);
       core::risk_sample_cost_batch_at(level, u, s_d, 17, 5, n, got.data());
       expect_bitwise_equal(ref, got, "risk_sample_cost_batch", n);
-    }
-  }
-}
-
-TEST(SimdParity, PinScanSpans) {
-  // Random small-integer coordinates through a shuffled pin order, all
-  // lengths crossing the 4- and 8-pin lane boundaries.
-  exec::SplitMix64 rng(808);
-  std::vector<place::detail::PinPos> pos(64);
-  std::vector<std::int32_t> pin_gate(64);
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    pos[i].c = static_cast<float>(exec::bounded_u32(rng, 4000));
-    pos[i].r = static_cast<float>(exec::bounded_u32(rng, 4000));
-    pin_gate[i] = static_cast<std::int32_t>(exec::bounded_u32(rng, 64));
-  }
-  for (std::int32_t begin = 0; begin < 4; ++begin) {
-    for (std::int32_t len = 1; begin + len <= 33; ++len) {
-      const std::int32_t end = begin + len;
-      const place::detail::PinSpan ref =
-          place::detail::scan_span_scalar(pos.data(), pin_gate.data(), begin, end);
-      for (const SimdLevel level : levels()) {
-        const place::detail::PinSpan got =
-            place::detail::scan_span(level, pos.data(), pin_gate.data(), begin, end);
-        EXPECT_EQ(0, std::memcmp(&ref.span_c, &got.span_c, sizeof(float)))
-            << "span_c diverges len=" << len;
-        EXPECT_EQ(0, std::memcmp(&ref.span_r, &got.span_r, sizeof(float)))
-            << "span_r diverges len=" << len;
-      }
     }
   }
 }
