@@ -49,12 +49,13 @@ struct FloorplanParams final {
   double initial_temperature = 0.0;  ///< 0 = auto from initial area
   double cooling = 0.92;
   int moves_per_temperature = 60;
-  double stop_temperature_fraction = 1e-4;
+  double stop_temperature_fraction = 1e-4;  ///< > 0; stop below this share of the start
   std::uint64_t seed = 1;
 };
 
-/// Packs the blocks; throws std::invalid_argument on empty input or
-/// degenerate block parameters.
+/// Packs the blocks; throws std::invalid_argument on empty input,
+/// degenerate block parameters, a cooling factor outside (0, 1) or a
+/// stop temperature fraction that is not > 0.
 [[nodiscard]] FloorplanResult floorplan(const std::vector<Block>& blocks,
                                         const FloorplanParams& params = {});
 

@@ -179,6 +179,9 @@ FloorplanResult floorplan(const std::vector<Block>& blocks, const FloorplanParam
   if (!(params.cooling > 0.0 && params.cooling < 1.0)) {
     throw std::invalid_argument("cooling factor must be in (0, 1)");
   }
+  if (!(params.stop_temperature_fraction > 0.0)) {
+    throw std::invalid_argument("stop temperature fraction must be > 0");
+  }
   // Leaf shape options from each block's aspect range.
   std::vector<std::vector<Shape>> leaf_shapes;
   for (const Block& b : blocks) {

@@ -144,6 +144,9 @@ PlaceResult anneal_impl(const Netlist& netlist, std::int32_t rows, std::int32_t 
   if (!(params.cooling > 0.0 && params.cooling < 1.0)) {
     throw std::invalid_argument("cooling factor must be in (0, 1)");
   }
+  if (!(params.stop_temperature_fraction > 0.0)) {
+    throw std::invalid_argument("stop temperature fraction must be > 0");
+  }
   if (start != nullptr && (start->rows() != rows || start->cols() != cols ||
                            start->gate_count() != netlist.gate_count())) {
     throw std::invalid_argument("warm-start placement does not match the grid/netlist");

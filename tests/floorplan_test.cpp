@@ -111,6 +111,15 @@ TEST(Floorplan, Validation) {
   FloorplanParams bad;
   bad.cooling = 1.5;
   EXPECT_THROW(floorplan::floorplan({block("a", 1.0)}, bad), std::invalid_argument);
+  // A stop fraction of 0 or below never stops, and NaN would skip the
+  // anneal.
+  for (const double fraction : {0.0, -1.0, std::nan("")}) {
+    FloorplanParams never;
+    never.stop_temperature_fraction = fraction;
+    EXPECT_THROW(floorplan::floorplan({block("a", 1.0), block("b", 2.0)}, never),
+                 std::invalid_argument)
+        << fraction;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iomanip>
 #include <sstream>
@@ -111,6 +112,13 @@ TEST(Anneal, Validation) {
   AnnealParams bad;
   bad.cooling = 1.0;
   EXPECT_THROW(anneal_place(nl, 4, 4, bad), std::invalid_argument);
+  // A stop fraction of 0 or below never stops (the temperature bottoms
+  // out at the smallest subnormal), and NaN would skip the anneal.
+  for (const double fraction : {0.0, -1.0, std::nan("")}) {
+    AnnealParams never;
+    never.stop_temperature_fraction = fraction;
+    EXPECT_THROW(anneal_place(nl, 4, 4, never), std::invalid_argument) << fraction;
+  }
 }
 
 TEST(Estimate, PrePlacementEstimateIsInTheRightBallpark) {
