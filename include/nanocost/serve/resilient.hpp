@@ -14,11 +14,13 @@
 //     the reconnect ordinal so the server's serve.reconnects_total
 //     tells the fleet-health story;
 //   * exactly-once *effect*: jobs are content-addressed (job_key), and
-//     completed campaign chunks live in the NCBLOB01 artifact tier, so
-//     a resubmission after a lost connection or a server kill -9
-//     coalesces with in-flight work or replays committed chunks instead
-//     of recomputing -- the final bytes are memcmp-identical to an
-//     undisturbed run (tests/serve_test.cpp proves it).
+//     a served campaign persists its completed chunks in one NCCKPT01
+//     record, rewritten after each wave (campaign_record_key names it,
+//     ArtifactStore::record_path places it), so a resubmission after a
+//     lost connection or a server kill -9 coalesces with in-flight work
+//     or replays committed chunks instead of recomputing -- the final
+//     bytes are memcmp-identical to an undisturbed run
+//     (tests/serve_test.cpp proves it).
 //
 // Server-side shed responses (kShed / kStopped, and kError responses
 // that invite a resubmit) retry through the same loop; semantic
