@@ -46,14 +46,13 @@ class DefectSizeDistribution final {
   /// Mean defect size.
   [[nodiscard]] units::Micrometers mean() const noexcept;
 
-  /// Inverse-CDF sampling: draws n uniforms from `rng` (the
-  /// exec/rng.hpp stream) and fills out[0..n) with sizes in
+  /// Inverse-CDF sampling at lane `level`: draws n uniforms from `rng`
+  /// (the exec/rng.hpp stream) and fills out[0..n) with sizes in
   /// micrometers.  The inversion of cdf() runs on precomputed tail
   /// constants, so the classic q = 3 tail inverts with one sqrt + one
   /// divide (IEEE-exact, hence vectorizable) instead of two pow()
   /// calls; general q falls back to scalar pow.  Bitwise identical at
-  /// every SimdLevel (simd_parity_test).
-  void sample_batch(exec::SplitMix64& rng, double* out, std::size_t n) const;
+  /// both SimdLevels (simd_parity_test).
   void sample_batch_at(exec::SimdLevel level, exec::SplitMix64& rng, double* out,
                        std::size_t n) const;
 

@@ -10,14 +10,15 @@
 // advance the engine past them, so scalar and batched consumers of one
 // stream interleave freely.
 //
-// Contract (checked by simd_parity_test): for every function, every
-// SimdLevel produces bitwise-identical output.  The vector lanes use
-// only IEEE-exact operations (integer arithmetic; double add/mul,
-// which round lane-wise exactly like scalar); nothing transcendental
-// is vectorized.  Every function takes its lane explicitly (the _at
-// spelling): the kernels pass the level they dispatch on, and the
-// parity test walks every level.  uniform_unit_batch, which fabsim
-// calls, is the one plain form; it dispatches on exec::simd_level().
+// Contract (checked by simd_parity_test): for every function, the
+// scalar path and the AVX2 lane produce bitwise-identical output.  The
+// lane uses only IEEE-exact operations (integer arithmetic; double
+// add/mul, which round lane-wise exactly like scalar); nothing
+// transcendental is vectorized.  Every function takes its lane
+// explicitly (the _at spelling): the kernels pass the level they
+// dispatch on, and the parity test walks both levels.
+// uniform_unit_batch, which fabsim calls, is the one plain form; it
+// dispatches on exec::simd_level().
 #pragma once
 
 #include <cstddef>
@@ -35,13 +36,6 @@ void splitmix64_batch_at(SimdLevel level, SplitMix64& rng, std::uint64_t* out, s
 /// The next `n` uniform [0, 1) doubles (uniform_unit applied n times).
 void uniform_unit_batch(SplitMix64& rng, double* out, std::size_t n);
 void uniform_unit_batch_at(SimdLevel level, SplitMix64& rng, double* out, std::size_t n);
-
-/// The next `n` bounded draws (bounded_u32 applied n times, including
-/// its rejection behaviour: a batch whose lanes could reject re-runs
-/// the affected tail through the scalar path, consuming the identical
-/// stream).  Requires bound >= 1.
-void bounded_u32_batch_at(SimdLevel level, SplitMix64& rng, std::uint32_t bound,
-                          std::uint32_t* out, std::size_t n);
 
 /// Task seeds i0..i0+n-1 of SeedSequence::for_task(base, i), batched:
 /// the per-unit seeding of every parallel kernel, which is itself one

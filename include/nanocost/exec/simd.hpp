@@ -2,22 +2,30 @@
 //
 // Every batched kernel in the repo (rng_batch, defect sampling, the
 // wafer-map site lookup, the kill-probability LUT, the risk sample
-// pricer) ships a scalar path plus SSE2/AVX2 lanes
-// that are *bitwise identical* to it -- the vector lanes restrict
-// themselves to IEEE-exact operations (add/sub/mul/div/sqrt/min/max/
-// floor and integer arithmetic), which evaluate lane-wise exactly like
-// their scalar counterparts, and everything transcendental stays on
-// scalar libm in all paths.  The
+// pricer) has two paths: the scalar oracle, which is also the only
+// path off x86, and an AVX2 lane that is *bitwise identical* to it --
+// the lane restricts itself to IEEE-exact operations (add/sub/mul/div/
+// sqrt/min/max/floor and integer arithmetic), which evaluate lane-wise
+// exactly like their scalar counterparts, and everything
+// transcendental stays on scalar libm in both paths.  The
 // level picked here therefore changes *speed only*, never results:
 // the PR 1-5 determinism contracts (thread-count invariance, cancel
-// frontiers, checkpoint resume) hold at any level.
+// frontiers, checkpoint resume) hold at either level.
 //
-// Selection order: NANOCOST_SIMD=scalar|sse2|avx2 if set (clamped to
-// what the CPU supports; a malformed value gets one stderr diagnostic,
-// like NANOCOST_METRICS), else the best level cpuid reports.
+// Selection order: NANOCOST_SIMD=scalar|avx2 if set (clamped to what
+// the CPU supports; a malformed value gets one stderr diagnostic, like
+// NANOCOST_METRICS), else the best level cpuid reports.
 #pragma once
 
 #include <cstdint>
+
+// The x86 gate of every vector lane: GCC and Clang on x86 compile the
+// AVX2 lanes through a per-function target attribute, whatever the
+// baseline -march, and the lane runs only where cpuid reports AVX2.
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+#define NANOCOST_X86_SIMD 1
+#define NANOCOST_TARGET_AVX2 __attribute__((target("avx2")))
+#endif
 
 namespace nanocost::exec {
 
@@ -25,8 +33,7 @@ namespace nanocost::exec {
 /// numeric comparison means capability comparison.
 enum class SimdLevel : std::uint8_t {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// The best level this CPU supports (ignores the env override).
@@ -36,7 +43,7 @@ enum class SimdLevel : std::uint8_t {
 /// override).  Resolved once per process and cached.
 [[nodiscard]] SimdLevel simd_level() noexcept;
 
-/// "scalar" / "sse2" / "avx2" -- for logs and BENCH_perf.json.
+/// "scalar" / "avx2" -- for logs and BENCH_perf.json.
 [[nodiscard]] const char* simd_level_name(SimdLevel level) noexcept;
 
 }  // namespace nanocost::exec

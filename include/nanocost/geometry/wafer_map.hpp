@@ -67,11 +67,11 @@ class WaferMap final {
   [[nodiscard]] std::int64_t site_at(units::Millimeters x, units::Millimeters y) const noexcept;
 
   /// Column form of site_at for the SoA fab-simulator pipeline:
-  /// out[i] = site_at(x_mm[i], y_mm[i]), bitwise at every level
+  /// out[i] = site_at(x_mm[i], y_mm[i]), bitwise at both levels
   /// (simd_parity_test).  The AVX2 lane locates four points at once
   /// with exact operations only -- divide, floor, compares -- then
-  /// gathers the grid cell and the site center; SSE2 has no floor and
-  /// runs the scalar loop, the oracle.
+  /// gathers the grid cell and the site center; the scalar loop is the
+  /// oracle.
   void site_at_batch(const double* x_mm, const double* y_mm, std::int64_t* out,
                      std::size_t n) const noexcept;
   void site_at_batch_at(exec::SimdLevel level, const double* x_mm, const double* y_mm,

@@ -6,8 +6,7 @@
 #include "nanocost/exec/rng_batch.hpp"
 #include "nanocost/units/quantity.hpp"
 
-#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
-#define NANOCOST_X86_SIMD 1
+#if defined(NANOCOST_X86_SIMD)
 #include <immintrin.h>
 #endif
 
@@ -119,9 +118,8 @@ inline double invert_size_q3(const TailConstants& k, double u) {
 /// 4-wide q = 3 inversion: both branches evaluate (sqrt of a negative
 /// in a masked-off lane is a quiet NaN, discarded by the blend) and
 /// every operation is IEEE-exact, so each lane equals invert_size_q3.
-__attribute__((target("avx2"))) void invert_size_q3_avx2(const TailConstants& k,
-                                                         const double* u, double* out,
-                                                         std::size_t n) {
+NANOCOST_TARGET_AVX2 void invert_size_q3_avx2(const TailConstants& k, const double* u,
+                                              double* out, std::size_t n) {
   const __m256d total = _mm256_set1_pd(k.total_mass);
   const __m256d below = _mm256_set1_pd(k.below_mass);
   const __m256d a2 = _mm256_set1_pd(k.a * k.a);
@@ -148,32 +146,6 @@ __attribute__((target("avx2"))) void invert_size_q3_avx2(const TailConstants& k,
   for (; i < n; ++i) out[i] = invert_size_q3(k, u[i]);
 }
 
-__attribute__((target("sse2"))) void invert_size_q3_sse2(const TailConstants& k,
-                                                         const double* u, double* out,
-                                                         std::size_t n) {
-  const __m128d total = _mm_set1_pd(k.total_mass);
-  const __m128d below = _mm_set1_pd(k.below_mass);
-  const __m128d a2 = _mm_set1_pd(k.a * k.a);
-  const __m128d two_x02 = _mm_set1_pd(2.0 * k.x0 * k.x0);
-  const __m128d c1 = _mm_set1_pd(k.c1);
-  const __m128d c2 = _mm_set1_pd(k.c2);
-  const __m128d xmax = _mm_set1_pd(k.xmax);
-  const __m128d one = _mm_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d m = _mm_mul_pd(_mm_loadu_pd(u + i), total);
-    const __m128d rising = _mm_sqrt_pd(_mm_add_pd(a2, _mm_mul_pd(two_x02, m)));
-    const __m128d t = _mm_sub_pd(c1, _mm_mul_pd(_mm_sub_pd(m, below), c2));
-    __m128d tail = _mm_div_pd(one, _mm_sqrt_pd(t));
-    const __m128d over = _mm_cmpgt_pd(tail, xmax);
-    tail = _mm_or_pd(_mm_and_pd(over, xmax), _mm_andnot_pd(over, tail));
-    const __m128d use_rising = _mm_cmple_pd(m, below);
-    _mm_storeu_pd(out + i,
-                  _mm_or_pd(_mm_and_pd(use_rising, rising), _mm_andnot_pd(use_rising, tail)));
-  }
-  for (; i < n; ++i) out[i] = invert_size_q3(k, u[i]);
-}
-
 #endif  // NANOCOST_X86_SIMD
 
 }  // namespace
@@ -196,7 +168,6 @@ void DefectSizeDistribution::sample_batch_at(exec::SimdLevel level, exec::SplitM
   if (q_ == 3.0) {
 #if defined(NANOCOST_X86_SIMD)
     if (level == exec::SimdLevel::kAvx2) return invert_size_q3_avx2(k, out, out, n);
-    if (level == exec::SimdLevel::kSse2) return invert_size_q3_sse2(k, out, out, n);
 #endif
     for (std::size_t i = 0; i < n; ++i) out[i] = invert_size_q3(k, out[i]);
     return;
@@ -214,11 +185,6 @@ void DefectSizeDistribution::sample_batch_at(exec::SimdLevel level, exec::SplitM
     const double x = std::pow(t, inv_exp);
     out[i] = x > k.xmax ? k.xmax : x;
   }
-}
-
-void DefectSizeDistribution::sample_batch(exec::SplitMix64& rng, double* out,
-                                          std::size_t n) const {
-  sample_batch_at(exec::simd_level(), rng, out, n);
 }
 
 }  // namespace nanocost::defect

@@ -3,11 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
-#define NANOCOST_X86_SIMD 1
+#if defined(NANOCOST_X86_SIMD)
 #include <immintrin.h>
-#define NANOCOST_TARGET_SSE2 __attribute__((target("sse2")))
-#define NANOCOST_TARGET_AVX2 __attribute__((target("avx2")))
 #endif
 
 namespace nanocost::exec {
@@ -52,90 +49,10 @@ void u53_pos_scalar(const std::uint64_t* bits, double* out, std::size_t n) {
 
 #if defined(NANOCOST_X86_SIMD)
 
-// ---- SSE2 lanes (2 x 64-bit) --------------------------------------------
+// ---- AVX2 lanes (4 x 64-bit) --------------------------------------------
 
 /// 64-bit lane-wise multiply from 32-bit multiplies: lo*lo plus the two
 /// cross terms shifted up (the hi*hi term overflows out of the lane).
-NANOCOST_TARGET_SSE2 inline __m128i mullo64_sse2(__m128i a, __m128i b) {
-  const __m128i lo = _mm_mul_epu32(a, b);
-  const __m128i c1 = _mm_mul_epu32(_mm_srli_epi64(a, 32), b);
-  const __m128i c2 = _mm_mul_epu32(a, _mm_srli_epi64(b, 32));
-  return _mm_add_epi64(lo, _mm_slli_epi64(_mm_add_epi64(c1, c2), 32));
-}
-
-NANOCOST_TARGET_SSE2 inline __m128i splitmix64_sse2(__m128i z) {
-  z = mullo64_sse2(_mm_xor_si128(z, _mm_srli_epi64(z, 30)),
-                   _mm_set1_epi64x(static_cast<long long>(kMul1)));
-  z = mullo64_sse2(_mm_xor_si128(z, _mm_srli_epi64(z, 27)),
-                   _mm_set1_epi64x(static_cast<long long>(kMul2)));
-  return _mm_xor_si128(z, _mm_srli_epi64(z, 31));
-}
-
-NANOCOST_TARGET_SSE2 void mix_affine_sse2(std::uint64_t start, std::uint64_t stride,
-                                          std::uint64_t* out, std::size_t n) {
-  __m128i z = _mm_set_epi64x(static_cast<long long>(start + stride),
-                             static_cast<long long>(start));
-  const __m128i step = _mm_set1_epi64x(static_cast<long long>(2 * stride));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), splitmix64_sse2(z));
-    z = _mm_add_epi64(z, step);
-  }
-  if (i < n) mix_affine_scalar(start + i * stride, stride, out + i, n - i);
-}
-
-NANOCOST_TARGET_SSE2 void mix_add_sse2(const std::uint64_t* states, std::uint64_t addend,
-                                       std::uint64_t* out, std::size_t n) {
-  const __m128i add = _mm_set1_epi64x(static_cast<long long>(addend));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i z =
-        _mm_add_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(states + i)), add);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), splitmix64_sse2(z));
-  }
-  if (i < n) mix_add_scalar(states + i, addend, out + i, n - i);
-}
-
-/// Exact u64 -> double for values < 2^53: split into 32-bit halves,
-/// convert each through the 2^52 magic-bias trick, and recombine as
-/// hi * 2^32 + lo.  Every step is an exact double operation, so the
-/// result is bitwise the scalar static_cast.
-NANOCOST_TARGET_SSE2 inline __m128d u64lt53_to_pd_sse2(__m128i s) {
-  const __m128d bias = _mm_castsi128_pd(_mm_set1_epi64x(0x4330000000000000LL));  // 2^52
-  const __m128i hi = _mm_srli_epi64(s, 32);
-  const __m128i lo = _mm_and_si128(s, _mm_set1_epi64x(0xFFFFFFFFLL));
-  const __m128d hid =
-      _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(hi, _mm_castpd_si128(bias))), bias);
-  const __m128d lod =
-      _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(lo, _mm_castpd_si128(bias))), bias);
-  return _mm_add_pd(_mm_mul_pd(hid, _mm_set1_pd(0x1.0p32)), lod);
-}
-
-NANOCOST_TARGET_SSE2 void u53_sse2(const std::uint64_t* bits, double* out, std::size_t n) {
-  const __m128d scale = _mm_set1_pd(0x1.0p-53);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i s =
-        _mm_srli_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(bits + i)), 11);
-    _mm_storeu_pd(out + i, _mm_mul_pd(u64lt53_to_pd_sse2(s), scale));
-  }
-  if (i < n) u53_scalar(bits + i, out + i, n - i);
-}
-
-NANOCOST_TARGET_SSE2 void u53_pos_sse2(const std::uint64_t* bits, double* out, std::size_t n) {
-  const __m128d scale = _mm_set1_pd(0x1.0p-53);
-  const __m128i one = _mm_set1_epi64x(1);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i s = _mm_add_epi64(
-        _mm_srli_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(bits + i)), 11), one);
-    _mm_storeu_pd(out + i, _mm_mul_pd(u64lt53_to_pd_sse2(s), scale));
-  }
-  if (i < n) u53_pos_scalar(bits + i, out + i, n - i);
-}
-
-// ---- AVX2 lanes (4 x 64-bit) --------------------------------------------
-
 NANOCOST_TARGET_AVX2 inline __m256i mullo64_avx2(__m256i a, __m256i b) {
   const __m256i lo = _mm256_mul_epu32(a, b);
   const __m256i c1 = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b);
@@ -177,8 +94,12 @@ NANOCOST_TARGET_AVX2 void mix_add_avx2(const std::uint64_t* states, std::uint64_
   if (i < n) mix_add_scalar(states + i, addend, out + i, n - i);
 }
 
+/// Exact u64 -> double for values < 2^53: split into 32-bit halves,
+/// convert each through the 2^52 magic-bias trick, and recombine as
+/// hi * 2^32 + lo.  Every step is an exact double operation, so the
+/// result is bitwise the scalar static_cast.
 NANOCOST_TARGET_AVX2 inline __m256d u64lt53_to_pd_avx2(__m256i s) {
-  const __m256d bias = _mm256_castsi256_pd(_mm256_set1_epi64x(0x4330000000000000LL));
+  const __m256d bias = _mm256_castsi256_pd(_mm256_set1_epi64x(0x4330000000000000LL));  // 2^52
   const __m256i hi = _mm256_srli_epi64(s, 32);
   const __m256i lo = _mm256_and_si256(s, _mm256_set1_epi64x(0xFFFFFFFFLL));
   const __m256d hid =
@@ -218,7 +139,6 @@ void mix_affine_at(SimdLevel level, std::uint64_t start, std::uint64_t stride,
                    std::uint64_t* out, std::size_t n) {
 #if defined(NANOCOST_X86_SIMD)
   if (level == SimdLevel::kAvx2) return mix_affine_avx2(start, stride, out, n);
-  if (level == SimdLevel::kSse2) return mix_affine_sse2(start, stride, out, n);
 #else
   (void)level;
 #endif
@@ -241,7 +161,6 @@ void mix_add_batch_at(SimdLevel level, const std::uint64_t* states, std::uint64_
                       std::uint64_t* out, std::size_t n) {
 #if defined(NANOCOST_X86_SIMD)
   if (level == SimdLevel::kAvx2) return mix_add_avx2(states, addend, out, n);
-  if (level == SimdLevel::kSse2) return mix_add_sse2(states, addend, out, n);
 #else
   (void)level;
 #endif
@@ -252,7 +171,6 @@ void u53_to_unit_batch_at(SimdLevel level, const std::uint64_t* bits, double* ou
                           std::size_t n) {
 #if defined(NANOCOST_X86_SIMD)
   if (level == SimdLevel::kAvx2) return u53_avx2(bits, out, n);
-  if (level == SimdLevel::kSse2) return u53_sse2(bits, out, n);
 #else
   (void)level;
 #endif
@@ -263,7 +181,6 @@ void u53_to_unit_pos_batch_at(SimdLevel level, const std::uint64_t* bits, double
                               std::size_t n) {
 #if defined(NANOCOST_X86_SIMD)
   if (level == SimdLevel::kAvx2) return u53_pos_avx2(bits, out, n);
-  if (level == SimdLevel::kSse2) return u53_pos_sse2(bits, out, n);
 #else
   (void)level;
 #endif
@@ -286,39 +203,6 @@ void uniform_unit_batch_at(SimdLevel level, SplitMix64& rng, double* out, std::s
 
 void uniform_unit_batch(SplitMix64& rng, double* out, std::size_t n) {
   uniform_unit_batch_at(simd_level(), rng, out, n);
-}
-
-void bounded_u32_batch_at(SimdLevel level, SplitMix64& rng, std::uint32_t bound,
-                          std::uint32_t* out, std::size_t n) {
-  // Speculative blocks: candidates come from the engine's *future*
-  // outputs without advancing it.  A block whose lanes all accept
-  // (low >= bound -- overwhelmingly likely for realistic bounds)
-  // commits with one advance; any lane that could reject re-runs the
-  // block's remainder through the scalar draw, which consumes exactly
-  // the stream the all-scalar loop would.
-  constexpr std::size_t kBlock = 16;
-  std::uint64_t raw[kBlock];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t take = n - done < kBlock ? n - done : kBlock;
-    mix_affine_at(level, rng.state() + kGamma, kGamma, raw, take);
-    bool clean = true;
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::uint64_t m =
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(raw[i] >> 32)) * bound;
-      if (static_cast<std::uint32_t>(m) < bound) {
-        clean = false;
-        break;
-      }
-      out[done + i] = static_cast<std::uint32_t>(m >> 32);
-    }
-    if (clean) {
-      rng.advance(take);
-    } else {
-      for (std::size_t i = 0; i < take; ++i) out[done + i] = bounded_u32(rng, bound);
-    }
-    done += take;
-  }
 }
 
 }  // namespace nanocost::exec

@@ -9,11 +9,9 @@ namespace nanocost::exec {
 
 namespace {
 
-#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+#if defined(NANOCOST_X86_SIMD)
 SimdLevel probe_cpu() noexcept {
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
-  return SimdLevel::kScalar;
+  return __builtin_cpu_supports("avx2") ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 #else
 SimdLevel probe_cpu() noexcept { return SimdLevel::kScalar; }
@@ -30,14 +28,12 @@ SimdLevel resolve_level() noexcept {
   SimdLevel wanted = detected;
   if (v == "scalar") {
     wanted = SimdLevel::kScalar;
-  } else if (v == "sse2") {
-    wanted = SimdLevel::kSse2;
   } else if (v == "avx2") {
     wanted = SimdLevel::kAvx2;
   } else if (!v.empty()) {
     std::fprintf(stderr,
                  "nanocost: NANOCOST_SIMD='%s' is not a recognised level "
-                 "(use scalar/sse2/avx2); using auto-detection\n",
+                 "(use scalar/avx2); using auto-detection\n",
                  env);
     return detected;
   }
@@ -68,8 +64,6 @@ const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }

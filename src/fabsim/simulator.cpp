@@ -13,8 +13,7 @@
 #include "nanocost/obs/trace.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 
-#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
-#define NANOCOST_X86_SIMD 1
+#if defined(NANOCOST_X86_SIMD)
 #include <immintrin.h>
 #endif
 
@@ -199,9 +198,8 @@ struct LutView final {
 /// parse (mul then add; intrinsics never fuse).  Quads with an
 /// out-of-support (or NaN) lane, and lanes landing in a non-linear bin,
 /// fall back to the scalar path, so those return the same values too.
-__attribute__((target("avx2"))) void lut_evaluate_avx2(const KillProbabilityLut& lut,
-                                                       const LutView& v, const double* x,
-                                                       double* out, std::size_t n) {
+NANOCOST_TARGET_AVX2 void lut_evaluate_avx2(const KillProbabilityLut& lut, const LutView& v,
+                                            const double* x, double* out, std::size_t n) {
   const __m256d front = _mm256_set1_pd(v.front);
   const __m256d back = _mm256_set1_pd(v.back);
   const __m256i bits_min = _mm256_set1_epi64x(v.bits_min);
@@ -260,8 +258,6 @@ void KillProbabilityLut::evaluate_batch_at(exec::SimdLevel level, const double* 
     return;
   }
 #endif
-  // The SSE2 tier has no gather; the scalar path (already log-free via
-  // the hint table) is the honest fallback for it.
   (void)level;
   for (std::size_t i = 0; i < n; ++i) out[i] = evaluate(size_um[i]);
 }

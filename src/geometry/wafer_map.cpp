@@ -5,8 +5,7 @@
 #include <limits>
 #include <numbers>
 
-#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
-#define NANOCOST_X86_SIMD 1
+#if defined(NANOCOST_X86_SIMD)
 #include <immintrin.h>
 #endif
 
@@ -235,9 +234,9 @@ struct SiteGridView final {
 /// test in double, then masked gathers of the cell's site index and of
 /// that site's center for the body test.  Masked-off lanes load
 /// nothing, so out-of-grid and non-finite points are safe.
-__attribute__((target("avx2"))) void site_at_avx2(const WaferMap& map, const SiteGridView& v,
-                                                  const double* x, const double* y,
-                                                  std::int64_t* out, std::size_t n) {
+NANOCOST_TARGET_AVX2 void site_at_avx2(const WaferMap& map, const SiteGridView& v,
+                                       const double* x, const double* y, std::int64_t* out,
+                                       std::size_t n) {
   const __m256d origin_x = _mm256_set1_pd(v.origin_x);
   const __m256d origin_y = _mm256_set1_pd(v.origin_y);
   const __m256d step_x = _mm256_set1_pd(v.step_x);
@@ -305,8 +304,6 @@ void WaferMap::site_at_batch_at(exec::SimdLevel level, const double* x_mm, const
     return;
   }
 #endif
-  // SSE2 has no floor instruction; the scalar loop is its honest
-  // fallback, as for the kill LUT.
   (void)level;
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = site_at(units::Millimeters{x_mm[i]}, units::Millimeters{y_mm[i]});

@@ -83,7 +83,7 @@ TEST(SizeDistribution, SamplingMatchesCdf) {
   exec::SplitMix64 rng(7);
   const int n = 200000;
   std::vector<double> drawn(n);
-  dist.sample_batch(rng, drawn.data(), drawn.size());
+  dist.sample_batch_at(exec::simd_level(), rng, drawn.data(), drawn.size());
   int below_peak = 0, below_1um = 0;
   double sum = 0.0;
   for (const double um : drawn) {
@@ -333,9 +333,6 @@ TEST(DefectField, BlockedDiscSamplerMatchesTheRoundOracle) {
   // catch a rewind that leaves the stream in the wrong place.
   const double radius = geometry::WaferSpec::mm300().radius().value();
   std::vector<exec::SimdLevel> levels{exec::SimdLevel::kScalar};
-  if (exec::detected_simd_level() >= exec::SimdLevel::kSse2) {
-    levels.push_back(exec::SimdLevel::kSse2);
-  }
   if (exec::detected_simd_level() >= exec::SimdLevel::kAvx2) {
     levels.push_back(exec::SimdLevel::kAvx2);
   }

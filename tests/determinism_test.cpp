@@ -172,7 +172,7 @@ TEST(KillLut, AgreesWithDirectEvaluationAcrossTheSupport) {
   const double step = std::log(b / a) / grid;
   exec::SplitMix64 rng(404);
   std::vector<double> drawn(2000);
-  sizes.sample_batch(rng, drawn.data(), drawn.size());
+  sizes.sample_batch_at(exec::simd_level(), rng, drawn.data(), drawn.size());
   for (int i = 0; i <= grid + 2000; ++i) {
     const double x = i <= grid ? a * std::exp(i * step)
                                : drawn[static_cast<std::size_t>(i - grid - 1)];

@@ -1,14 +1,13 @@
 // Bitwise vector==scalar parity for every SoA/SIMD kernel.
 //
 // The repo's SIMD contract (DESIGN.md §12) is that a vector lane is an
-// *implementation detail*: for any input, every SimdLevel produces the
-// identical bit pattern and leaves shared RNG streams at the identical
-// position.  These tests enumerate the levels the host actually
-// supports (a lane the CPU lacks cannot be exercised) and compare each
-// against the scalar oracle over randomized inputs and every
-// odd-remainder tail length, including the rejection paths of the
-// bounded draws and the out-of-support/model-fallback edges of the
-// kill-probability LUT.
+// *implementation detail*: for any input, the scalar path and the AVX2
+// lane produce the identical bit pattern and leave shared RNG streams
+// at the identical position.  These tests enumerate the levels the
+// host actually supports (a lane the CPU lacks cannot be exercised) and
+// compare each against the scalar oracle over randomized inputs and
+// every odd-remainder tail length, including the out-of-support/
+// model-fallback edges of the kill-probability LUT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,12 +34,12 @@ using exec::SimdLevel;
 /// Levels the host can execute, scalar first.
 std::vector<SimdLevel> levels() {
   std::vector<SimdLevel> out{SimdLevel::kScalar};
-  if (exec::detected_simd_level() >= SimdLevel::kSse2) out.push_back(SimdLevel::kSse2);
   if (exec::detected_simd_level() >= SimdLevel::kAvx2) out.push_back(SimdLevel::kAvx2);
   return out;
 }
 
-/// Tail lengths crossing every lane boundary of the 2/4/8-wide paths.
+/// Tail lengths crossing every lane boundary of the 4-wide AVX2 paths,
+/// and the 64-draw staging block of uniform_unit_batch_at.
 const std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100};
 
 template <typename T>
@@ -89,26 +88,6 @@ TEST(SimdParity, UniformUnitBatch) {
       exec::uniform_unit_batch_at(level, rng, got.data(), n);
       expect_bitwise_equal(ref, got, "uniform_unit_batch", n);
       EXPECT_EQ(rng_ref.state(), rng.state());
-    }
-  }
-}
-
-TEST(SimdParity, BoundedU32Batch) {
-  // 0xF0000000 and 0xFFFFFFFE force the Lemire rejection path often;
-  // small bounds exercise the common fast path.
-  const std::uint32_t bounds[] = {1, 2, 7, 1000, 0xF0000000U, 0xFFFFFFFEU};
-  for (const std::uint32_t bound : bounds) {
-    for (const std::size_t n : kLengths) {
-      std::vector<std::uint32_t> ref(n);
-      exec::SplitMix64 rng_ref(4242);
-      exec::bounded_u32_batch_at(SimdLevel::kScalar, rng_ref, bound, ref.data(), n);
-      for (const SimdLevel level : levels()) {
-        std::vector<std::uint32_t> got(n);
-        exec::SplitMix64 rng(4242);
-        exec::bounded_u32_batch_at(level, rng, bound, got.data(), n);
-        expect_bitwise_equal(ref, got, "bounded_u32_batch", n);
-        EXPECT_EQ(rng_ref.state(), rng.state()) << "bound=" << bound << " n=" << n;
-      }
     }
   }
 }
