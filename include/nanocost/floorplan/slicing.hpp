@@ -46,7 +46,7 @@ struct FloorplanResult final {
 };
 
 struct FloorplanParams final {
-  double initial_temperature = 0.0;  ///< 0 = auto from initial area
+  double initial_temperature = 0.0;  ///< finite; 0 or below = auto from initial area
   double cooling = 0.92;
   int moves_per_temperature = 60;
   double stop_temperature_fraction = 1e-4;  ///< > 0; stop below this share of the start
@@ -54,8 +54,9 @@ struct FloorplanParams final {
 };
 
 /// Packs the blocks; throws std::invalid_argument on empty input,
-/// degenerate block parameters, a cooling factor outside (0, 1) or a
-/// stop temperature fraction that is not > 0.
+/// degenerate block parameters, a cooling factor outside (0, 1), a
+/// stop temperature fraction that is not > 0 or a non-finite initial
+/// temperature.
 [[nodiscard]] FloorplanResult floorplan(const std::vector<Block>& blocks,
                                         const FloorplanParams& params = {});
 

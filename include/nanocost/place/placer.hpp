@@ -64,7 +64,7 @@ class Placement final {
 
 /// Annealing parameters.
 struct AnnealParams final {
-  double initial_temperature = 0.0;  ///< 0 = auto (from initial cost)
+  double initial_temperature = 0.0;  ///< finite; 0 or below = auto (from initial cost)
   double cooling = 0.95;
   std::int32_t moves_per_temperature_per_gate = 8;
   double stop_temperature_fraction = 1e-4;  ///< > 0; stop below this share of the start

@@ -182,6 +182,9 @@ FloorplanResult floorplan(const std::vector<Block>& blocks, const FloorplanParam
   if (!(params.stop_temperature_fraction > 0.0)) {
     throw std::invalid_argument("stop temperature fraction must be > 0");
   }
+  if (!std::isfinite(params.initial_temperature)) {
+    throw std::invalid_argument("initial temperature must be finite (0 or below = auto)");
+  }
   // Leaf shape options from each block's aspect range.
   std::vector<std::vector<Shape>> leaf_shapes;
   for (const Block& b : blocks) {

@@ -147,6 +147,9 @@ PlaceResult anneal_impl(const Netlist& netlist, std::int32_t rows, std::int32_t 
   if (!(params.stop_temperature_fraction > 0.0)) {
     throw std::invalid_argument("stop temperature fraction must be > 0");
   }
+  if (!std::isfinite(params.initial_temperature)) {
+    throw std::invalid_argument("initial temperature must be finite (0 or below = auto)");
+  }
   if (start != nullptr && (start->rows() != rows || start->cols() != cols ||
                            start->gate_count() != netlist.gate_count())) {
     throw std::invalid_argument("warm-start placement does not match the grid/netlist");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "nanocost/floorplan/slicing.hpp"
@@ -119,6 +120,16 @@ TEST(Floorplan, Validation) {
     EXPECT_THROW(floorplan::floorplan({block("a", 1.0), block("b", 2.0)}, never),
                  std::invalid_argument)
         << fraction;
+  }
+  // +inf would skip the anneal (the stop temperature is infinite too),
+  // and NaN would mean auto.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double temperature : {inf, -inf, std::nan("")}) {
+    FloorplanParams hot;
+    hot.initial_temperature = temperature;
+    EXPECT_THROW(floorplan::floorplan({block("a", 1.0), block("b", 2.0)}, hot),
+                 std::invalid_argument)
+        << temperature;
   }
 }
 

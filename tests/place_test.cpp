@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -119,6 +120,18 @@ TEST(Anneal, Validation) {
     never.stop_temperature_fraction = fraction;
     EXPECT_THROW(anneal_place(nl, 4, 4, never), std::invalid_argument) << fraction;
   }
+  // Only a finite start temperature anneals: +inf makes the stop
+  // temperature infinite too (0 moves), and NaN would mean auto.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double temperature : {inf, -inf, std::nan("")}) {
+    AnnealParams hot;
+    hot.initial_temperature = temperature;
+    EXPECT_THROW(anneal_place(nl, 4, 4, hot), std::invalid_argument) << temperature;
+  }
+  AnnealParams hot;
+  hot.initial_temperature = inf;
+  EXPECT_THROW(anneal_refine_weighted(nl, Placement::ordered(nl, 4, 4), {}, hot),
+               std::invalid_argument);
 }
 
 TEST(Estimate, PrePlacementEstimateIsInTheRightBallpark) {
