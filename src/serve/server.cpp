@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -112,8 +113,9 @@ int outcome_index(ResponseStatus s) noexcept {
 
 /// Every serve metric, registered together on first use so a scrape of
 /// a healthy server shows each at 0 instead of omitting it.  Only the
-/// per-tenant shed counter (serve.tenant_shed.<tenant>) is looked up by
-/// name, on the shed path.
+/// per-tenant shed counter (serve.tenant_shed.<tenant>, for at most
+/// kMaxShedTenantCounters tenants per server) is looked up by name, on
+/// the shed path.
 struct ServeMetrics {
   obs::Counter& requests = obs::counter("serve.requests");
   obs::Counter& wire_errors = obs::counter("serve.wire_errors");
@@ -668,8 +670,14 @@ struct Server::Impl {
         tenant_shed.fetch_add(1, std::memory_order_relaxed);
         if (auto* m = serve_metrics()) {
           m->tenant_shed.add();
-          obs::counter("serve.tenant_shed." + (tenant.empty() ? std::string("anonymous") : tenant))
-              .add();
+          if (shed_counter_tenants.size() < kMaxShedTenantCounters) {
+            shed_counter_tenants.insert(tenant);
+          }
+          if (shed_counter_tenants.count(tenant) != 0) {
+            obs::counter("serve.tenant_shed." +
+                         (tenant.empty() ? std::string("anonymous") : tenant))
+                .add();
+          }
         }
         shed = "tenant quota: tenant \"" + tenant + "\" already has " +
                std::to_string(tenant_held) + " campaigns in flight (quota " +
@@ -1139,7 +1147,7 @@ struct Server::Impl {
     if (watchdog.joinable()) watchdog.join();
 
     // 5. Flush the artifact tier: enforce the byte cap now, while no
-    // campaign is consulting blobs.
+    // campaign reads or rewrites its NCCKPT01 record.
     if (store != nullptr) {
       report.artifact_sweep = store->sweep();
     }
@@ -1177,6 +1185,9 @@ struct Server::Impl {
   /// names its entry point.
   std::map<cache::Digest128, std::vector<Waiter>> inflight;
   std::map<std::string, std::size_t> tenant_outstanding;  ///< live campaign waiters per tenant
+  /// Tenants with a serve.tenant_shed.<tenant> counter: the first
+  /// kMaxShedTenantCounters shed.
+  std::set<std::string> shed_counter_tenants;
   /// Built simulators by FabConfig::digest, at most
   /// kSimulatorCacheCapacity of them.
   std::map<cache::Digest128, CachedSimulator> simulators;

@@ -19,12 +19,14 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -37,6 +39,7 @@
 #include "nanocost/cache/key.hpp"
 #include "nanocost/core/optimizer.hpp"
 #include "nanocost/core/risk.hpp"
+#include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/stats.hpp"
@@ -487,6 +490,144 @@ TEST(JobCodecs, BoundaryValuesRoundTripToTheirOwnBytes) {
     response.coalesced = coalesced;
     const std::vector<std::uint8_t> bytes = encode_payload(response);
     EXPECT_EQ(encode_payload(decode_response(bytes)), bytes);
+  }
+}
+
+/// One payload codec under the mutation sweep: a valid payload and its
+/// decode-then-encode, which throws wherever the decoder refuses.
+struct SweptCodec {
+  const char* name;
+  std::vector<std::uint8_t> valid;
+  std::vector<std::uint8_t> (*reencode)(const std::vector<std::uint8_t>&);
+};
+
+TEST(JobCodecs, MutatedPayloadsThrowOrReencodeToTheirOwnBytes) {
+  // Valid payloads of every payload codec (the seven in serve/jobs.hpp,
+  // the four in cache/codec.hpp), with their free fields drawn from a
+  // seeded stream.
+  exec::SplitMix64 rng(33);
+  Eq4Job eq4 = small_eq4();
+  eq4.request_id = rng.next();
+  RiskJob risk = small_risk();
+  risk.request_id = rng.next();
+  risk.seed = rng.next();
+  CampaignJob campaign = small_campaign(rng.next());
+  campaign.request_id = rng.next();
+  campaign.max_chunks = static_cast<std::int64_t>(rng.next() >> 40);
+  Response response;
+  response.request_id = rng.next();
+  response.status = ResponseStatus::kPartial;
+  response.message = "partial";
+  response.result = {1, 2, 3};
+  response.completeness = exec::uniform_unit(rng);
+  response.frontier_chunks = static_cast<std::int64_t>(rng.next() >> 40);
+  response.artifact_hits = rng.next() >> 40;
+  StatsReport stats;
+  stats.request_id = rng.next();
+  stats.server_version = "1.0.0";
+  stats.simd_level = "avx2";
+  stats.hardware_concurrency = 4;
+  stats.pid = rng.next() >> 40;
+  stats.uptime_ms = rng.next() >> 20;
+  stats.stats = {9, 8, 7, 6};
+  HelloRequest hello;
+  hello.request_id = rng.next();
+  hello.tenant = "acme";
+  hello.attempt = 2;
+  HelloAck ack;
+  ack.request_id = rng.next();
+  core::RiskResult risk_result{exec::uniform_unit(rng), exec::uniform_unit(rng),
+                               exec::uniform_unit(rng), exec::uniform_unit(rng),
+                               exec::uniform_unit(rng), exec::uniform_unit(rng)};
+  core::RobustOptimum optimum;
+  optimum.s_d = 1000.0 * exec::uniform_unit(rng);
+  optimum.quantile_cost = exec::uniform_unit(rng);
+  const std::vector<core::SweepPoint> sweep =
+      core::sweep_eq4(eq4.inputs, eq4.lo, eq4.hi, 2);
+  fabsim::LotResult lot;
+  for (int w = 0; w < 2; ++w) {
+    const auto draw = [&] { return static_cast<std::int64_t>(rng.next() >> 48); };
+    lot.wafers.push_back(fabsim::WaferResult{draw(), draw(), draw(), draw()});
+  }
+  lot.total_dies = static_cast<std::int64_t>(rng.next() >> 40);
+  lot.good_dies = static_cast<std::int64_t>(rng.next() >> 40);
+  lot.fault_histogram = {3, 2, 1};
+
+  const SweptCodec codecs[] = {
+      {"Eq4Job", encode_payload(eq4),
+       [](const auto& b) { return encode_payload(decode_eq4_job(b)); }},
+      {"RiskJob", encode_payload(risk),
+       [](const auto& b) { return encode_payload(decode_risk_job(b)); }},
+      {"CampaignJob", encode_payload(campaign),
+       [](const auto& b) { return encode_payload(decode_campaign_job(b)); }},
+      {"Response", encode_payload(response),
+       [](const auto& b) { return encode_payload(decode_response(b)); }},
+      {"StatsReport", encode_payload(stats),
+       [](const auto& b) { return encode_payload(decode_stats_report(b)); }},
+      {"HelloRequest", encode_payload(hello),
+       [](const auto& b) { return encode_payload(decode_hello(b)); }},
+      {"HelloAck", encode_payload(ack),
+       [](const auto& b) { return encode_payload(decode_hello_ack(b)); }},
+      {"RiskResult", cache::encode(risk_result),
+       [](const auto& b) { return cache::encode(cache::decode_risk_result(b)); }},
+      {"RobustOptimum", cache::encode(optimum),
+       [](const auto& b) { return cache::encode(cache::decode_robust_optimum(b)); }},
+      {"SweepPoints", cache::encode(sweep),
+       [](const auto& b) { return cache::encode(cache::decode_sweep_points(b)); }},
+      {"LotResult", cache::encode(lot),
+       [](const auto& b) { return cache::encode(cache::decode_lot_result(b)); }},
+  };
+
+  // Every 8-byte window gets each boundary value, every byte each
+  // value: 0, -1, 2^31 - 1, 2^31, 2^32 + 24, 2^63, NaN, +inf, -inf.
+  const std::uint64_t boundary[] = {0,
+                                    ~0ULL,
+                                    (1ULL << 31) - 1,
+                                    1ULL << 31,
+                                    (1ULL << 32) + 24,
+                                    1ULL << 63,
+                                    0x7FF8000000000000ULL,
+                                    0x7FF0000000000000ULL,
+                                    0xFFF0000000000000ULL};
+  for (const SweptCodec& codec : codecs) {
+    SCOPED_TRACE(codec.name);
+    ASSERT_EQ(codec.reencode(codec.valid), codec.valid);
+    // A mutated payload must be refused, or decode to a value whose
+    // encoding is exactly its bytes: anything else decoded a value the
+    // sender did not send.  A failure names the bytes where the
+    // re-encoding first differs, which is the field that read wrongly.
+    std::size_t accepted_but_changed = 0;
+    std::set<std::size_t> differs_at;
+    const auto check = [&](const std::vector<std::uint8_t>& mutated) {
+      std::vector<std::uint8_t> back;
+      try {
+        back = codec.reencode(mutated);
+      } catch (const std::exception&) {
+        return;
+      }
+      if (back != mutated) {
+        ++accepted_but_changed;
+        differs_at.insert(first_difference(back, mutated));
+      }
+    };
+    for (std::size_t at = 0; at + 8 <= codec.valid.size(); ++at) {
+      for (const std::uint64_t v : boundary) check(with_u64_at(codec.valid, at, v));
+    }
+    for (std::size_t at = 0; at < codec.valid.size(); ++at) {
+      std::vector<std::uint8_t> mutated = codec.valid;
+      for (int v = 0; v < 256; ++v) {
+        mutated[at] = static_cast<std::uint8_t>(v);
+        check(mutated);
+      }
+    }
+    std::string bytes;
+    for (const std::size_t at : differs_at) {
+      bytes += ' ';
+      bytes += std::to_string(at);
+    }
+    EXPECT_EQ(accepted_but_changed, 0u)
+        << "mutations decoded, but re-encode differently from byte(s)" << bytes << " of "
+        << codec.valid.size();
   }
 }
 
@@ -2071,6 +2212,44 @@ TEST(Tenant, HandshakeRejectsATenantNameNoMetricCanCarry) {
   const StatsReport report = operator_client.stats();
   EXPECT_NO_THROW((void)obs::decode_stats(report.stats));
   EXPECT_EQ(server.shutdown().handshake_rejects, 2u);
+}
+
+TEST(Tenant, ShedCountersStopAtTheBoundWhileTheTotalCountsEveryShed) {
+  // One shed for each of kMaxShedTenantCounters + 1 tenants: only the
+  // first kMaxShedTenantCounters get a counter of their own.
+  MetricsGuard metrics;
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 5000});
+  robust::install_fault_plan(plan);
+
+  ServerOptions options;
+  options.tenant_campaign_quota = 1;
+  options.drain_budget_ms = 1.0;  // the blocker never finishes: shutdown stops it
+  Server server(options);
+  const std::size_t tenants = kMaxShedTenantCounters + 1;
+  std::vector<Client> clients;
+  for (std::size_t i = 0; i < tenants; ++i) {
+    Client& client = clients.emplace_back(make_client(server));
+    (void)client.handshake("tenant" + std::to_string(i));
+    // Every tenant's blocker joins one computation: a coalesced twin
+    // holds its tenant's slot like a fresh admit.
+    (void)client.submit(small_campaign(1, 100000));
+    const Response shed = client.wait(client.submit(small_campaign(2)));
+    EXPECT_EQ(shed.status, ResponseStatus::kShed) << shed.message;
+  }
+
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  const std::string family = "serve.tenant_shed.";
+  const auto named = std::count_if(snap.counters.begin(), snap.counters.end(),
+                                   [&](const auto& c) { return c.first.rfind(family, 0) == 0; });
+  EXPECT_EQ(static_cast<std::size_t>(named), kMaxShedTenantCounters);
+  // Hang up first: nobody would read the stopped blocker's answer.
+  clients.clear();
+  const DrainReport report = server.shutdown();
+  EXPECT_EQ(report.tenant_shed, tenants);
+  EXPECT_EQ(snapshot_counter(snap, "serve.tenant_shed_total"), report.tenant_shed);
 }
 
 // ---------------------------------------------------------------------------
