@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "nanocost/exec/thread_pool.hpp"
-#include "nanocost/obs/metrics.hpp"
 #include "nanocost/obs/trace.hpp"
 #include "nanocost/robust/cancel.hpp"
 #include "nanocost/robust/fault_injection.hpp"
@@ -93,10 +92,7 @@ LoopStatus parallel_reduce(ThreadPool* pool, std::int64_t n, std::int64_t grain,
     if (token.valid() && token.expired()) return;
     obs::ObsSpan span("exec.chunk");
     span.arg("chunk", static_cast<std::uint64_t>(c));
-    if (obs::metrics_enabled()) {
-      static obs::Counter& chunk_counter = obs::counter("exec.chunks");
-      chunk_counter.add();
-    }
+    if (auto* m = obs::metrics_table<ExecMetrics>()) m->chunks.add();
     robust::inject(kChunkFaultSite, static_cast<std::uint64_t>(c));
     const std::int64_t begin = c * grain;
     body(begin, std::min(begin + grain, n), scratches[static_cast<std::size_t>(c)]);

@@ -7,8 +7,8 @@
 // injection: every site first checks `metrics_enabled()` -- one relaxed
 // atomic load plus a predictable branch when metrics are off -- and
 // only then touches a metric.  Hot-path updates on enabled metrics are
-// lock-free relaxed atomics; registration (first lookup of a name) takes
-// a mutex once per site.
+// lock-free relaxed atomics; registration takes a mutex once per
+// module, when its metric table (metrics_table) is first used.
 //
 // Metrics are observational only: no engine output may depend on a
 // metric value, so enabling them cannot perturb results (enforced by
@@ -151,9 +151,9 @@ class Histogram final {
 };
 
 /// Looks up (or registers) a metric by name.  References stay valid for
-/// the process lifetime; idiomatic sites cache them in a function-local
-/// static so the registry mutex is paid once per site:
-///   static obs::Counter& c = obs::counter("fabsim.wafers");
+/// the process lifetime.  Sites do not call these: each module declares
+/// its metrics once, as reference members of a table that
+/// metrics_table() below registers (see its comment).
 [[nodiscard]] Counter& counter(std::string_view name);
 [[nodiscard]] Gauge& gauge(std::string_view name);
 [[nodiscard]] Histogram& histogram(std::string_view name);
@@ -219,6 +219,18 @@ bool init_metrics_state_from_env();
     return detail::init_metrics_state_from_env();
   }
   return s == 2;
+}
+
+/// A module's metric table, or nullptr while metrics are off (the off
+/// path is one relaxed load).  `Table` declares each metric once, as a
+/// reference member initialised by counter/gauge/histogram, and the
+/// whole table registers together on first use:
+///   if (auto* m = obs::metrics_table<FabsimMetrics>()) m->wafers.add();
+template <class Table>
+[[nodiscard]] Table* metrics_table() {
+  if (!metrics_enabled()) return nullptr;
+  static Table table;
+  return &table;
 }
 
 }  // namespace nanocost::obs

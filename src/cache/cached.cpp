@@ -10,21 +10,11 @@ namespace nanocost::cache {
 
 namespace {
 
-void count_hit() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& hits = obs::counter("cache.hits");
-    hits.add(1);
-  }
-}
-
-void count_miss(std::size_t inserted_bytes) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& misses = obs::counter("cache.misses");
-    static obs::Counter& bytes = obs::counter("cache.insert_bytes");
-    misses.add(1);
-    bytes.add(static_cast<std::uint64_t>(inserted_bytes));
-  }
-}
+struct CacheMetrics {
+  obs::Counter& hits = obs::counter("cache.hits");
+  obs::Counter& misses = obs::counter("cache.misses");
+  obs::Counter& insert_bytes = obs::counter("cache.insert_bytes");
+};
 
 /// The one hit-or-compute shape every cached spelling instantiates:
 /// lookup, decode on hit; compute, encode, insert, return the computed
@@ -40,14 +30,17 @@ auto hit_or_compute(const Digest128& key, Decode decode, Compute compute) {
     span.arg("hit", hit ? 1 : 0);
   }
   if (hit) {
-    count_hit();
+    if (auto* m = obs::metrics_table<CacheMetrics>()) m->hits.add();
     return decode(blob);
   }
   auto result = compute();
   std::vector<std::uint8_t> encoded = encode(result);
   const std::size_t bytes = encoded.size();
   global_result_cache().insert(key, encoded);
-  count_miss(bytes);
+  if (auto* m = obs::metrics_table<CacheMetrics>()) {
+    m->misses.add();
+    m->insert_bytes.add(static_cast<std::uint64_t>(bytes));
+  }
   return result;
 }
 

@@ -29,6 +29,11 @@ constexpr robust::FaultSite kWaferFaultSite{"fabsim.wafer"};
 /// size only, never of the thread count.
 constexpr std::int64_t kWaferGrain = 4;
 
+struct FabsimMetrics {
+  obs::Counter& wafers = obs::counter("fabsim.wafers");
+  obs::Counter& defects = obs::counter("fabsim.defects");
+};
+
 }  // namespace
 
 DieKillModel::DieKillModel(defect::WireArray array, units::SquareCentimeters die_area)
@@ -393,11 +398,9 @@ void FabSimulator::simulate_wafer(exec::SplitMix64& rng, const defect::DefectFie
   result.defects = static_cast<std::int64_t>(n);
   result.gross_dies = map_.die_count();
   span.arg("defects", static_cast<std::uint64_t>(result.defects));
-  if (obs::metrics_enabled()) {
-    static obs::Counter& wafers = obs::counter("fabsim.wafers");
-    static obs::Counter& defects = obs::counter("fabsim.defects");
-    wafers.add();
-    defects.add(static_cast<std::uint64_t>(result.defects));
+  if (auto* m = obs::metrics_table<FabsimMetrics>()) {
+    m->wafers.add();
+    m->defects.add(static_cast<std::uint64_t>(result.defects));
   }
 
   // Locate every defect in one pass over the position columns, then

@@ -2,60 +2,49 @@
 
 #include <cstdio>
 
-#include "nanocost/obs/metrics.hpp"
+#include "nanocost/robust/metrics.hpp"
 
 namespace nanocost::report {
 
 namespace {
 
-/// Observability footer sourced from the metrics registry.  The
+/// Observability footer sourced from the robust metric table.  The
 /// registry is process-cumulative, so across several campaigns in one
 /// process these totals cover all of them, not just `result` -- the
-/// footer says so.  Rendered only when metrics are on; counters are
-/// looked up without registering them as a side effect.
+/// footer says so.  Rendered only when metrics are on.
 std::string render_obs_footer() {
-  if (!obs::metrics_enabled()) return {};
+  const robust::RobustMetrics* m = obs::metrics_table<robust::RobustMetrics>();
+  if (m == nullptr) return {};
+  const auto ull = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
   char line[256];
   std::string out = "  observability (process totals):\n";
-  std::snprintf(line, sizeof(line),
-                "    chunks retried: %llu, quarantined: %llu\n",
-                static_cast<unsigned long long>(obs::counter_value("robust.retries")),
-                static_cast<unsigned long long>(obs::counter_value("robust.quarantined")));
+  std::snprintf(line, sizeof(line), "    chunks retried: %llu, quarantined: %llu\n",
+                ull(m->retries.value()), ull(m->quarantined.value()));
   out += line;
-  std::snprintf(line, sizeof(line),
-                "    checkpoint writes: %llu (%llu bytes)\n",
-                static_cast<unsigned long long>(
-                    obs::counter_value("robust.checkpoint_writes")),
-                static_cast<unsigned long long>(
-                    obs::counter_value("robust.checkpoint_bytes")));
+  std::snprintf(line, sizeof(line), "    checkpoint writes: %llu (%llu bytes)\n",
+                ull(m->checkpoint_writes.value()), ull(m->checkpoint_bytes.value()));
   out += line;
-  if (const obs::Histogram* waves = obs::find_histogram("robust.wave_ms")) {
+  if (const obs::Histogram& waves = m->wave_ms; waves.count() > 0) {
     std::snprintf(line, sizeof(line),
                   "    waves: %llu, wall-time per wave: mean %.1f ms (min %llu, max %llu)\n",
-                  static_cast<unsigned long long>(waves->count()), waves->mean(),
-                  static_cast<unsigned long long>(waves->min()),
-                  static_cast<unsigned long long>(waves->max()));
+                  ull(waves.count()), waves.mean(), ull(waves.min()), ull(waves.max()));
     out += line;
   }
   // Overload/deadline lines appear only once those paths have fired --
   // a process that never expired or abandoned anything keeps a quiet
   // footer.
-  const std::uint64_t expired = obs::counter_value("robust.expired");
-  const std::uint64_t abandoned = obs::counter_value("robust.retry_abandoned");
+  const std::uint64_t expired = m->expired.value();
+  const std::uint64_t abandoned = m->retry_abandoned.value();
   if (expired > 0 || abandoned > 0) {
     std::snprintf(line, sizeof(line), "    overload: expired %llu, retries abandoned %llu\n",
-                  static_cast<unsigned long long>(expired),
-                  static_cast<unsigned long long>(abandoned));
+                  ull(expired), ull(abandoned));
     out += line;
   }
-  if (const obs::Histogram* lat = obs::find_histogram("robust.cancel_latency_us")) {
-    if (lat->count() > 0) {
-      std::snprintf(line, sizeof(line),
-                    "    cancel latency: %llu observation(s), mean %.0f us (max %llu)\n",
-                    static_cast<unsigned long long>(lat->count()), lat->mean(),
-                    static_cast<unsigned long long>(lat->max()));
-      out += line;
-    }
+  if (const obs::Histogram& lat = m->cancel_latency_us; lat.count() > 0) {
+    std::snprintf(line, sizeof(line),
+                  "    cancel latency: %llu observation(s), mean %.0f us (max %llu)\n",
+                  ull(lat.count()), lat.mean(), ull(lat.max()));
+    out += line;
   }
   return out;
 }

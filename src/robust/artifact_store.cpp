@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "nanocost/cache/bytes.hpp"
-#include "nanocost/obs/metrics.hpp"
+#include "nanocost/robust/metrics.hpp"
 
 namespace nanocost::robust {
 
@@ -139,10 +139,7 @@ SweepReport ArtifactStore::sweep() const {
       remaining -= it->second;
     }
   }
-  if (obs::metrics_enabled() && report.evicted_blobs > 0) {
-    static obs::Counter& evicted = obs::counter("robust.artifact_evicted");
-    evicted.add(report.evicted_blobs);
-  }
+  if (auto* m = obs::metrics_table<RobustMetrics>()) m->artifact_evicted.add(report.evicted_blobs);
   return report;
 }
 

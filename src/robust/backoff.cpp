@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "nanocost/exec/seed.hpp"
-#include "nanocost/obs/metrics.hpp"
+#include "nanocost/robust/metrics.hpp"
 
 namespace nanocost::robust {
 
@@ -43,9 +43,8 @@ double backoff_sleep(const BackoffPolicy& policy, int attempt) {
   const double delay = policy.delay_ms(attempt);
   if (delay > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
-    if (obs::metrics_enabled()) {
-      static obs::Histogram& slept = obs::histogram("robust.backoff_sleep_ms");
-      slept.record(static_cast<std::uint64_t>(delay));
+    if (auto* m = obs::metrics_table<RobustMetrics>()) {
+      m->backoff_sleep_ms.record(static_cast<std::uint64_t>(delay));
     }
   }
   return delay;

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <limits>
 
-#include "nanocost/obs/metrics.hpp"
+#include "nanocost/robust/metrics.hpp"
 
 namespace nanocost::robust {
 
@@ -88,14 +88,13 @@ std::uint64_t CancelToken::trip_time_ns() const noexcept {
 }
 
 void note_cancel_observed(const CancelToken& token) noexcept {
-  if (!obs::metrics_enabled()) return;
+  auto* m = obs::metrics_table<RobustMetrics>();
+  if (m == nullptr) return;
   const std::uint64_t trip = token.trip_time_ns();
   if (trip == 0) return;
-  static obs::Counter& loops = obs::counter("robust.cancelled_loops");
-  loops.add();
-  static obs::Histogram& latency = obs::histogram("robust.cancel_latency_us");
+  m->cancelled_loops.add();
   const std::uint64_t now = detail::steady_now_ns();
-  latency.record(now > trip ? (now - trip) / 1000 : 0);
+  m->cancel_latency_us.record(now > trip ? (now - trip) / 1000 : 0);
 }
 
 }  // namespace nanocost::robust

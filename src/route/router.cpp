@@ -16,6 +16,12 @@ namespace {
 /// Injection site evaluated once per rip-up pass; the unit index is the
 /// pass number.
 constexpr robust::FaultSite kRoutePassFaultSite{"route.pass"};
+
+struct RouteMetrics {
+  obs::Counter& routes = obs::counter("route.routes");
+  obs::Counter& passes = obs::counter("route.passes");
+  obs::Counter& reroutes = obs::counter("route.reroutes");
+};
 }  // namespace
 
 using netlist::Net;
@@ -396,11 +402,9 @@ RouteResult route(const Netlist& netlist, const place::Placement& placement,
           });
           ++rerouted;
         }
-        if (obs::metrics_enabled()) {
-          static obs::Counter& passes = obs::counter("route.passes");
-          static obs::Counter& reroutes = obs::counter("route.reroutes");
-          passes.add();
-          reroutes.add(static_cast<std::uint64_t>(rerouted));
+        if (auto* m = obs::metrics_table<RouteMetrics>()) {
+          m->passes.add();
+          m->reroutes.add(static_cast<std::uint64_t>(rerouted));
         }
         ++result.completed_rip_up_passes;
         if (rerouted == 0) break;
@@ -408,10 +412,7 @@ RouteResult route(const Netlist& netlist, const place::Placement& placement,
     }
   }
   route_span.arg("connections", static_cast<std::uint64_t>(result.connections_routed));
-  if (obs::metrics_enabled()) {
-    static obs::Counter& routes = obs::counter("route.routes");
-    routes.add();
-  }
+  if (auto* m = obs::metrics_table<RouteMetrics>()) m->routes.add();
 
   // Congestion census.
   std::int64_t used_edges = 0;

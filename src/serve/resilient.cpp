@@ -12,19 +12,10 @@ namespace nanocost::serve {
 
 namespace {
 
-void count_client_reconnect() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.client.reconnects");
-    c.add();
-  }
-}
-
-void count_client_retry() {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& c = obs::counter("serve.client.retries");
-    c.add();
-  }
-}
+struct ClientMetrics {
+  obs::Counter& reconnects = obs::counter("serve.client.reconnects");
+  obs::Counter& retries = obs::counter("serve.client.retries");
+};
 
 /// A response worth resubmitting: the server shed or stopped the job
 /// (transient overload / drain), or errored while naming itself the
@@ -111,7 +102,7 @@ void ResilientClient::ensure_connected() {
   ++connects_;
   if (ordinal > 0) {
     ++reconnects_;
-    count_client_reconnect();
+    if (auto* m = obs::metrics_table<ClientMetrics>()) m->reconnects.add();
   }
   client_.emplace(std::move(fresh));
 }
@@ -137,7 +128,7 @@ Response ResilientClient::run(const char* what,
                                  last_error);
       }
       ++retries_;
-      count_client_retry();
+      if (auto* m = obs::metrics_table<ClientMetrics>()) m->retries.add();
       robust::backoff_sleep(options_.backoff, attempt - 1);
     }
     // Transient fault plans draw on (site, index, attempt): scoping the

@@ -15,16 +15,21 @@ using netlist::GateType;
 using netlist::Net;
 using netlist::Netlist;
 
+namespace {
+struct TimingMetrics {
+  obs::Counter& levelizations = obs::counter("timing.levelizations");
+  obs::Counter& analyses = obs::counter("timing.analyses");
+  obs::Counter& reuse_hits = obs::counter("timing.reuse_hits");
+};
+}  // namespace
+
 TimingAnalyzer::TimingAnalyzer(const Netlist& netlist, const TimingParams& params)
     : netlist_(netlist),
       params_(params),
       wires_(process::InterconnectModel::for_feature_size(params.lambda)) {
   obs::ObsSpan span("timing.levelize");
   span.arg("gates", static_cast<std::uint64_t>(netlist.gate_count()));
-  if (obs::metrics_enabled()) {
-    static obs::Counter& levelizations = obs::counter("timing.levelizations");
-    levelizations.add();
-  }
+  if (auto* m = obs::metrics_table<TimingMetrics>()) m->levelizations.add();
   const auto gates = static_cast<std::size_t>(netlist.gate_count());
   const auto nets = static_cast<std::size_t>(netlist.net_count());
   const double unit_gate_delay = wires_.gate_delay_ps();
@@ -110,13 +115,9 @@ TimingAnalyzer::TimingAnalyzer(const Netlist& netlist, const TimingParams& param
 TimingResult TimingAnalyzer::run() {
   obs::ObsSpan span("timing.analyze");
   ++analyses_run_;
-  if (obs::metrics_enabled()) {
-    static obs::Counter& analyses = obs::counter("timing.analyses");
-    analyses.add();
-    if (analyses_run_ > 1) {
-      static obs::Counter& reuse_hits = obs::counter("timing.reuse_hits");
-      reuse_hits.add();
-    }
+  if (auto* m = obs::metrics_table<TimingMetrics>()) {
+    m->analyses.add();
+    if (analyses_run_ > 1) m->reuse_hits.add();
   }
   const Netlist& nl = netlist_;
   TimingResult result;
