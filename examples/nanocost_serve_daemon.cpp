@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       "nanocost_serve: drained. served %llu responses (%llu coalesced, %llu wire "
       "errors); campaigns: %llu completed, %llu stopped resumable, %llu shed (%llu "
       "tenant-quota), %llu simulators built; connections: %llu handshakes rejected, "
-      "%llu reaped, %llu evicted; artifact sweep evicted %llu/%llu files (%llu of %llu "
+      "%llu reaped, %llu evicted, %llu stalled; artifact sweep evicted %llu/%llu files (%llu of %llu "
       "bytes)\n",
       static_cast<unsigned long long>(report.requests_served),
       static_cast<unsigned long long>(report.coalesced),
@@ -179,6 +179,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(report.handshake_rejects),
       static_cast<unsigned long long>(report.connections_reaped),
       static_cast<unsigned long long>(report.connections_evicted),
+      static_cast<unsigned long long>(report.connections_stalled),
       static_cast<unsigned long long>(report.artifact_sweep.evicted_blobs),
       static_cast<unsigned long long>(report.artifact_sweep.scanned_blobs),
       static_cast<unsigned long long>(report.artifact_sweep.evicted_bytes),

@@ -3,11 +3,15 @@
 // Metric names in the registry use dots ("serve.queue_depth"); the
 // exposition format allows only [a-zA-Z0-9_:], so names are sanitized
 // (every illegal byte becomes '_', a leading digit gets a '_' prefix).
+// A name of the form `family{key="value"}` (serve.tenant_shed's
+// per-tenant family) renders as a sample of the sanitized family with
+// that one label, its value escaped (backslash, quote, newline), and the
+// family gets one `# TYPE` line however many labelled samples it has.
 // Counters and gauges render as one sample each; histograms render in
 // the cumulative `_bucket{le="..."}` / `_sum` / `_count` form Prometheus
 // expects, one `le` per non-empty bucket of the layout (its inclusive
 // upper value) -- bucket counts accumulate left to right and the "+Inf"
-// bucket always equals `_count`.  Each metric is preceded by a `# TYPE`
+// bucket always equals `_count`.  Each family is preceded by a `# TYPE`
 // line; scrapers compute rates themselves (the daemon never resets on
 // scrape, DESIGN.md section 15).
 #pragma once

@@ -134,16 +134,17 @@ struct CampaignJob final {
 /// server answers a job past it with kError at validation.
 inline constexpr double kMaxMeanDefectsPerWafer = 1e6;
 
-/// The longest tenant a handshake accepts.  A tenant may name the
-/// counter serve.tenant_shed.<tenant> in every later scrape, so the
-/// handshake also rejects any byte outside [A-Za-z0-9._-]; "" stays
-/// anonymous.
+/// The longest tenant a handshake accepts.  A tenant may label the
+/// counter serve.tenant_shed{tenant="<tenant>"} in every later scrape,
+/// so the handshake also rejects any byte outside [A-Za-z0-9._-]; ""
+/// stays anonymous.
 inline constexpr std::size_t kMaxTenantBytes = 64;
 
-/// How many distinct tenants one server gives a serve.tenant_shed.<tenant>
-/// counter: the first this many it sheds.  Later tenants count only in
-/// serve.tenant_shed_total, so the registry and every scrape stay bounded
-/// however many tenants a daemon sees.
+/// How many distinct tenants one process gives a
+/// serve.tenant_shed{tenant="<tenant>"} counter: the first this many its
+/// servers shed.  Later tenants count only in serve.tenant_shed_total, so
+/// the registry and every scrape stay bounded however many tenants a
+/// daemon sees.
 inline constexpr std::size_t kMaxShedTenantCounters = 16;
 
 /// The simulator configuration a CampaignJob describes.  Throws

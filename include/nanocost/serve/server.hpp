@@ -116,6 +116,7 @@ struct DrainReport final {
   std::uint64_t handshake_rejects = 0;    ///< kHello frames refused (version/decode)
   std::uint64_t connections_reaped = 0;   ///< idle/read-deadline kills
   std::uint64_t connections_evicted = 0;  ///< max-connections oldest-idle kills
+  std::uint64_t connections_stalled = 0;  ///< peers that accepted no byte for kWriteStallMs
   std::uint64_t tenant_shed = 0;          ///< campaigns refused by tenant quota
   /// FabSimulator builds: one per campaign configuration first seen (or
   /// seen again after eviction), however many lots reuse it.

@@ -19,6 +19,29 @@ void append_u64_sample(std::string& out, const std::string& name, std::uint64_t 
   out += buf;
 }
 
+/// A registry name as a sample: `family{key="value"}` becomes the
+/// sanitized family and its one label, the value escaped as the
+/// exposition format requires; any other name is a family alone.
+struct Sample final {
+  std::string family;
+  std::string label;  ///< `key="escaped value"`, or empty
+  [[nodiscard]] std::string braced() const { return label.empty() ? "" : "{" + label + "}"; }
+};
+
+Sample sample_of(std::string_view name) {
+  const std::size_t open = name.find('{');
+  const std::size_t eq = name.find("=\"", open);
+  if (eq == std::string_view::npos || !name.ends_with("\"}") || name.size() < eq + 4) {
+    return {sanitize_metric_name(name), ""};
+  }
+  std::string label = sanitize_metric_name(name.substr(open + 1, eq - open - 1)) + "=\"";
+  for (const char c : name.substr(eq + 2, name.size() - eq - 4)) {
+    if (c == '\\' || c == '"') label += '\\';
+    label += c == '\n' ? std::string("\\n") : std::string(1, c);
+  }
+  return {sanitize_metric_name(name.substr(0, open)), label + '"'};
+}
+
 }  // namespace
 
 std::string sanitize_metric_name(std::string_view name) {
@@ -42,40 +65,49 @@ std::string sanitize_metric_name(std::string_view name) {
 std::string render_metrics_prometheus(const MetricsSnapshot& snap) {
   std::string out;
   char buf[128];
+  // One # TYPE line per family: a sorted snapshot keeps the labelled
+  // samples of one family adjacent.
+  std::string typed;
+  const auto type_line = [&](const std::string& family, const char* type) {
+    if (family == typed) return;
+    out += "# TYPE " + family + " " + type + "\n";
+    typed = family;
+  };
   for (const auto& [name, value] : snap.counters) {
-    const std::string n = sanitize_metric_name(name);
-    out += "# TYPE " + n + " counter\n";
-    append_u64_sample(out, n, value);
+    const Sample s = sample_of(name);
+    type_line(s.family, "counter");
+    append_u64_sample(out, s.family + s.braced(), value);
   }
   for (const auto& [name, value] : snap.gauges) {
-    const std::string n = sanitize_metric_name(name);
-    out += "# TYPE " + n + " gauge\n";
+    const Sample s = sample_of(name);
+    type_line(s.family, "gauge");
     std::snprintf(buf, sizeof(buf), " %.17g\n", value);
-    out += n;
+    out += s.family + s.braced();
     out += buf;
   }
   for (const HistogramSnapshot& h : snap.histograms) {
     if (h.buckets.size() != kHistogramBuckets) continue;  // malformed snapshot
-    const std::string n = sanitize_metric_name(h.name);
-    out += "# TYPE " + n + " histogram\n";
+    const Sample s = sample_of(h.name);
+    const std::string& n = s.family;
+    type_line(n, "histogram");
+    const std::string bucket = n + "_bucket{" + (s.label.empty() ? "" : s.label + ",");
     // Only non-empty buckets: each is cumulative up to its inclusive
     // upper value, which is exact because samples are integers.
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
       if (h.buckets[i] == 0) continue;
       cum += h.buckets[i];
-      std::snprintf(buf, sizeof(buf), "{le=\"%llu\"} %llu\n",
+      std::snprintf(buf, sizeof(buf), "le=\"%llu\"} %llu\n",
                     static_cast<unsigned long long>(bucket_upper(i)),
                     static_cast<unsigned long long>(cum));
-      out += n + "_bucket";
+      out += bucket;
       out += buf;
     }
-    std::snprintf(buf, sizeof(buf), "{le=\"+Inf\"} %llu\n",
-                  static_cast<unsigned long long>(cum));
-    out += n + "_bucket";
+    std::snprintf(buf, sizeof(buf), "le=\"+Inf\"} %llu\n", static_cast<unsigned long long>(cum));
+    out += bucket;
     out += buf;
-    append_u64_sample(out, n + "_sum", h.sum);
-    append_u64_sample(out, n + "_count", h.count);
+    append_u64_sample(out, n + "_sum" + s.braced(), h.sum);
+    append_u64_sample(out, n + "_count" + s.braced(), h.count);
   }
   return out;
 }

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "nanocost/exec/parallel.hpp"
@@ -411,6 +416,38 @@ TEST(GammaDraw, MomentsMatchTheShape) {
     const double variance = (sum_sq - n * mean * mean) / (n - 1);
     EXPECT_NEAR(mean, shape, 0.02 * shape) << "shape " << shape;
     EXPECT_NEAR(variance, shape, 0.05 * shape) << "shape " << shape;
+  }
+}
+
+TEST(ThreadCountEnv, MalformedValuePrintsOneDiagnosticAndUsesTheHardware) {
+  // The variable is read once per process, so each value runs in a fresh
+  // one: two pools and a direct call must print exactly one line.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const std::string value : {"4x", "abc", "0", "-2"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("NANOCOST_THREADS", value.c_str(), 1);
+          const bool hardware = ThreadPool(0).thread_count() == hw &&
+                                ThreadPool(0).thread_count() == hw &&
+                                ThreadPool::default_thread_count() == hw;
+          std::fprintf(stderr, "end\n");
+          std::exit(hardware ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "^nanocost: NANOCOST_THREADS='" + value +
+            "' is not a positive thread count; using the hardware's [0-9]+\nend\n$");
+  }
+  // Values that parsed before still do, silently; past 1024 clamps.
+  for (const auto& [value, lanes] : {std::pair<std::string, int>{"1", 1}, {"97", 97},
+                                     {"5000", 1024}}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("NANOCOST_THREADS", value.c_str(), 1);
+          std::fprintf(stderr, "end\n");
+          std::exit(ThreadPool::default_thread_count() == lanes ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "^end\n$");
   }
 }
 

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -357,6 +359,32 @@ TEST(PlaceIncremental, CheckModeCrossValidatesWithoutChangingTheResult) {
   for (std::int32_t g = 0; g < plain.placement.gate_count(); ++g) {
     EXPECT_EQ(checked.placement.site_of(g), plain.placement.site_of(g)) << "gate " << g;
   }
+}
+
+TEST(PlaceIncremental, MalformedCheckIntervalPrintsOneDiagnosticAndChecksNothing) {
+  // A value that is not a non-negative integer means no cross-check,
+  // with one diagnostic per process (a fresh one per value); 0 is off.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const netlist::Netlist nl = make_netlist();
+  place::AnnealParams params;
+  params.seed = 3;
+  const auto two_anneals_match = [&](const std::string& value) {
+    ASSERT_EQ(::unsetenv("NANOCOST_PLACE_CHECK"), 0);
+    const place::PlaceResult plain = place::anneal_place(nl, kRows, kCols, params);
+    ASSERT_EQ(::setenv("NANOCOST_PLACE_CHECK", value.c_str(), 1), 0);
+    for (int i = 0; i < 2; ++i) {
+      const place::PlaceResult again = place::anneal_place(nl, kRows, kCols, params);
+      if (again.final_hpwl != plain.final_hpwl) std::exit(1);
+    }
+    std::fprintf(stderr, "end\n");
+    std::exit(0);
+  };
+  for (const std::string value : {"abc", "-5", "8192x"}) {
+    EXPECT_EXIT(two_anneals_match(value), ::testing::ExitedWithCode(0),
+                "^nanocost: NANOCOST_PLACE_CHECK='" + value +
+                    "' is not a move interval \\(0 = off\\); cross-check off\nend\n$");
+  }
+  EXPECT_EXIT(two_anneals_match("0"), ::testing::ExitedWithCode(0), "^end\n$");
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -42,6 +43,7 @@
 #include "nanocost/exec/rng.hpp"
 #include "nanocost/exec/thread_pool.hpp"
 #include "nanocost/obs/metrics.hpp"
+#include "nanocost/obs/prometheus.hpp"
 #include "nanocost/obs/stats.hpp"
 #include "nanocost/robust/backoff.hpp"
 #include "nanocost/robust/fault_injection.hpp"
@@ -2172,10 +2174,10 @@ TEST(Tenant, QuotaShedsExcessCampaignsNamingTheTenant) {
 }
 
 TEST(Tenant, HandshakeRejectsATenantNameNoMetricCanCarry) {
-  // A shed registers serve.tenant_shed.<tenant> for the life of the
-  // process, so the tenant must be a valid metric-name segment: a
-  // 5,000-byte name would break every later NCSTAT01 decode, a quote
-  // the JSON rendering.
+  // A shed registers serve.tenant_shed{tenant="<tenant>"} for the life
+  // of the process, so the tenant must be short and plain: a 5,000-byte
+  // name would break every later NCSTAT01 decode, a quote the JSON
+  // rendering.
   MetricsGuard metrics;
   PlanGuard guard;
   robust::FaultPlan plan;
@@ -2214,6 +2216,51 @@ TEST(Tenant, HandshakeRejectsATenantNameNoMetricCanCarry) {
   EXPECT_EQ(server.shutdown().handshake_rejects, 2u);
 }
 
+TEST(Tenant, ShedCountersOfDistinctTenantsRenderAsDistinctSamples) {
+  // Tenants may hold '.', '-' and '_', which Prometheus names fold to
+  // '_'.  A tenant therefore rides as a label: no tenant may render as
+  // another's sample ("a-b", "a.b", "a_b"), as serve_tenant_shed_total
+  // ("total"), or share a counter ("" and "anonymous").  This case runs
+  // before the bound case below, which uses up the process's
+  // kMaxShedTenantCounters tenant counters.
+  MetricsGuard metrics;
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 5000});
+  robust::install_fault_plan(plan);
+
+  ServerOptions options;
+  options.tenant_campaign_quota = 1;
+  options.drain_budget_ms = 1.0;  // the blocker never finishes: shutdown stops it
+  Server server(options);
+  const std::vector<std::string> tenants = {"total", "a-b", "a.b", "a_b", "anonymous", ""};
+  std::vector<Client> clients;
+  for (const std::string& tenant : tenants) {
+    Client& client = clients.emplace_back(make_client(server));
+    (void)client.handshake(tenant);
+    (void)client.submit(small_campaign(1, 100000));
+    const Response shed = client.wait(client.submit(small_campaign(2)));
+    EXPECT_EQ(shed.status, ResponseStatus::kShed) << shed.message;
+  }
+
+  const std::string text = obs::render_metrics_prometheus();
+  std::set<std::string> seen;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    // A # TYPE line whole, a sample without its value.
+    const std::string key = line.starts_with("#") ? line : line.substr(0, line.rfind(' '));
+    EXPECT_TRUE(seen.insert(key).second) << "repeated: " << line;
+  }
+  for (const std::string& tenant : tenants) {
+    const std::string sample = "\nserve_tenant_shed{tenant=\"" + tenant + "\"} 1\n";
+    EXPECT_NE(text.find(sample), std::string::npos) << "no" << sample << "in\n" << text;
+  }
+  EXPECT_NE(text.find("\nserve_tenant_shed_total 6\n"), std::string::npos) << text;
+  clients.clear();
+  EXPECT_EQ(server.shutdown().tenant_shed, tenants.size());
+}
+
 TEST(Tenant, ShedCountersStopAtTheBoundWhileTheTotalCountsEveryShed) {
   // One shed for each of kMaxShedTenantCounters + 1 tenants: only the
   // first kMaxShedTenantCounters get a counter of their own.
@@ -2241,7 +2288,7 @@ TEST(Tenant, ShedCountersStopAtTheBoundWhileTheTotalCountsEveryShed) {
   }
 
   const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-  const std::string family = "serve.tenant_shed.";
+  const std::string family = "serve.tenant_shed{";
   const auto named = std::count_if(snap.counters.begin(), snap.counters.end(),
                                    [&](const auto& c) { return c.first.rfind(family, 0) == 0; });
   EXPECT_EQ(static_cast<std::size_t>(named), kMaxShedTenantCounters);
@@ -2250,6 +2297,63 @@ TEST(Tenant, ShedCountersStopAtTheBoundWhileTheTotalCountsEveryShed) {
   const DrainReport report = server.shutdown();
   EXPECT_EQ(report.tenant_shed, tenants);
   EXPECT_EQ(snapshot_counter(snap, "serve.tenant_shed_total"), report.tenant_shed);
+}
+
+// ---------------------------------------------------------------------------
+// A client that does not read cannot wedge the server.
+
+TEST(WriteStall, ClientsThatNeverReadCannotWedgeTheDrain) {
+  // kSilent clients submit one 100 000-wafer campaign and never read its
+  // answer; one more submits it and reads.  The drain stops the lot, whose
+  // answer (every wafer slot, megabytes) fills each silent client's
+  // socket: each write stalls for kWriteStallMs and its connection is
+  // cut.  The reading client still gets its kStopped answer, and
+  // shutdown returns within kSilent stalls plus kSlackMs.
+  MetricsGuard metrics;
+  PlanGuard guard;
+  robust::FaultPlan plan;
+  plan.add("fabsim.wafer",
+           robust::FaultSpec{1.0, robust::FaultKind::kLatency, false, 5000});
+  robust::install_fault_plan(plan);
+
+  ServerOptions options;
+  options.drain_budget_ms = 1.0;
+  Server server(options);
+  constexpr int kSilent = 2;
+  // Stopping the lot, encoding its answer and reading it, with room for
+  // a sanitizer build.
+  constexpr int kSlackMs = 3000;
+  std::vector<Client> silent;
+  for (int i = 0; i < kSilent; ++i) {
+    Client& client = silent.emplace_back(make_client(server));
+    (void)client.submit(small_campaign(1, 100000));
+    ASSERT_TRUE(client.ping());  // the pong follows the submission's dispatch
+  }
+  Client reading = make_client(server);
+  const std::uint64_t id = reading.submit(small_campaign(1, 100000));
+  ASSERT_TRUE(reading.ping());
+  std::optional<Response> answer;
+  std::string failure;
+  std::thread waiter([&] {
+    try {
+      answer = reading.wait(id);
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+  });
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const DrainReport report = server.shutdown();
+  const double drain_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  waiter.join();
+  EXPECT_LT(drain_ms, kSilent * kWriteStallMs + kSlackMs);
+  ASSERT_TRUE(answer.has_value()) << failure;
+  EXPECT_EQ(answer->status, ResponseStatus::kStopped) << answer->message;
+  EXPECT_GT(answer->result.size(), std::size_t{1} << 20) << "the answer must overfill a socket";
+  EXPECT_EQ(report.connections_stalled, static_cast<std::uint64_t>(kSilent));
+  EXPECT_EQ(obs::counter_value("serve.stalled_connections"),
+            static_cast<std::uint64_t>(kSilent));
 }
 
 // ---------------------------------------------------------------------------
