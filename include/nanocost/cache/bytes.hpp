@@ -1,5 +1,5 @@
 // The byte codec every binary format in the tree is written and read
-// with: NCCKPT01 checkpoints, NCBLOB01 artifact blobs, NCSTAT01 stats,
+// with: NCCKPT02 checkpoints, NCBLOB01 artifact blobs, NCSTAT01 stats,
 // NCWIRE01 frames, serve job payloads, campaign chunk blobs and the
 // cached-result codecs (cache/codec.hpp).
 //
@@ -7,8 +7,10 @@
 // little-endian regardless of host order; f64 travels as its IEEE bit
 // pattern; a variable-length field is a u64 length followed by its
 // bytes, and the reader checks every length and count against the
-// bytes it still holds before it allocates; checksums are 64-bit
-// FNV-1a.
+// bytes it still holds before it allocates; checksums are checksum64
+// (XXH64), chained through its seed.  FNV-1a hashes names: key tags,
+// entry points and fault sites (and the NCBLOB01 payload, a format
+// nothing in src/ writes).
 //
 // Header-only and dependency-free on purpose: obs, robust, fabsim and
 // core sit below the cache module in the link order and still use it
@@ -28,9 +30,9 @@ namespace nanocost::cache {
 
 inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ULL;
 
-/// 64-bit FNV-1a over `n` bytes, continuing from the running hash `h`,
-/// so one checksum can cover ranges that are not contiguous:
-/// fnv1a(b, nb, fnv1a(a, na)) is the hash of a followed by b.
+/// 64-bit FNV-1a over `n` bytes, continuing from the running hash `h`:
+/// fnv1a(b, nb, fnv1a(a, na)) is the hash of a followed by b.  It
+/// hashes names; sealed bytes are checksummed with checksum64 below.
 template <typename Byte>
   requires(sizeof(Byte) == 1)
 [[nodiscard]] constexpr std::uint64_t fnv1a(const Byte* data, std::size_t n,
@@ -47,6 +49,84 @@ template <typename Byte>
 [[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s,
                                             std::uint64_t h = kFnv1aOffsetBasis) noexcept {
   return fnv1a(s.data(), s.size(), h);
+}
+
+namespace detail {
+
+inline constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+inline constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+inline constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+inline constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+inline constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
+
+// Words are assembled byte by byte, little-endian: the value depends
+// neither on alignment nor on host byte order, and compilers fold each
+// pattern into one load on little-endian hosts.
+[[nodiscard]] constexpr std::uint64_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint64_t>(p[0]) | static_cast<std::uint64_t>(p[1]) << 8 |
+         static_cast<std::uint64_t>(p[2]) << 16 | static_cast<std::uint64_t>(p[3]) << 24;
+}
+
+[[nodiscard]] constexpr std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  return load_le32(p) | load_le32(p + 4) << 32;
+}
+
+[[nodiscard]] constexpr std::uint64_t xx_round(std::uint64_t acc, std::uint64_t lane) noexcept {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+[[nodiscard]] constexpr std::uint64_t xx_merge(std::uint64_t h, std::uint64_t acc) noexcept {
+  return (h ^ xx_round(0, acc)) * kXxPrime1 + kXxPrime4;
+}
+
+}  // namespace detail
+
+/// The checksum of every sealed format (the record, wire frames, stats
+/// blobs): XXH64 of `n` bytes under `seed`, as the public XXH64 spec
+/// defines it, so any independent XXH64 reproduces it (the empty input
+/// at seed 0 is 0xEF46DB3751D8E999).  A checksum over ranges that are
+/// not contiguous chains through the seed:
+/// checksum64(b, nb, checksum64(a, na)).
+[[nodiscard]] constexpr std::uint64_t checksum64(const std::uint8_t* data, std::size_t n,
+                                                 std::uint64_t seed = 0) noexcept {
+  using namespace detail;
+  const std::uint8_t* p = data;
+  const std::uint8_t* const end = data + n;
+  std::uint64_t h = seed + kXxPrime5;
+  if (n >= 32) {
+    // Four lanes over each 32-byte stripe, then folded into one.
+    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = seed + kXxPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = xx_round(v1, load_le64(p));
+      v2 = xx_round(v2, load_le64(p + 8));
+      v3 = xx_round(v3, load_le64(p + 16));
+      v4 = xx_round(v4, load_le64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    h = xx_merge(h, v1);
+    h = xx_merge(h, v2);
+    h = xx_merge(h, v3);
+    h = xx_merge(h, v4);
+  }
+  h += static_cast<std::uint64_t>(n);
+  // The tail: 8-byte words, at most one 4-byte word, then single bytes.
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ xx_round(0, load_le64(p)), 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load_le32(p) * kXxPrime1), 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kXxPrime5), 11) * kXxPrime1;
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  h ^= h >> 32;
+  return h;
 }
 
 /// Thrown by ByteReader on truncation, an impossible count, trailing

@@ -2,11 +2,11 @@
 // snapshot math remote scrapers need (quantiles, deltas).
 //
 // The serve daemon answers a kStatsRequest with this blob, so it is a
-// *wire format* and held to the NCCKPT01/NCWIRE01 strictness standard:
+// *wire format* and held to the NCCKPT02/NCWIRE01 strictness standard:
 // versioned magic, per-entry field tags, every declared length validated
 // against the remaining bytes before any allocation, trailing bytes
-// rejected, and a trailing fnv1a checksum so a single bit flip anywhere
-// after the magic is caught.  One NCSTAT01 blob (the byte codec's
+// rejected, and a trailing checksum64 (XXH64) so a single bit flip
+// anywhere after the magic is caught.  One NCSTAT01 blob (the byte codec's
 // conventions, cache/bytes.hpp and DESIGN.md section 13):
 //
 //   magic   "NCSTAT01"                      8 bytes
@@ -18,10 +18,11 @@
 //             pairs of (u64 bucket index, u64 count), indices strictly
 //             ascending, one per non-empty bucket of the layout,
 //             u64 count, u64 sum, u64 min, u64 max
-//   u64     fnv1a over everything after the magic (version .. last max)
+//   u64     checksum64 over everything after the magic (version .. last max)
 //
 // There is no layout id: the version pins obs/metrics.hpp's layout, so
-// changing the layout is another version bump.
+// changing the layout is another version bump.  Version 2 had this
+// layout with an FNV-1a trailer; version 1 carried bound arrays.
 //
 // Quantile estimation locates the target rank q*count in its bucket,
 // interpolates linearly across the bucket's inclusive [lower, upper],
@@ -44,7 +45,7 @@
 namespace nanocost::obs {
 
 inline constexpr char kStatMagic[8] = {'N', 'C', 'S', 'T', 'A', 'T', '0', '1'};
-inline constexpr std::uint32_t kStatVersion = 2;
+inline constexpr std::uint32_t kStatVersion = 3;
 /// Decode-side sanity cap: a corrupt name length past it is rejected
 /// before any allocation is attempted.
 inline constexpr std::uint64_t kMaxStatNameBytes = 4096;

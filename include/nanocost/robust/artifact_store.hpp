@@ -2,7 +2,7 @@
 //
 // One directory of files named by a 128-bit digest:
 //
-//   <dir>/<32-hex>.ncckpt   a campaign's NCCKPT01 record (campaign_record_key)
+//   <dir>/<32-hex>.ncckpt   a campaign's NCCKPT02 record (campaign_record_key)
 //   <dir>/<32-hex>.ncblob   one NCBLOB01 blob per content digest
 //
 // Each blob file (the byte codec's conventions, cache/bytes.hpp; see
@@ -89,13 +89,15 @@ class ArtifactStore final {
   std::uint64_t byte_cap_ = 0;
 };
 
-/// Key of a campaign's record: its identity (exactly the NCCKPT01
-/// header) under cache::KeyBuilder, which folds in the schema version.
+/// Key of a campaign's record: its header (the format's magic, then the
+/// identity) under cache::KeyBuilder, which folds in the schema version.
+/// A new record format thus names every record anew, as a schema bump
+/// does: old records are never opened, and stay until a sweep evicts them.
 [[nodiscard]] cache::Digest128 campaign_record_key(std::uint64_t fingerprint,
                                                    std::int64_t unit_count, std::int64_t grain);
 
 /// Artifact key of one campaign chunk: the campaign identity
-/// (fingerprint/unit_count/grain, exactly the NCCKPT01 header) plus the
+/// (fingerprint/unit_count/grain, the record header's identity) plus the
 /// chunk index, under the cache key schema version so kernel-output
 /// changes orphan old blobs instead of serving them.
 [[nodiscard]] cache::Digest128 chunk_artifact_key(std::uint64_t fingerprint,

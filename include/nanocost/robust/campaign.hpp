@@ -49,7 +49,7 @@ class CampaignTask {
   virtual ~CampaignTask() = default;
 
   /// The campaign's identity, written unchanged into its record's
-  /// NCCKPT01 header: the low 64 bits of a cache::KeyBuilder digest
+  /// NCCKPT02 header: the low 64 bits of a cache::KeyBuilder digest
   /// whose entry point names the task and which covers every field
   /// run_chunk reads (seed, model configuration).  The header and
   /// campaign_record_key bind unit_count and grain beside it.
@@ -64,7 +64,7 @@ class CampaignTask {
 
 struct CampaignOptions final {
   /// The artifact tier (robust/artifact_store.hpp); empty keeps the run
-  /// in memory.  The campaign's one record there (NCCKPT01, named by
+  /// in memory.  The campaign's one record there (NCCKPT02, named by
   /// campaign_record_key) is loaded before scheduling -- its chunks are
   /// accepted verbatim, being pure functions of their index -- and
   /// rewritten after every wave that completed a chunk.  A failed publish

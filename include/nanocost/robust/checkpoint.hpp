@@ -10,12 +10,17 @@
 //
 // File layout (the byte codec's conventions, cache/bytes.hpp; see
 // DESIGN.md section 9):
-//   magic   "NCCKPT01"                     8 bytes
+//   magic   "NCCKPT02"                     8 bytes
 //   u64     fingerprint (the task's config_fingerprint(), a KeyBuilder digest)
 //   i64     unit_count
 //   i64     grain (units per chunk)
 //   i64     record count
-//   records i64 chunk_index, i64 blob_size, blob bytes, u64 fnv1a(blob)
+//   records i64 chunk_index, i64 blob_size, blob bytes, u64 checksum64(blob)
+//
+// NCCKPT01 was the same layout with an FNV-1a checksum.  The magic is
+// folded into the record's name (campaign_record_key), so a format
+// change renames every record: an upgraded reader never opens one it
+// cannot read, and recomputes that campaign instead.
 //
 // Loading is strict: saves go through a temp file plus atomic rename,
 // so a checkpoint either exists whole or not at all -- any truncation,
@@ -34,6 +39,9 @@
 #include <vector>
 
 namespace nanocost::robust {
+
+/// A record's first 8 bytes, which name its format.
+inline constexpr char kCheckpointMagic[8] = {'N', 'C', 'C', 'K', 'P', 'T', '0', '2'};
 
 /// Identity + partial state of a campaign on disk.
 struct Checkpoint final {
@@ -55,7 +63,7 @@ class CheckpointMismatch final : public std::runtime_error {
 
 /// Thrown when a checkpoint file is structurally damaged: truncated
 /// header or record, record fields out of range for the declared
-/// campaign shape, a blob failing its fnv1a checksum, or trailing
+/// campaign shape, a blob failing its checksum, or trailing
 /// garbage.  The message names the file and the first bad record.
 class CheckpointCorrupt final : public std::runtime_error {
  public:

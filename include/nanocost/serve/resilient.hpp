@@ -14,7 +14,7 @@
 //     the reconnect ordinal so the server's serve.reconnects_total
 //     tells the fleet-health story;
 //   * exactly-once *effect*: jobs are content-addressed (job_key), and
-//     a served campaign persists its completed chunks in one NCCKPT01
+//     a served campaign persists its completed chunks in one NCCKPT02
 //     record, rewritten after each wave (campaign_record_key names it,
 //     ArtifactStore::record_path places it), so a resubmission after a
 //     lost connection or a server kill -9 coalesces with in-flight work

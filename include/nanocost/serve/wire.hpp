@@ -7,9 +7,13 @@
 //   u32     frame type (FrameType)
 //   u64     payload length (<= kMaxPayloadBytes)
 //   payload bytes
-//   u64     fnv1a(version || type || payload)
+//   u64     checksum64(payload, seed = checksum64(version || type))
 //
-// Reading is held to the NCCKPT01/NCBLOB01 strictness standard: a
+// Version 2 is version 1 with the trailer computed by checksum64 (XXH64)
+// instead of FNV-1a; a peer of either version refuses the other's
+// frames by their version.
+//
+// Reading is held to the NCCKPT02/NCBLOB01 strictness standard: a
 // malformed peer can corrupt its *connection*, never the server.  Bad
 // magic, an unsupported version, an unknown frame type, an oversized
 // declared length, truncation (EOF mid-frame), and a checksum mismatch
@@ -37,7 +41,7 @@
 namespace nanocost::serve {
 
 inline constexpr char kWireMagic[8] = {'N', 'C', 'W', 'I', 'R', 'E', '0', '1'};
-inline constexpr std::uint32_t kWireVersion = 1;
+inline constexpr std::uint32_t kWireVersion = 2;
 
 /// How long an FdStream write waits for its peer to accept a byte before
 /// it fails with WireTimeout.  It bounds a stall, not a frame: a slow

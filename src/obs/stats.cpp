@@ -79,7 +79,7 @@ std::vector<std::uint8_t> encode_stats(const MetricsSnapshot& snap) {
     w.u64(h.max);
   }
   const std::vector<std::uint8_t>& body = w.data();
-  w.u64(cache::fnv1a(body.data() + sizeof(kStatMagic), body.size() - sizeof(kStatMagic)));
+  w.u64(cache::checksum64(body.data() + sizeof(kStatMagic), body.size() - sizeof(kStatMagic)));
   return w.take();
 }
 
@@ -164,8 +164,9 @@ MetricsSnapshot decode_stats(const std::vector<std::uint8_t>& blob) {
     throw StatError(std::string("NCSTAT01 ") + e.what());
   }
   const std::uint64_t stored = cache::ByteReader(blob.data() + body_end, 8).u64();
-  if (stored != cache::fnv1a(blob.data() + sizeof(kStatMagic), body_end - sizeof(kStatMagic))) {
-    throw StatError("NCSTAT01 blob failed its fnv1a checksum (bit flip?)");
+  if (stored !=
+      cache::checksum64(blob.data() + sizeof(kStatMagic), body_end - sizeof(kStatMagic))) {
+    throw StatError("NCSTAT01 blob failed its XXH64 checksum (bit flip?)");
   }
   return snap;
 }

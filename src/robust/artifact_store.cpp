@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <regex>
+#include <string_view>
 #include <utility>
 
 #include "nanocost/cache/bytes.hpp"
@@ -146,6 +147,7 @@ SweepReport ArtifactStore::sweep() const {
 cache::Digest128 campaign_record_key(std::uint64_t fingerprint, std::int64_t unit_count,
                                      std::int64_t grain) {
   return cache::KeyBuilder("robust.campaign_record")
+      .str("format", std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)))
       .u64("fingerprint", fingerprint)
       .i64("unit_count", unit_count)
       .i64("grain", grain)

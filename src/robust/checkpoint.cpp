@@ -15,8 +15,6 @@ namespace nanocost::robust {
 
 namespace {
 
-constexpr char kMagic[8] = {'N', 'C', 'C', 'K', 'P', 'T', '0', '1'};
-
 struct FileCloser {
   void operator()(std::FILE* f) const noexcept {
     if (f != nullptr) std::fclose(f);
@@ -80,13 +78,13 @@ bool read_file(const std::string& path, std::vector<std::uint8_t>& bytes) {
 }
 
 std::size_t save_checkpoint(const std::string& path, const Checkpoint& ckpt) {
-  std::size_t size = sizeof(kMagic) + 4 * 8;  // magic + fingerprint + 3 header ints
+  std::size_t size = sizeof(kCheckpointMagic) + 4 * 8;  // magic + fingerprint + 3 header ints
   for (const auto& blob : ckpt.chunks) {
     if (!blob.empty()) size += 3 * 8 + blob.size();
   }
   cache::ByteWriter w;
   w.reserve(size);
-  w.raw(kMagic, sizeof(kMagic));
+  w.raw(kCheckpointMagic, sizeof(kCheckpointMagic));
   w.u64(ckpt.fingerprint);
   w.i64(ckpt.unit_count);
   w.i64(ckpt.grain);
@@ -96,7 +94,7 @@ std::size_t save_checkpoint(const std::string& path, const Checkpoint& ckpt) {
     if (blob.empty()) continue;
     w.i64(static_cast<std::int64_t>(c));
     w.bytes(blob);
-    w.u64(cache::fnv1a(blob.data(), blob.size()));
+    w.u64(cache::checksum64(blob.data(), blob.size()));
   }
   const std::vector<std::uint8_t> bytes = w.take();
   publish_file(path, bytes, "checkpoint");
@@ -112,8 +110,9 @@ bool load_checkpoint(const std::string& path, const Checkpoint& expected, Checkp
   // the file holds, so a bit-flipped length cannot drive a huge
   // allocation or a misaligned parse of the following records.
   cache::ByteReader r(bytes);
-  if (r.remaining() < sizeof(kMagic) ||
-      std::memcmp(r.raw(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
+  if (r.remaining() < sizeof(kCheckpointMagic) ||
+      std::memcmp(r.raw(sizeof(kCheckpointMagic)), kCheckpointMagic,
+                  sizeof(kCheckpointMagic)) != 0) {
     throw CheckpointMismatch("checkpoint " + path + " has a bad magic header");
   }
   std::int64_t record = -1;  // -1 while the header is being read
@@ -152,9 +151,9 @@ bool load_checkpoint(const std::string& path, const Checkpoint& expected, Checkp
         throw corrupt("duplicate record for chunk " + std::to_string(chunk));
       }
       std::vector<std::uint8_t> blob = r.bytes();
-      if (r.u64() != cache::fnv1a(blob.data(), blob.size())) {
+      if (r.u64() != cache::checksum64(blob.data(), blob.size())) {
         throw corrupt("chunk " + std::to_string(chunk) +
-                      " failed its fnv1a checksum (bit flip?)");
+                      " failed its XXH64 checksum (bit flip?)");
       }
       if (blob.empty()) {
         throw corrupt("chunk " + std::to_string(chunk) + " has an empty blob");

@@ -1162,7 +1162,7 @@ struct Server::Impl {
     if (runner.joinable()) runner.join();
 
     // 5. Flush the artifact tier: enforce the byte cap now, while no
-    // campaign reads or rewrites its NCCKPT01 record.
+    // campaign reads or rewrites its NCCKPT02 record.
     if (store != nullptr) {
       report.artifact_sweep = store->sweep();
     }

@@ -39,13 +39,15 @@ std::int64_t now_ns() {
 
 constexpr std::size_t kHeaderBytes = sizeof(kWireMagic) + 4 + 4 + 8;
 
-/// fnv1a over version || type || payload (the post-magic frame bytes the
-/// length field describes).  Covering the header words means a bit flip
-/// in the type tag fails the checksum even when the flipped value is
-/// itself a known type.  `version_type` points at the two header words.
+/// checksum64 over version || type, chained through the seed into the
+/// payload (the post-magic frame bytes the length field describes).
+/// Covering the header words means a bit flip in the type tag fails the
+/// checksum even when the flipped value is itself a known type.
+/// `version_type` points at the two header words.
 std::uint64_t frame_checksum(const std::uint8_t* version_type,
                              const std::vector<std::uint8_t>& payload) {
-  return cache::fnv1a(payload.data(), payload.size(), cache::fnv1a(version_type, 4 + 4));
+  return cache::checksum64(payload.data(), payload.size(),
+                           cache::checksum64(version_type, 4 + 4));
 }
 
 /// Fills `out[0..n)` exactly; returns false only on EOF before the first
@@ -358,7 +360,7 @@ std::optional<Frame> read_frame(ByteStream& stream) {
   const std::uint64_t stored = cache::ByteReader(checksum_bytes, sizeof(checksum_bytes)).u64();
   if (stored != frame_checksum(header + sizeof(kWireMagic), frame.payload)) {
     throw WireError(std::string("NCWIRE01 ") + frame_type_name(type) +
-                    " frame failed its fnv1a checksum (bit flip?)");
+                    " frame failed its XXH64 checksum (bit flip?)");
   }
   return frame;
 }

@@ -1,6 +1,9 @@
 // Tests for the content-addressed result cache (PR 7).
 //
-// Four layers under test:
+// Five layers under test:
+//  * cache/bytes.hpp  -- checksum64, the sealed formats' checksum, is
+//                        XXH64: golden vectors over every tail path, a
+//                        chained vector and an unaligned input.
 //  * cache/hash.hpp   -- the 128-bit digest is an on-disk format
 //                        (artifact filenames embed it), so golden
 //                        vectors pin the exact mixing; any change must
@@ -33,10 +36,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "corruption_matrix.hpp"
 #include "golden_hex.hpp"
+#include "nanocost/cache/bytes.hpp"
 #include "nanocost/cache/cached.hpp"
 #include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/hash.hpp"
@@ -99,6 +104,56 @@ TEST(CacheHash, DigestHexRoundTripsAndOrders) {
   EXPECT_EQ(d.hex().size(), 32u);
   EXPECT_NE(d, cache::hash128("nanocost!"));
   EXPECT_EQ(d, cache::hash128("nanocost"));
+}
+
+// ---------------------------------------------------------------------------
+// The checksum of the sealed formats (record, wire frame, stats blob).
+
+/// 1000 bytes of a fixed pattern, byte i = (131 i + 7) mod 256.
+std::vector<std::uint8_t> checksum_pattern() {
+  std::vector<std::uint8_t> bytes(1000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(131 * i + 7);
+  }
+  return bytes;
+}
+
+TEST(Checksum64, GoldenVectorsPinXxh64) {
+  // XXH64 at seed 0.  The lengths reach every path: the single bytes, the
+  // 4-byte word, the 8-byte words, and the 32-byte stripes with each
+  // tail.  These values equal LLVM's llvm::xxHash64 (EXPERIMENTS.md has
+  // the cross-check); a failing vector means every record, frame and
+  // stats blob changed, which needs a version bump of each.
+  const std::vector<std::uint8_t> bytes = checksum_pattern();
+  const std::vector<std::pair<std::size_t, std::uint64_t>> golden = {
+      {0, 0xEF46DB3751D8E999ULL},   {1, 0xA96C7F0CE858BBB7ULL},   {3, 0xBED43740EE6332BBULL},
+      {4, 0xFA212AE44B3BB23DULL},   {7, 0x2744460DD675D2C0ULL},   {8, 0x994B676B71CE94DDULL},
+      {31, 0x6711D55E306B5D8FULL},  {32, 0x07F7B8E3BC5D6E25ULL},  {33, 0x09F85EEB4E1CBE9FULL},
+      {64, 0x50D4159A0411632EULL},  {100, 0x9DDADA11D3DC2D8FULL}, {1000, 0x0BF0BDBCC82EB373ULL},
+  };
+  for (const auto& [n, value] : golden) {
+    EXPECT_EQ(cache::checksum64(bytes.data(), n), value) << n << " bytes";
+  }
+  // The empty input at seed 0 is XXH64's published value.
+  EXPECT_EQ(cache::checksum64(nullptr, 0), 0xEF46DB3751D8E999ULL);
+}
+
+TEST(Checksum64, ChainsThroughTheSeed) {
+  // A checksum over two ranges: the first range's value seeds the second.
+  const std::vector<std::uint8_t> bytes = checksum_pattern();
+  const std::uint64_t head = cache::checksum64(bytes.data(), 100);
+  EXPECT_EQ(cache::checksum64(bytes.data() + 100, 900, head), 0xA98AA96ED1DB5FE9ULL);
+}
+
+TEST(Checksum64, ValueDoesNotDependOnAlignment) {
+  const std::vector<std::uint8_t> bytes = checksum_pattern();
+  // The same 100 bytes at an 8-aligned address and at an odd one.
+  alignas(8) std::uint8_t aligned[104] = {};
+  alignas(8) std::uint8_t odd[104] = {};
+  std::copy_n(bytes.begin(), 100, aligned);
+  std::copy_n(bytes.begin(), 100, odd + 1);
+  EXPECT_EQ(cache::checksum64(odd + 1, 100), cache::checksum64(aligned, 100));
+  EXPECT_EQ(cache::checksum64(odd + 1, 100), 0x9DDADA11D3DC2D8FULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "golden_hex.hpp"
+#include "nanocost/cache/codec.hpp"
 #include "nanocost/cache/key.hpp"
 #include "nanocost/core/risk.hpp"
 #include "nanocost/exec/thread_pool.hpp"
@@ -19,6 +23,9 @@
 #include "nanocost/robust/checkpoint.hpp"
 #include "nanocost/robust/fault_injection.hpp"
 #include "nanocost/robust/finite_guard.hpp"
+#include "nanocost/serve/client.hpp"
+#include "nanocost/serve/jobs.hpp"
+#include "nanocost/serve/server.hpp"
 #include "temp_dir.hpp"
 
 namespace nanocost {
@@ -432,7 +439,66 @@ TEST(Campaign, GoldenRecordNames) {
     return robust::campaign_record_key(t.config_fingerprint(), t.unit_count(), t.grain()).hex();
   };
   const auto sim = make_simulator();
-  EXPECT_EQ(record_name(fabsim::FabLotCampaign(sim, 24, 3)), "aaf537130e4b9c69f860ee650ac706b8");
+  EXPECT_EQ(record_name(fabsim::FabLotCampaign(sim, 24, 3)), "2b297b4732aaf5d6402d4ec86ecc8c51");
+}
+
+TEST(Campaign, AnNcckpt01RecordIsLeftUnreadAndItsLotRecomputed) {
+  // The NCCKPT01 record (FNV-1a checksums) that a served 8-wafer, seed-5
+  // lot wrote before NCCKPT02, under the name the lot had then.  The
+  // record's format is folded into its name, so an upgraded server looks
+  // under the new name, misses, and recomputes the lot.  Had it opened
+  // the old file, the magic would have failed and the lot answered kError.
+  const std::string old_name = "b4cfa8604f653dd18491f8127ac0794f";
+  const std::vector<std::uint8_t> old_record = nanocost::testing::from_hex(
+      "4e43434b505430313c90eea67f7da58308000000000000000400000000000000"
+      "02000000000000000000000000000000a8000000000000009400000000000000"
+      "7100000000000000b70000000000000091000000000000009400000000000000"
+      "8f000000000000001d0000000000000016000000000000009400000000000000"
+      "8c00000000000000290000000000000021000000000000009400000000000000"
+      "85000000000000004e0000000000000038000000000000000400000000000000"
+      "1102000000000000390000000000000004000000000000000200000000000000"
+      "955ae4188573643c0100000000000000a8000000000000009400000000000000"
+      "66000000000000001601000000000000d2000000000000009400000000000000"
+      "62000000000000001d01000000000000e8000000000000009400000000000000"
+      "84000000000000004d000000000000003c000000000000009400000000000000"
+      "800000000000000051000000000000003c000000000000000400000000000000"
+      "cc01000000000000700000000000000011000000000000000300000000000000"
+      "b50d87b8ad25fcd5");
+  const TempDir tier("ncckpt01");
+  const std::string old_path = tier.file(old_name + ".ncckpt");
+  {
+    std::ofstream out(old_path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(old_record.data()),
+              static_cast<std::streamsize>(old_record.size()));
+  }
+
+  serve::CampaignJob job;
+  job.n_wafers = 8;
+  job.seed = 5;
+  serve::ServerOptions options;
+  options.artifact_dir = tier.path();
+  serve::Server server(options);
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
+  server.add_connection(sv[0], sv[0]);
+  serve::Client client(sv[1], sv[1]);
+  const serve::Response r = client.wait(client.submit(job));
+  EXPECT_EQ(r.status, serve::ResponseStatus::kOk) << r.message;
+  EXPECT_EQ(r.artifact_hits, 0u);
+  const fabsim::FabSimulator sim = serve::make_simulator(job);
+  EXPECT_EQ(r.result, cache::encode(sim.run(job.n_wafers, job.seed)));
+
+  const fabsim::FabLotCampaign task(sim, job.n_wafers, job.seed);
+  const std::string new_path = robust::ArtifactStore(tier.path())
+                                   .record_path(robust::campaign_record_key(
+                                       task.config_fingerprint(), task.unit_count(), task.grain()));
+  ASSERT_NE(new_path, old_path);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(robust::read_file(new_path, bytes));
+  ASSERT_GE(bytes.size(), sizeof(robust::kCheckpointMagic));
+  EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "NCCKPT02");
+  ASSERT_TRUE(robust::read_file(old_path, bytes));
+  EXPECT_EQ(bytes, old_record);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #pragma once
 // Shared corruption-matrix harness: every strict byte format in the
-// repo (NCCKPT01 checkpoints, NCBLOB01 artifact blobs, NCWIRE01
+// repo (NCCKPT02 checkpoints, NCBLOB01 artifact blobs, NCWIRE01
 // frames) is held to one uniform standard.  Truncation at every
 // boundary, a single bit flip anywhere, trailing garbage, and an
 // oversized declared length must each be *rejected with a diagnostic*
@@ -9,7 +9,7 @@
 // The harness drives the mutations; the caller supplies the format's
 // load semantics as a callback returning whether the mutated bytes
 // were rejected (and with what diagnostic).  Format-specific exception
-// taxonomies live in the callback -- e.g. NCCKPT01 reports magic or
+// taxonomies live in the callback -- e.g. NCCKPT02 reports magic or
 // header damage as CheckpointMismatch but body damage as
 // CheckpointCorrupt, and both count as rejection.  Anything the
 // callback does not catch propagates as a loud test failure, which is

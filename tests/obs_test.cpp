@@ -446,11 +446,11 @@ TEST(ObsStats, RoundTripIsBitwise) {
 }
 
 TEST(ObsStats, GoldenVectorPinsTheFormat) {
-  // The NCSTAT01 bytes of stat_fixture(), pinned byte for byte.  If
-  // this test fails, the wire format changed: that requires a version
-  // bump, not a golden update.
+  // The NCSTAT01 bytes of stat_fixture(), pinned byte for byte, at
+  // version 3 (the checksum64 trailer).  If this test fails, the wire
+  // format changed: that requires a version bump, not a golden update.
   const std::string kGoldenHex =
-      "4e43535441543031020000000200000000000000010e00000000000000736572"
+      "4e43535441543031030000000200000000000000010e00000000000000736572"
       "76652e72657175657374732a00000000000000010a0000000000000073657276"
       "652e736865640700000000000000010000000000000002110000000000000073"
       "657276652e71756575655f6465707468000000000000f83f0100000000000000"
@@ -458,7 +458,7 @@ TEST(ObsStats, GoldenVectorPinsTheFormat) {
       "0019000000000000000100000000000000290000000000000002000000000000"
       "0047000000000000000300000000000000740000000000000004000000000000"
       "000a0000000000000031d400000000000025000000000000009f860100000000"
-      "00f1130241b059bc4d";
+      "000341203838eaa1cb";
   const std::vector<std::uint8_t> blob = obs::encode_stats(stat_fixture());
   EXPECT_EQ(to_hex(blob), kGoldenHex);
 }
@@ -489,8 +489,8 @@ std::vector<std::uint8_t> blob_with_pairs(
   }
   for (int field = 0; field < 4; ++field) w.u64(1);  // count, sum, min, max
   const std::vector<std::uint8_t>& body = w.data();
-  w.u64(cache::fnv1a(body.data() + sizeof(obs::kStatMagic),
-                     body.size() - sizeof(obs::kStatMagic)));
+  w.u64(cache::checksum64(body.data() + sizeof(obs::kStatMagic),
+                          body.size() - sizeof(obs::kStatMagic)));
   return w.take();
 }
 
@@ -502,6 +502,24 @@ std::string stat_error_of(const std::vector<std::uint8_t>& blob) {
     return e.what();
   }
   return "(accepted)";
+}
+
+TEST(ObsStats, DecodeRefusesTheVersion2Golden) {
+  // stat_fixture()'s version 2 bytes, as the golden pinned them before
+  // version 3: the same layout under an FNV-1a trailer, which a version 3
+  // decoder refuses by the version alone.
+  const std::vector<std::uint8_t> v2 = nanocost::testing::from_hex(
+      "4e43535441543031020000000200000000000000010e00000000000000736572"
+      "76652e72657175657374732a00000000000000010a0000000000000073657276"
+      "652e736865640700000000000000010000000000000002110000000000000073"
+      "657276652e71756575655f6465707468000000000000f83f0100000000000000"
+      "03100000000000000073657276652e726571756573745f757304000000000000"
+      "0019000000000000000100000000000000290000000000000002000000000000"
+      "0047000000000000000300000000000000740000000000000004000000000000"
+      "000a0000000000000031d400000000000025000000000000009f860100000000"
+      "00f1130241b059bc4d");
+  EXPECT_NE(stat_error_of(v2).find("unsupported version 2"), std::string::npos)
+      << stat_error_of(v2);
 }
 
 TEST(ObsStats, DecodeRejectsWrongMagicAndVersion) {

@@ -235,13 +235,13 @@ TEST_F(CheckpointFile, RoundTripsBitwise) {
 }
 
 TEST_F(CheckpointFile, GoldenVectorPinsTheFormat) {
-  // The NCCKPT01 bytes of sample(), pinned byte for byte in both
+  // The NCCKPT02 bytes of sample(), pinned byte for byte in both
   // directions.  If this test fails, the file format changed: that
   // requires a version bump, not a golden update.
   const std::string kGoldenHex =
-      "4e43434b50543031efbeedfe000000000a000000000000000400000000000000"
-      "020000000000000000000000000000000300000000000000010203abf52c6718"
-      "62aad002000000000000000400000000000000090807064d588320baa248f2";
+      "4e43434b50543032efbeedfe000000000a000000000000000400000000000000"
+      "020000000000000000000000000000000300000000000000010203a5e54e0cee"
+      "133e740200000000000000040000000000000009080706b3bf62e8aced9cdf";
   save_checkpoint(path_, sample());
   EXPECT_EQ(nanocost::testing::to_hex(read_file(path_)), kGoldenHex);
 

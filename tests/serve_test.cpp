@@ -235,16 +235,17 @@ TEST(WireFrame, CorruptionMatrixRejectsEveryCell) {
 
 TEST(WireFrame, GoldenVectorPinsTheFormat) {
   // The risk-request frame the corruption matrix mutates, pinned byte
-  // for byte in both directions.  If this test fails, the wire format
-  // changed: that requires a kWireVersion bump, not a golden update.
+  // for byte in both directions, at kWireVersion 2 (the checksum64
+  // trailer).  If this test fails, the wire format changed: that
+  // requires a kWireVersion bump, not a golden update.
   const std::string kGoldenHex =
-      "4e435749524530310100000002000000a8000000000000000000000000000000"
+      "4e435749524530310200000002000000a8000000000000000000000000000000"
       "000000000000d03fcdccccccccccec3f000000000000204000000000d0126341"
       "00000000006ae840c3f5285c8fa2734000000000804f22410000000000408f40"
       "000000000000f03f333333333333f33f0000000000005940000000000000f03f"
       "7b14ae47e17ab43f333333333333c33f9a9999999999d93f000000000000e03f"
       "0000000000408f40000100000000000001000000000000000000000000000000"
-      "8075b46119cfb75f";
+      "4207eee661511fe6";
   const std::vector<std::uint8_t> payload = encode_payload(small_risk());
   EXPECT_EQ(nanocost::testing::to_hex(encode_frame(FrameType::kRiskRequest, payload)),
             kGoldenHex);
@@ -255,6 +256,26 @@ TEST(WireFrame, GoldenVectorPinsTheFormat) {
   EXPECT_EQ(frame->type, FrameType::kRiskRequest);
   EXPECT_EQ(frame->payload, payload);
   EXPECT_FALSE(read_frame(stream).has_value());
+}
+
+TEST(WireFrame, Version1GoldenIsRefusedByItsVersion) {
+  // The same frame at version 1, as the golden pinned it before version
+  // 2: an FNV-1a trailer, which this peer refuses by the version alone.
+  MemStream stream(nanocost::testing::from_hex(
+      "4e435749524530310100000002000000a8000000000000000000000000000000"
+      "000000000000d03fcdccccccccccec3f000000000000204000000000d0126341"
+      "00000000006ae840c3f5285c8fa2734000000000804f22410000000000408f40"
+      "000000000000f03f333333333333f33f0000000000005940000000000000f03f"
+      "7b14ae47e17ab43f333333333333c33f9a9999999999d93f000000000000e03f"
+      "0000000000408f40000100000000000001000000000000000000000000000000"
+      "8075b46119cfb75f"));
+  try {
+    (void)read_frame(stream);
+    FAIL() << "a version 1 frame must be refused";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WireFrame, DiagnosticsNameTheFrameAndOffense) {
