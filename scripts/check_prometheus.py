@@ -9,10 +9,11 @@ build instead of silently confusing a real scraper.  Checks:
     name matching ^[a-zA-Z_:][a-zA-Z0-9_:]*$;
   * every `# TYPE` line names a known type (counter|gauge|histogram)
     and no metric is TYPE-declared twice;
-  * every histogram is structurally complete and internally consistent:
-    an `{le="+Inf"}` bucket exists, bucket counts are cumulative
-    (non-decreasing as le increases), `_count` equals the +Inf bucket,
-    and `_sum` is present;
+  * every histogram series (a family's samples that share one label set,
+    `le` aside) is structurally complete and internally consistent: an
+    `{le="+Inf"}` bucket exists, bucket counts are cumulative
+    (non-decreasing as le increases), and `_count` (equal to the +Inf
+    bucket) and `_sum` are present with that series' labels;
   * sample values parse as floats (Prometheus permits NaN/Inf spellings,
     so those pass).
 
@@ -34,13 +35,25 @@ NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 # name, optional {labels}, whitespace, value (timestamps are not emitted
 # by nanocost_stats, so a trailing field is an error here).
 SAMPLE_RE = re.compile(r"^([^\s{]+)(\{[^}]*\})?\s+(\S+)$")
-LE_RE = re.compile(r'le="([^"]*)"')
+LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 KNOWN_TYPES = {"counter", "gauge", "histogram"}
 
 
 def parse_value(text):
     # Prometheus spells specials as NaN/+Inf/-Inf; float() accepts them.
     return float(text.replace("+Inf", "inf").replace("-Inf", "-inf"))
+
+
+def label_pairs(labels):
+    """The (name, escaped value) pairs of a `{...}` label set, sorted."""
+    return tuple(sorted(LABEL_RE.findall(labels)))
+
+
+def series_name(name, pairs):
+    """`name{k="v",...}`, or the bare name of an unlabelled series."""
+    if not pairs:
+        return name
+    return name + "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
 
 
 def check(lines):
@@ -86,38 +99,48 @@ def check(lines):
     for name, mtype in sorted(types.items()):
         if mtype != "histogram":
             continue
-        buckets = []  # (le, count), le = +inf for the +Inf bucket
+        # One histogram per series: the buckets grouped by their labels
+        # without le, each checked with the _count and _sum of its labels.
+        series = {}  # label pairs without le -> [(le, count)], le = +inf for +Inf
         for (sample_name, labels), value in samples.items():
             if sample_name != name + "_bucket":
                 continue
-            le = LE_RE.search(labels)
+            pairs = label_pairs(labels)
+            le = [v for k, v in pairs if k == "le"]
             if not le:
                 errors.append(f"{name}: bucket sample without an le label: {labels}")
                 continue
-            buckets.append((parse_value(le.group(1)), value))
-        if not buckets:
+            key = tuple(p for p in pairs if p[0] != "le")
+            series.setdefault(key, []).append((parse_value(le[0]), value))
+        if not series:
             errors.append(f"{name}: histogram with no _bucket samples")
             continue
-        buckets.sort()
-        if not math.isinf(buckets[-1][0]):
-            errors.append(f'{name}: missing the {{le="+Inf"}} bucket')
-        prev = -1.0
-        for le, count in buckets:
-            if count < prev:
+        counts = {label_pairs(labels): value for (sample_name, labels), value in samples.items()
+                  if sample_name == name + "_count"}
+        sums = {label_pairs(labels) for sample_name, labels in samples
+                if sample_name == name + "_sum"}
+        for key, buckets in sorted(series.items()):
+            label = series_name(name, key)
+            buckets.sort()
+            if not math.isinf(buckets[-1][0]):
+                errors.append(f'{label}: missing the {{le="+Inf"}} bucket')
+            prev = -1.0
+            for le, count in buckets:
+                if count < prev:
+                    errors.append(
+                        f"{label}: bucket counts not cumulative at le={le:g} "
+                        f"({count:g} < {prev:g})"
+                    )
+                prev = count
+            count_sample = counts.get(key)
+            if count_sample is None:
+                errors.append(f"{label}: missing _count")
+            elif math.isinf(buckets[-1][0]) and count_sample != buckets[-1][1]:
                 errors.append(
-                    f"{name}: bucket counts not cumulative at le={le:g} "
-                    f"({count:g} < {prev:g})"
+                    f"{label}: _count {count_sample:g} != +Inf bucket {buckets[-1][1]:g}"
                 )
-            prev = count
-        count_sample = samples.get((name + "_count", ""))
-        if count_sample is None:
-            errors.append(f"{name}: missing _count")
-        elif math.isinf(buckets[-1][0]) and count_sample != buckets[-1][1]:
-            errors.append(
-                f"{name}: _count {count_sample:g} != +Inf bucket {buckets[-1][1]:g}"
-            )
-        if (name + "_sum", "") not in samples:
-            errors.append(f"{name}: missing _sum")
+            if key not in sums:
+                errors.append(f"{label}: missing _sum")
     return samples, errors
 
 
