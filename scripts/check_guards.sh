@@ -101,6 +101,14 @@ if grep -rnE 'static obs::(Counter|Gauge|Histogram)' src include examples bench 
     "declare the metric in its module's table and reach it through obs::metrics_table"
 fi
 
+# One checksum for sealed bytes.  The record, the wire frame and the
+# stats blob seal their bytes with cache::checksum64 (XXH64); FNV-1a
+# hashes names (key tags, entry points, fault sites).
+if grep -nE '\bfnv1a\b' src/robust/checkpoint.cpp src/serve/wire.cpp src/obs/stats.cpp \
+    | code_lines; then
+  fired "One checksum for sealed bytes" "seal with cache::checksum64; fnv1a is for names"
+fi
+
 # Every metric is listed.  The names the tables declare (a literal name
 # passed to obs::counter, gauge or histogram in src or include) and the
 # two families must be exactly DESIGN.md section 10's list, no two of
