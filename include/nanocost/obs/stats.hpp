@@ -21,8 +21,7 @@
 //   u64     checksum64 over everything after the magic (version .. last max)
 //
 // There is no layout id: the version pins obs/metrics.hpp's layout, so
-// changing the layout is another version bump.  Version 2 had this
-// layout with an FNV-1a trailer; version 1 carried bound arrays.
+// changing the layout is another version bump.
 //
 // Quantile estimation locates the target rank q*count in its bucket,
 // interpolates linearly across the bucket's inclusive [lower, upper],

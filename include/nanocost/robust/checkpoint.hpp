@@ -17,10 +17,9 @@
 //   i64     record count
 //   records i64 chunk_index, i64 blob_size, blob bytes, u64 checksum64(blob)
 //
-// NCCKPT01 was the same layout with an FNV-1a checksum.  The magic is
-// folded into the record's name (campaign_record_key), so a format
-// change renames every record: an upgraded reader never opens one it
-// cannot read, and recomputes that campaign instead.
+// The magic is folded into the record's name (campaign_record_key), so
+// a format change renames every record: an upgraded reader never opens
+// one it cannot read, and recomputes that campaign instead.
 //
 // Loading is strict: saves go through a temp file plus atomic rename,
 // so a checkpoint either exists whole or not at all -- any truncation,

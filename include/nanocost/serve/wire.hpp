@@ -9,10 +9,6 @@
 //   payload bytes
 //   u64     checksum64(payload, seed = checksum64(version || type))
 //
-// Version 2 is version 1 with the trailer computed by checksum64 (XXH64)
-// instead of FNV-1a; a peer of either version refuses the other's
-// frames by their version.
-//
 // Reading is held to the NCCKPT02/NCBLOB01 strictness standard: a
 // malformed peer can corrupt its *connection*, never the server.  Bad
 // magic, an unsupported version, an unknown frame type, an oversized
